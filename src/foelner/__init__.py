@@ -36,6 +36,7 @@ from .errors import (
     DescriptorMismatch,
     FoelnerError,
     HeadroomViolation,
+    InvariantViolation,
     PreconditionError,
     RankDeficiency,
     SeedRequired,
@@ -75,6 +76,5 @@ from .words import (
     free_group,
     multiply,
     parse_word,
-    reduce,
     standard_generators,
 )

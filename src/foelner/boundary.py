@@ -17,6 +17,7 @@ import numpy as np
 from .errors import (
     DescriptorMismatch,
     InvalidDescriptor,
+    InvariantViolation,
     PreconditionError,
     SearchSpaceTooLarge,
     SeedRequired,
@@ -35,6 +36,7 @@ from .words import (
 )
 
 EXHAUSTIVE_BALL_CAP = 22  # |ball| cap: at most 2^22 candidate subsets
+EXHAUSTIVE_CHUNK = 1 << 20  # subset bitmasks evaluated per vectorized pass
 
 
 @dataclass(frozen=True)
@@ -98,7 +100,8 @@ class BoundaryReport:
     def __post_init__(self):
         if self.set_size <= 0:
             raise PreconditionError("boundary ratio of an empty set")
-        assert self.ratio == Fraction(self.boundary_size, self.set_size)
+        if self.ratio != Fraction(self.boundary_size, self.set_size):
+            raise InvariantViolation(f"ratio {self.ratio} != {self.boundary_size}/{self.set_size}")
 
     @property
     def ratio_float(self) -> float:
@@ -160,7 +163,6 @@ def exhaustive_min_ratio(
     descriptor: GroupDescriptor,
     X: GeneratingSet,
     radius: int,
-    chunk: int = 1 << 20,
 ) -> tuple[ElementSet, BoundaryReport]:
     """True minimum of the boundary ratio over all non-empty subsets of ball(radius).
 
@@ -175,8 +177,8 @@ def exhaustive_min_ratio(
     total = (1 << n) - 1
 
     best: tuple[Fraction, int, tuple[int, ...]] | None = None
-    for start in range(1, total + 1, chunk):
-        stop = min(start + chunk, total + 1)
+    for start in range(1, total + 1, EXHAUSTIVE_CHUNK):
+        stop = min(start + EXHAUSTIVE_CHUNK, total + 1)
         masks = np.arange(start, stop, dtype=np.uint64)
         bcnt, scnt = _subset_boundary_counts(masks, nbr)
         ratios = bcnt / scnt
@@ -190,7 +192,8 @@ def exhaustive_min_ratio(
             key = (frac, int(scnt[ci]), tuple(i for i in range(n) if (mask >> i) & 1))
             if best is None or key < best:
                 best = key
-    assert best is not None
+    if best is None:
+        raise InvariantViolation("no subset was evaluated")
     frac, size, indices = best
     members = ElementSet.of(descriptor, (b.elements[i] for i in indices))
     return members, BoundaryReport(size, int(frac * size), frac)
@@ -207,16 +210,6 @@ class BallRatio:
     method: str  # "enumerated" or "closed_form"
 
 
-def free_ball_ratio_closed_form(rank: int, radius: int) -> Fraction:
-    """Boundary ratio of ball(F_n, r): the boundary is exactly the r-sphere."""
-    if radius < 1:
-        raise PreconditionError("closed form needs radius >= 1")
-    return Fraction(free_sphere_size(rank, radius), free_ball_size(rank, radius))
-
-
-ENUMERATION_CAP = 200_000
-
-
 def ball_family_ratios(
     descriptor: GroupDescriptor,
     X: GeneratingSet,
@@ -226,8 +219,8 @@ def ball_family_ratios(
     """Boundary ratios of ball(r) for r = 1..r_max.
 
     method 'auto' uses the closed form for free groups with standard
-    generators and enumeration otherwise; 'enumerate' and 'closed_form'
-    force one path.
+    generators and enumeration otherwise; 'enumerate' (refused beyond
+    words.ENUMERATION_CAP elements) and 'closed_form' force one path.
     """
     if r_max < 1:
         raise PreconditionError("r_max must be >= 1")
@@ -237,20 +230,15 @@ def ball_family_ratios(
     if method == "closed_form" and not closed_ok:
         raise PreconditionError("closed form only applies to free groups with standard generators")
 
+    use_closed = method == "closed_form" or (method == "auto" and closed_ok)
     out: list[BallRatio] = []
     for r in range(1, r_max + 1):
-        use_closed = method == "closed_form" or (
-            method == "auto" and closed_ok and free_ball_size(descriptor.rank, r) > ENUMERATION_CAP
-        )
         if use_closed:
             size = free_ball_size(descriptor.rank, r)
             bd = free_sphere_size(descriptor.rank, r)
             out.append(BallRatio(r, BoundaryReport(size, bd, Fraction(bd, size)), "closed_form"))
         else:
-            b = ball(descriptor, r)
-            if len(b) > ENUMERATION_CAP:
-                raise SearchSpaceTooLarge(f"|ball({r})| = {len(b)} exceeds the enumeration cap")
-            rep = boundary_ratio(ElementSet.of(descriptor, b.elements), X)
+            rep = boundary_ratio(ElementSet.of(descriptor, ball(descriptor, r).elements), X)
             out.append(BallRatio(r, rep, "enumerated"))
     return out
 
@@ -364,6 +352,8 @@ def local_search_min_ratio(
     frac, _, bm = best
     members = ElementSet.of(descriptor, (b.elements[i] for i in np.flatnonzero(bm)))
     report = boundary_ratio(members, X)
-    assert report.ratio == frac
-    assert report.ratio <= initial_report.ratio
+    if report.ratio != frac or report.ratio > initial_report.ratio:
+        raise InvariantViolation(
+            f"search result {report.ratio} differs from the tracked {frac} or exceeds the start {initial_report.ratio}"
+        )
     return LocalSearchResult(members, report, history, initial_report)

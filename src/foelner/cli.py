@@ -3,7 +3,7 @@
 Every stochastic command requires an explicit --seed; identical flags always
 produce byte-identical payloads (wall time goes to stderr, never into the
 report).  Exit codes: 0 success, 2 precondition violation, 3 numerical
-non-convergence.
+non-convergence, 4 a theorem or consistency check failed.
 """
 
 from __future__ import annotations
@@ -12,10 +12,8 @@ import argparse
 import csv
 import io
 import json
-import os
 import sys
 import time
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Any
@@ -42,11 +40,20 @@ from .connes import (
     standard_unitaries,
     witness_certificate,
 )
-from .errors import ConvergenceError, PreconditionError, SeedRequired
+from .errors import ConvergenceError, InvariantViolation, PreconditionError, SeedRequired
 from .l2ops import GroupAlgebraElement, commutator_ratio, trace_defect, vec_to_json
 from .paradox import chain_audit, contradiction_threshold, make_paper_trace, verify_set_identities
 from .words import GroupDescriptor, Word, format_word, free_group, parse_generators
 
+# the parameters of each command, read from the parsed arguments and echoed
+# in every payload's config
+COMMAND_PARAMS = {
+    "group": ("group", "gens", "radius", "mode", "iters"),
+    "witness": ("n", "k", "depth", "k_max", "formula_only"),
+    "scan": ("n", "rank", "radius", "iters", "unitaries"),
+    "audit": ("rank", "radius", "frames", "paper_mode"),
+    "identity-check": ("trials",),
+}
 STOCHASTIC_COMMANDS = {"scan", "audit", "identity-check"}
 
 
@@ -76,14 +83,6 @@ class RunReport:
             "results": self.results,
             "warnings": self.warnings,
         }
-
-
-def _worker_count() -> int:
-    raw = os.environ.get("FOELNER_THREADS", "1")
-    try:
-        return max(1, int(raw))
-    except ValueError:
-        return 1
 
 
 def _fraction_str(f: Fraction) -> str:
@@ -145,8 +144,6 @@ def _run_group(cfg: RunConfig) -> tuple[Any, list]:
             ],
         )
     else:  # search
-        if cfg.seed is None:
-            raise SeedRequired("group --mode search requires --seed")
         sc = GroupSearchConfig(
             radius=p["radius"], mode="search", seed=cfg.seed, iterations=p["iters"]
         )
@@ -256,13 +253,7 @@ def _run_audit(cfg: RunConfig) -> tuple[Any, list]:
     descriptor = free_group(2)
     identities = verify_set_identities(max(2, p["radius"] + 1))
     rng = np.random.default_rng(cfg.seed)
-    frames = [random_frame(descriptor, p["rank"], p["radius"], rng) for _ in range(p["frames"])]
-    workers = _worker_count()
-    if workers > 1:
-        with ThreadPoolExecutor(max_workers=workers) as pool:
-            evaluated = list(pool.map(_audit_one_frame, frames))
-    else:
-        evaluated = [_audit_one_frame(f) for f in frames]
+    evaluated = [_audit_one_frame(random_frame(descriptor, p["rank"], p["radius"], rng)) for _ in range(p["frames"])]
     thr = contradiction_threshold()
     worst = min(range(len(evaluated)), key=lambda i: evaluated[i]["max_commutator_ratio"]) if evaluated else None
     results = {
@@ -290,7 +281,7 @@ def _run_audit(cfg: RunConfig) -> tuple[Any, list]:
             min(e["max_commutator_ratio"] for e in evaluated) if evaluated else None
         ),
     }
-    warnings = [contradiction_threshold().note]
+    warnings = [thr.note]
     if p["paper_mode"]:
         t = make_paper_trace()
         results["paper_trace"] = {
@@ -356,8 +347,11 @@ _HANDLERS = {
 def run(cfg: RunConfig) -> RunReport:
     """Dispatch a validated RunConfig to its owning module."""
     t0 = time.perf_counter()
-    if cfg.command in STOCHASTIC_COMMANDS and cfg.seed is None:
-        raise SeedRequired(f"command {cfg.command!r} requires an explicit --seed")
+    if cfg.seed is None:
+        if cfg.command in STOCHASTIC_COMMANDS:
+            raise SeedRequired(f"command {cfg.command!r} requires an explicit --seed")
+        if cfg.command == "group" and cfg.params["mode"] == "search":
+            raise SeedRequired("group --mode search requires --seed")
     handler = _HANDLERS[cfg.command]
     results, warnings = handler(cfg)
     wall_ms = (time.perf_counter() - t0) * 1000.0
@@ -455,46 +449,8 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def config_from_args(args: argparse.Namespace) -> RunConfig:
-    params: dict = {}
-    if args.command == "group":
-        params = {
-            "group": args.group,
-            "gens": args.gens,
-            "radius": args.radius,
-            "mode": args.mode,
-            "iters": args.iters,
-        }
-    elif args.command == "witness":
-        params = {
-            "n": args.n,
-            "k": args.k,
-            "depth": args.depth,
-            "k_max": args.k_max,
-            "formula_only": args.formula_only,
-        }
-    elif args.command == "scan":
-        params = {
-            "n": args.n,
-            "rank": args.rank,
-            "radius": args.radius,
-            "iters": args.iters,
-            "unitaries": args.unitaries,
-        }
-    elif args.command == "audit":
-        params = {
-            "rank": args.rank,
-            "radius": args.radius,
-            "frames": args.frames,
-            "paper_mode": args.paper_mode,
-        }
-    elif args.command == "identity-check":
-        params = {"trials": args.trials}
-    seed = getattr(args, "seed", None)
-    if args.command == "group" and args.mode == "search" and seed is None:
-        raise SeedRequired("group --mode search requires --seed")
-    if args.command == "scan" and seed is None:
-        raise SeedRequired("scan requires --seed")
-    return RunConfig(args.command, params, seed, args.out, args.format)
+    params = {name: getattr(args, name) for name in COMMAND_PARAMS[args.command]}
+    return RunConfig(args.command, params, getattr(args, "seed", None), args.out, args.format)
 
 
 def main(argv: list[str] | None = None) -> int:
@@ -510,6 +466,9 @@ def main(argv: list[str] | None = None) -> int:
     except ConvergenceError as exc:
         print(f"numerical non-convergence: {exc}", file=sys.stderr)
         return 3
+    except InvariantViolation as exc:
+        print(f"invariant violated: {exc}", file=sys.stderr)
+        return 4
     print(f"completed in {report.wall_ms:.1f} ms", file=sys.stderr)
     return 0
 

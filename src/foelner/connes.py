@@ -18,7 +18,7 @@ from typing import Sequence
 
 import numpy as np
 
-from .errors import PreconditionError, RankDeficiency, SeedRequired
+from .errors import ConvergenceError, InvariantViolation, PreconditionError, RankDeficiency, SeedRequired
 from .l2ops import (
     Frame,
     GroupAlgebraElement,
@@ -36,6 +36,8 @@ from .words import (
     letters_in_order,
     multiply,
 )
+
+MAX_RESTARTS = 1000  # rank-deficient random draws tolerated before giving up
 
 
 @dataclass(frozen=True)
@@ -147,7 +149,8 @@ def build_witness_frame(cfg: WitnessConfig) -> Frame:
                 word = multiply(head, lists[i - 1][t - 1])
                 coeff = (cfg.n + 1) ** (-t / 2.0)
                 amps[word] = amps.get(word, 0.0) + coeff
-        assert len(amps) == cfg.n * cfg.T, "witness words must all be distinct"
+        if len(amps) != cfg.n * cfg.T:
+            raise InvariantViolation("witness words must all be distinct")
         columns.append(L2Vec.of(descriptor, amps).normalized())
     return Frame(descriptor, tuple(columns), ambient)
 
@@ -215,7 +218,6 @@ class UpperEstimate:
     best_epsilon: float
     limit_epsilon: float
     sweep: tuple[tuple[int, float], ...]
-    certificate: UpperBoundCertificate | None
 
 
 def foelner_upper_estimate(n: int, k_max: int, T: int = 6, mode: str = "frame") -> UpperEstimate:
@@ -229,17 +231,12 @@ def foelner_upper_estimate(n: int, k_max: int, T: int = 6, mode: str = "frame") 
         raise PreconditionError("k_max must be >= 1")
     if mode not in ("frame", "formula"):
         raise PreconditionError(f"unknown mode {mode!r}")
-    sweep: list[tuple[int, float]] = []
-    cert: UpperBoundCertificate | None = None
     if mode == "frame":
-        for k in range(1, k_max + 1):
-            c = witness_certificate(n, k, T)
-            sweep.append((k, c.certified_epsilon))
-            cert = c
+        sweep = [(k, witness_certificate(n, k, T).certified_epsilon) for k in range(1, k_max + 1)]
     else:
         sweep = [(k, certificate_formula(n, k)) for k in range(1, k_max + 1)]
     best_k, best_eps = min(sweep, key=lambda kv: (kv[1], kv[0]))
-    return UpperEstimate(n, k_max, mode, best_k, best_eps, limit_formula(n), tuple(sweep), cert)
+    return UpperEstimate(n, k_max, mode, best_k, best_eps, limit_formula(n), tuple(sweep))
 
 
 # ---------------------------------------------------------------------------
@@ -253,9 +250,17 @@ def random_frame(
     rng: np.random.Generator,
     max_support: int = 12,
 ) -> Frame:
-    """A deterministic (given rng state) random orthonormal frame."""
+    """A deterministic (given rng state) random orthonormal frame.
+
+    Refuses a rank above |ball(ambient_radius - 1)|, which no frame can reach,
+    and gives up after MAX_RESTARTS rank-deficient draws.
+    """
     pool = ball(descriptor, ambient_radius - 1).elements
-    while True:
+    if rank > len(pool):
+        raise PreconditionError(
+            f"rank {rank} exceeds |ball({ambient_radius - 1})| = {len(pool)}, the dimension frames can span"
+        )
+    for _ in range(MAX_RESTARTS):
         columns = []
         for _ in range(rank):
             size = int(rng.integers(2, max_support + 1))
@@ -266,6 +271,7 @@ def random_frame(
             return gram_schmidt(columns, ambient_radius)
         except RankDeficiency:
             continue
+    raise ConvergenceError(f"no rank-{rank} random frame after {MAX_RESTARTS} draws")
 
 
 def frame_pool(
@@ -332,7 +338,8 @@ class _DenseEngine:
         support_ball = ball(cfg.descriptor, cfg.ambient_radius - max(op_radius, 1))
         self.n_support = len(support_ball)
         # shortlex sorts by length first, so the support ball is a prefix
-        assert all(self.full.elements[i] == support_ball.elements[i] for i in (0, self.n_support - 1))
+        if any(self.full.elements[i] != support_ball.elements[i] for i in (0, self.n_support - 1)):
+            raise InvariantViolation("the support ball is not a prefix of the ambient ball")
         self.perms = []
         self.is_identity = []
         for g in cfg.unitaries:
@@ -390,9 +397,8 @@ def anneal_projection(cfg: ProjectionSearchConfig) -> AnnealResult:
     if k > n_sup:
         raise PreconditionError(f"rank {k} exceeds the support dimension {n_sup}")
 
-    c = np.zeros((len(engine.full), k), dtype=complex)
-    while True:
-        raw = np.zeros_like(c)
+    for _ in range(MAX_RESTARTS):
+        raw = np.zeros((len(engine.full), k), dtype=complex)
         for j in range(k):
             idx = rng.choice(n_sup, size=min(8, n_sup), replace=False)
             raw[idx, j] = rng.normal(size=len(idx)) + 1j * rng.normal(size=len(idx))
@@ -401,6 +407,8 @@ def anneal_projection(cfg: ProjectionSearchConfig) -> AnnealResult:
             break
         except RankDeficiency:
             continue
+    else:
+        raise ConvergenceError(f"no rank-{k} starting frame after {MAX_RESTARTS} draws")
 
     current = engine.objective(c)
     best_val, best_c = current, c.copy()
@@ -431,5 +439,6 @@ def anneal_projection(cfg: ProjectionSearchConfig) -> AnnealResult:
     unitaries = [GroupAlgebraElement.left_translation(w) for w in cfg.unitaries]
     records = q_objective(unitaries, frame)
     sparse_val = max(r.worst for r in records)
-    assert abs(sparse_val - best_val) <= 1e-9, "dense and sparse objectives disagree"
+    if abs(sparse_val - best_val) > 1e-9:
+        raise InvariantViolation(f"dense objective {best_val} and sparse objective {sparse_val} disagree")
     return AnnealResult(cfg, frame, sparse_val, records, tuple(history))

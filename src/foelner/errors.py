@@ -1,6 +1,7 @@
 """Exception hierarchy shared by all modules.
 
-PreconditionError maps to CLI exit code 2, ConvergenceError to exit code 3.
+PreconditionError maps to CLI exit code 2, ConvergenceError to exit code 3,
+InvariantViolation to exit code 4.
 """
 
 
@@ -14,6 +15,10 @@ class PreconditionError(FoelnerError):
 
 class ConvergenceError(FoelnerError):
     """An iterative numerical procedure failed to converge within its cap."""
+
+
+class InvariantViolation(FoelnerError):
+    """A theorem or internal consistency check failed at run time."""
 
 
 class DescriptorMismatch(PreconditionError):
@@ -48,7 +53,7 @@ class UnitaryRequired(PreconditionError):
 
 
 class SearchSpaceTooLarge(PreconditionError):
-    """Exhaustive enumeration was requested beyond the subset-count cap."""
+    """Enumeration was requested beyond its element or subset-count cap."""
 
 
 class SeedRequired(PreconditionError):

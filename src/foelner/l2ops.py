@@ -21,17 +21,17 @@ from .errors import (
     ConvergenceError,
     DescriptorMismatch,
     HeadroomViolation,
+    InvariantViolation,
     PreconditionError,
     RankDeficiency,
     UnitaryRequired,
 )
-from .words import GroupDescriptor, Word, format_word, multiply, parse_word, shortlex_key
+from .words import GroupDescriptor, Word, format_word, multiply, shortlex_key
 
 PRUNE_TOL = 1e-15   # amplitudes below this magnitude are dropped
 GRAM_TOL = 1e-10    # frame Gram matrix must match the identity entrywise
 RANK_TOL = 1e-8     # residual threshold declaring columns dependent
 SVD_MAX_K = 256
-SVD_MAX_SWEEPS = 200
 
 
 @dataclass(frozen=True)
@@ -286,11 +286,13 @@ def commutator_ratio(op: GroupAlgebraElement, frame: Frame) -> CommutatorRatio:
     # direct expansion: ||Ue - eU||^2_HS = sum over basis words of ||(Ue - eU) delta_w||^2
     images = [apply(op, col, frame.ambient_radius) for col in frame.columns]
     g_inv = g.inverse()
-    domain: set[Word] = set()
+    # insertion-ordered, so the summation order (and the last bits of the sum)
+    # does not depend on the per-process string-hash seed
+    domain: dict[Word, None] = {}
     for col in frame.columns:
         for w in col.amplitudes:
-            domain.add(w)
-            domain.add(multiply(g_inv, w))
+            domain[w] = None
+            domain[multiply(g_inv, w)] = None
     hs_sq = 0.0
     for w in domain:
         gw = multiply(g, w)
@@ -309,7 +311,8 @@ def commutator_ratio(op: GroupAlgebraElement, frame: Frame) -> CommutatorRatio:
         hs_sq += sum(x.real * x.real + x.imag * x.imag for x in out.values())
     direct = math.sqrt(max(0.0, hs_sq) / k)
 
-    assert abs(direct - closed) <= 1e-9, f"HS identity violated: {direct} vs {closed}"
+    if abs(direct - closed) > 1e-9:
+        raise InvariantViolation(f"HS identity violated: {direct} vs {closed}")
     return CommutatorRatio(direct, closed)
 
 
@@ -319,19 +322,14 @@ def trace_defect(op: GroupAlgebraElement, frame: Frame) -> float:
 
 
 # ---------------------------------------------------------------------------
-# Small dense SVD (cyclic one-sided Jacobi) and the polar factor.
+# Small dense SVD and the polar factor.
 
 
-def svd_small(
-    a: np.ndarray,
-    max_sweeps: int = SVD_MAX_SWEEPS,
-    off_tol: float = 1e-13,
-) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+def svd_small(a: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """SVD of a small square complex matrix: a = U @ diag(s) @ Vh.
 
-    Cyclic one-sided Jacobi on columns; singular values are returned in
-    descending order and U is completed to a full unitary even when a is
-    rank deficient (deterministically, from standard basis vectors).
+    LAPACK (numpy.linalg.svd) with full unitary factors, singular values in
+    descending order, and a reconstruction-residual check.
     """
     a = np.asarray(a, dtype=complex)
     if a.ndim != 2 or a.shape[0] != a.shape[1]:
@@ -339,70 +337,12 @@ def svd_small(
     k = a.shape[0]
     if k > SVD_MAX_K:
         raise PreconditionError(f"k = {k} exceeds the SVD size cap {SVD_MAX_K}")
-
-    m = a.copy()
-    v = np.eye(k, dtype=complex)
-    scale = float(np.linalg.norm(a)) or 1.0
-
-    converged = False
-    for _ in range(max_sweeps):
-        off = 0.0
-        for p in range(k - 1):
-            for q in range(p + 1, k):
-                app = float(np.vdot(m[:, p], m[:, p]).real)
-                aqq = float(np.vdot(m[:, q], m[:, q]).real)
-                apq = complex(np.vdot(m[:, p], m[:, q]))
-                denom = math.sqrt(app * aqq)
-                if denom <= (PRUNE_TOL * scale) ** 2 or abs(apq) <= off_tol * denom:
-                    continue
-                off = max(off, abs(apq) / denom)
-                phase = apq / abs(apq)
-                tau = (aqq - app) / (2.0 * abs(apq))
-                t = math.copysign(1.0, tau) / (abs(tau) + math.sqrt(1.0 + tau * tau))
-                c = 1.0 / math.sqrt(1.0 + t * t)
-                s = c * t
-                rot = np.array([[c, s], [-s * phase.conjugate(), c * phase.conjugate()]], dtype=complex)
-                m[:, [p, q]] = m[:, [p, q]] @ rot
-                v[:, [p, q]] = v[:, [p, q]] @ rot
-        if off <= off_tol:
-            converged = True
-            break
-    if not converged:
-        raise ConvergenceError(f"one-sided Jacobi SVD did not converge within {max_sweeps} sweeps")
-
-    sigma = np.sqrt(np.sum(np.abs(m) ** 2, axis=0))
-    order = np.argsort(-sigma, kind="stable")
-    sigma = sigma[order]
-    m = m[:, order]
-    v = v[:, order]
-
-    u = np.zeros((k, k), dtype=complex)
-    floor = max(scale, 1.0) * 1e-13
-    for i in range(k):
-        if sigma[i] > floor:
-            u[:, i] = m[:, i] / sigma[i]
-        else:
-            sigma[i] = 0.0
-            # deterministic completion: the standard basis vector with the
-            # largest residual against the columns placed so far (ties break
-            # to the smallest index, and the residual is always >= 1/sqrt(k))
-            best = None
-            for b in range(k):
-                cand = np.zeros(k, dtype=complex)
-                cand[b] = 1.0
-                for _ in range(2):
-                    for j in range(k):
-                        if j != i and np.any(u[:, j]):
-                            cand -= np.vdot(u[:, j], cand) * u[:, j]
-                nrm = float(np.linalg.norm(cand))
-                if best is None or nrm > best[0] + 1e-12:
-                    best = (nrm, cand)
-            nrm, cand = best
-            u[:, i] = cand / nrm
-
-    vh = v.conj().T
+    try:
+        u, sigma, vh = np.linalg.svd(a)
+    except np.linalg.LinAlgError as exc:
+        raise ConvergenceError(f"SVD did not converge: {exc}") from exc
     residual = float(np.linalg.norm(a - (u * sigma) @ vh))
-    if residual > 1e-10 * k * max(scale, 1.0):
+    if not residual <= 1e-10 * k * max(float(np.linalg.norm(a)), 1.0):  # also refuses NaN
         raise ConvergenceError(f"SVD residual {residual:.3e} exceeds tolerance")
     return u, sigma, vh
 
@@ -419,12 +359,6 @@ def nearest_unitary(a: np.ndarray) -> tuple[np.ndarray, float]:
     return w, dist
 
 
-def hs_tau_distance(a: np.ndarray, b: np.ndarray) -> float:
-    """||a - b||_{tau_k} = sqrt(tau_k((a-b)*(a-b)))."""
-    k = a.shape[0]
-    return float(np.linalg.norm(a - b)) / math.sqrt(k)
-
-
 # ---------------------------------------------------------------------------
 # Serialization.
 
@@ -432,15 +366,3 @@ def hs_tau_distance(a: np.ndarray, b: np.ndarray) -> float:
 def vec_to_json(v: L2Vec) -> dict:
     items = sorted(v.amplitudes.items(), key=lambda kv: shortlex_key(kv[0]))
     return {format_word(w): [a.real, a.imag] for w, a in items}
-
-
-def vec_from_json(descriptor: GroupDescriptor, data: Mapping[str, Sequence[float]]) -> L2Vec:
-    return L2Vec.of(descriptor, {parse_word(descriptor, k): complex(re, im) for k, (re, im) in data.items()})
-
-
-def matrix_to_json(a: np.ndarray) -> list:
-    return [[[float(x.real), float(x.imag)] for x in row] for row in np.asarray(a, dtype=complex)]
-
-
-def matrix_from_json(data: Sequence) -> np.ndarray:
-    return np.array([[complex(re, im) for re, im in row] for row in data], dtype=complex)

@@ -15,7 +15,7 @@ from fractions import Fraction
 
 import numpy as np
 
-from .errors import PreconditionError, UnitaryRequired
+from .errors import InvariantViolation, PreconditionError, UnitaryRequired
 from .l2ops import Frame, GroupAlgebraElement, L2Vec, compress, nearest_unitary
 from .words import GroupDescriptor, Word, ball, begins_with, format_word, free_group, multiply
 
@@ -34,8 +34,7 @@ class PrefixSet:
     """A first-letter set S_{a_i^eps} (or {e}), optionally translated/complemented.
 
     Membership is decided symbolically (translate back, inspect the first
-    letter), which agrees with the realized set on every word inside the
-    stated realization radius.
+    letter); the realization radius bounds the vectors it may be applied to.
     """
 
     descriptor: GroupDescriptor
@@ -83,10 +82,6 @@ class PrefixSet:
         if self.complement:
             core = f"comp({core})"
         return core
-
-    def realized(self, radius: int | None = None) -> list[Word]:
-        r = self.realization_radius if radius is None else radius
-        return [w for w in ball(self.descriptor, r) if self.contains(w)]
 
 
 def prefix_set(descriptor: GroupDescriptor, letter: int, realization_radius: int) -> PrefixSet:
@@ -198,7 +193,7 @@ def displacement_bound(frame: Frame, op: GroupAlgebraElement, s: PrefixSet) -> D
 
     certified = 2 ||Ue - W|| with ||Ue - W||^2 = dist^2 + (1 - tau_k(A*A)),
     an exact identity for the polar factor W; measured <= certified is a
-    theorem and is asserted.
+    theorem, and a violation raises InvariantViolation.
     """
     if not op.is_single_unitary:
         raise UnitaryRequired("displacement bounds need a single unitary")
@@ -214,7 +209,8 @@ def displacement_bound(frame: Frame, op: GroupAlgebraElement, s: PrefixSet) -> D
     ue_w = math.sqrt(max(0.0, dist * dist + 1.0 - tau_aa))
     certified = 2.0 * ue_w
     measured = max(abs(c_pull - c_s), abs(c_push - c_s))
-    assert measured <= certified + 1e-9, "displacement theorem violated"
+    if measured > certified + 1e-9:
+        raise InvariantViolation(f"displacement theorem violated: {measured} > {certified}")
     return DisplacementBound(
         set_label=s.label(),
         unitary_label=op.label(),
@@ -241,7 +237,6 @@ class ChainVariant:
     lower: float           # 1/2 - cover_bound
     upper: float           # 1/3 + disjoint_bound
     satisfiable: bool      # lower <= upper, i.e. B_cover + B_disjoint >= 1/6
-    c_anchor: float
 
 
 @dataclass(frozen=True)
@@ -267,7 +262,6 @@ class ParadoxReport:
     verdict: str  # contradiction | consistent | inconclusive
     partition_sum: float
     constants: dict
-    paper_trace: PaperTrace | None = None
 
 
 @dataclass(frozen=True)
@@ -312,7 +306,7 @@ def make_paper_trace() -> PaperTrace:
     )
 
 
-def chain_audit(frame: Frame, paper_mode: bool = False) -> ParadoxReport:
+def chain_audit(frame: Frame) -> ParadoxReport:
     """Evaluate the full inequality chain on one frame with honest constants.
 
     Masses are computed over the first-letter partition and the translates the
@@ -358,20 +352,18 @@ def chain_audit(frame: Frame, paper_mode: bool = False) -> ParadoxReport:
     variants = []
     for cover_gen, disjoint_gen in ((1, 2), (2, 1)):
         for sign in (-1, 1):
-            anchor = prefix_set(descriptor, sign * cover_gen, radius)
             b_cover = bounds[cover_gen]
             b_disjoint = bounds[disjoint_gen]
             lower = 0.5 - b_cover
             upper = 1.0 / 3.0 + b_disjoint
             variants.append(
                 ChainVariant(
-                    anchor=anchor.label(),
+                    anchor=prefix_set(descriptor, sign * cover_gen, radius).label(),
                     cover_bound=b_cover,
                     disjoint_bound=b_disjoint,
                     lower=lower,
                     upper=upper,
                     satisfiable=lower <= upper,
-                    c_anchor=c_value(frame, anchor),
                 )
             )
 
@@ -399,5 +391,4 @@ def chain_audit(frame: Frame, paper_mode: bool = False) -> ParadoxReport:
         verdict=verdict,
         partition_sum=partition_sum,
         constants=constants,
-        paper_trace=make_paper_trace() if paper_mode else None,
     )

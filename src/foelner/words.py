@@ -9,16 +9,17 @@ a1 < a1^-1 < a2 < a2^-1 < ...
 
 from __future__ import annotations
 
-import itertools
+import math
 import re
 from dataclasses import dataclass, field
 from functools import lru_cache
 from typing import Iterable, Iterator, Sequence
 
-from .errors import DescriptorMismatch, InvalidDescriptor, InvalidLetter
+from .errors import DescriptorMismatch, InvalidDescriptor, InvalidLetter, SearchSpaceTooLarge
 
 FREE = "free"
 ABELIAN = "abelian"
+ENUMERATION_CAP = 200_000  # largest Cayley ball that is ever materialized
 
 
 @dataclass(frozen=True)
@@ -55,15 +56,6 @@ def free_group(rank: int) -> GroupDescriptor:
 
 def free_abelian(rank: int) -> GroupDescriptor:
     return GroupDescriptor(ABELIAN, rank)
-
-
-def letter(index: int, sign: int) -> int:
-    """Encode a letter: generator `index` (1-based) with sign +1 or -1."""
-    if index < 1:
-        raise InvalidLetter(f"generator index must be >= 1, got {index}")
-    if sign not in (1, -1):
-        raise InvalidLetter(f"sign must be +1 or -1, got {sign}")
-    return index * sign
 
 
 def _check_letters(descriptor: GroupDescriptor, letters: Iterable[int]) -> tuple[int, ...]:
@@ -136,9 +128,6 @@ class Word:
             return Word(self.descriptor, tuple(-l for l in reversed(self.data)))
         return Word(self.descriptor, tuple(-c for c in self.data))
 
-    def __mul__(self, other: "Word") -> "Word":
-        return multiply(self, other)
-
     def letters(self) -> tuple[int, ...]:
         """Canonical letter spelling (for abelian words: a1-run, then a2-run, ...)."""
         if self.descriptor.is_free:
@@ -150,11 +139,6 @@ class Word:
 
     def __repr__(self) -> str:
         return f"Word({format_word(self)!r})"
-
-
-def reduce(descriptor: GroupDescriptor, letters: Iterable[int]) -> Word:
-    """Normal form of a raw letter sequence; idempotent."""
-    return Word.from_letters(descriptor, letters)
 
 
 def multiply(u: Word, v: Word) -> Word:
@@ -237,27 +221,60 @@ def _free_spheres(descriptor: GroupDescriptor, radius: int) -> list[list[Word]]:
     return spheres
 
 
+def _l1_supports(dim: int, start: int, budget: int) -> Iterator[tuple[tuple[int, int], ...]]:
+    """The nonzero entries (position, value), at positions >= start, of every
+    integer vector of length `dim` with l1 norm <= budget.  Each recursion
+    level spends at least 1 of the budget, so the depth stays below
+    min(dim, budget) + 2 however large `dim` is."""
+    yield ()
+    if budget == 0:
+        return
+    for p in range(start, dim):
+        for m in range(1, budget + 1):
+            for rest in _l1_supports(dim, p + 1, budget - m):
+                yield ((p, m),) + rest
+                yield ((p, -m),) + rest
+
+
 def _abelian_elements(descriptor: GroupDescriptor, radius: int) -> list[Word]:
-    d = descriptor.rank
     out = []
-    for vec in itertools.product(range(-radius, radius + 1), repeat=d):
-        if sum(abs(c) for c in vec) <= radius:
-            out.append(Word(descriptor, vec))
+    for support in _l1_supports(descriptor.rank, 0, radius):
+        vec = [0] * descriptor.rank
+        for p, c in support:
+            vec[p] = c
+        out.append(Word(descriptor, tuple(vec)))
     out.sort(key=shortlex_key)
     return out
 
 
 @lru_cache(maxsize=None)
 def ball(descriptor: GroupDescriptor, radius: int) -> Ball:
-    """The radius-`radius` Cayley ball with respect to the standard generators."""
+    """The radius-`radius` Cayley ball with respect to the standard generators.
+
+    Refuses, before building anything, when the ball has more than
+    ENUMERATION_CAP elements.
+    """
     if radius < 0:
         raise InvalidDescriptor(f"radius must be >= 0, got {radius}")
+    # every sphere of radius 1..radius holds at least 2 * rank words; that cheap
+    # bound keeps the closed form away from huge ranks and radii
+    if 1 + 2 * descriptor.rank * radius > ENUMERATION_CAP or ball_size(descriptor, radius) > ENUMERATION_CAP:
+        raise SearchSpaceTooLarge(
+            f"ball({descriptor.spec()}, {radius}) has more elements than the enumeration cap of {ENUMERATION_CAP}"
+        )
     if descriptor.is_free:
         elems = [w for sphere in _free_spheres(descriptor, radius) for w in sphere]
     else:
         elems = _abelian_elements(descriptor, radius)
-    elems.sort(key=shortlex_key)
     return Ball(descriptor, radius, tuple(elems))
+
+
+def ball_size(descriptor: GroupDescriptor, radius: int) -> int:
+    """|ball(radius)| in closed form; for Z^d it is sum_k 2^k C(d,k) C(r,k)."""
+    if descriptor.is_free:
+        return free_ball_size(descriptor.rank, radius)
+    d = descriptor.rank
+    return sum(2**k * math.comb(d, k) * math.comb(radius, k) for k in range(min(d, radius) + 1))
 
 
 def free_ball_size(rank: int, radius: int) -> int:

@@ -185,6 +185,12 @@ def test_ball_family_f2():
     fam = ball_family_ratios(F2, XF2, 2)
     assert fam[-1].report.ratio == Fraction(12, 17)
     assert abs(fam[-1].report.ratio_float - 0.7059) < 1e-4
+    # 'auto' takes the closed form at every radius for free groups with standard
+    # generators, and enumerates otherwise
+    assert {fr.method for fr in fam} == {"closed_form"}
+    skew = GeneratingSet.of(F2, [Word(F2, (1,)), Word(F2, (1, 2))])
+    assert {fr.method for fr in ball_family_ratios(F2, skew, 2)} == {"enumerated"}
+    assert {fr.method for fr in ball_family_ratios(Z2, XZ2, 2)} == {"enumerated"}
 
 
 def test_ball_family_closed_form_matches_enumeration():

@@ -1,11 +1,17 @@
 """CLI behavior: schemas, determinism, exit codes."""
 
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
 from foelner.cli import _HANDLERS, RunConfig, build_parser, main, run
-from foelner.errors import ConvergenceError
+from foelner.errors import ConvergenceError, InvariantViolation
+
+SRC = Path(__file__).resolve().parents[1] / "src"
 
 
 def run_cli(argv, tmp_path, name="out.json"):
@@ -162,13 +168,29 @@ def test_determinism_byte_identical(argv, tmp_path):
     assert first  # non-empty
 
 
-def test_audit_threads_do_not_change_payload(tmp_path, monkeypatch):
-    argv = ["audit", "--rank", "2", "--radius", "3", "--seed", "8", "--frames", "4"]
-    monkeypatch.setenv("FOELNER_THREADS", "1")
-    _, one = run_cli(argv, tmp_path, name="t1.json")
-    monkeypatch.setenv("FOELNER_THREADS", "3")
-    _, three = run_cli(argv, tmp_path, name="t3.json")
-    assert one == three
+def test_identity_check_payload_independent_of_hash_seed():
+    argv = [sys.executable, "-m", "foelner.cli", "identity-check", "--trials", "20", "--seed", "11"]
+    payloads = []
+    for hash_seed in ("0", "1"):
+        env = dict(os.environ, PYTHONHASHSEED=hash_seed)
+        env["PYTHONPATH"] = os.pathsep.join(filter(None, [str(SRC), env.get("PYTHONPATH")]))
+        proc = subprocess.run(argv, env=env, capture_output=True, timeout=120, check=True)
+        payloads.append(proc.stdout)
+    assert payloads[0] == payloads[1]
+    assert payloads[0]
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["audit", "--rank", "3", "--radius", "1", "--seed", "1", "--frames", "1"],
+        ["audit", "--rank", "6", "--radius", "2", "--seed", "1", "--frames", "1"],
+        ["group", "--group", "abelian:30", "--radius", "40", "--mode", "search", "--seed", "1"],
+    ],
+)
+def test_unbounded_inputs_refused_with_exit_2(argv, capsys):
+    assert main(argv) == 2
+    assert capsys.readouterr().err.startswith("error: ")
 
 
 def test_convergence_error_maps_to_exit_3(monkeypatch, capsys):
@@ -179,6 +201,16 @@ def test_convergence_error_maps_to_exit_3(monkeypatch, capsys):
     code = main(["witness", "--n", "2", "--k", "2", "--depth", "2"])
     assert code == 3
     assert "non-convergence" in capsys.readouterr().err
+
+
+def test_invariant_violation_maps_to_exit_4(monkeypatch, capsys):
+    def boom(cfg):
+        raise InvariantViolation("forced")
+
+    monkeypatch.setitem(_HANDLERS, "witness", boom)
+    code = main(["witness", "--n", "2", "--k", "2", "--depth", "2"])
+    assert code == 4
+    assert "invariant violated" in capsys.readouterr().err
 
 
 def test_run_config_echo_includes_everything():

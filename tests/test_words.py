@@ -4,11 +4,13 @@ import itertools
 
 import pytest
 
-from foelner.errors import DescriptorMismatch, InvalidDescriptor, InvalidLetter
+from foelner.errors import DescriptorMismatch, InvalidDescriptor, InvalidLetter, SearchSpaceTooLarge
 from foelner.words import (
+    ENUMERATION_CAP,
     GroupDescriptor,
     Word,
     ball,
+    ball_size,
     begins_with,
     format_word,
     free_abelian,
@@ -17,7 +19,6 @@ from foelner.words import (
     multiply,
     parse_generators,
     parse_word,
-    reduce,
     shortlex_key,
     standard_generators,
 )
@@ -60,29 +61,29 @@ def oracle_ball_free(rank, radius):
 
 
 def test_reduce_examples():
-    assert reduce(F2, [1, -1]) == Word.identity(F2)
-    assert reduce(F2, [1, 2, -2, 1]) == Word(F2, (1, 1))
-    assert reduce(F2, [-1, 1, 1]) == Word(F2, (1,))
+    assert Word.from_letters(F2, [1, -1]) == Word.identity(F2)
+    assert Word.from_letters(F2, [1, 2, -2, 1]) == Word(F2, (1, 1))
+    assert Word.from_letters(F2, [-1, 1, 1]) == Word(F2, (1,))
 
 
 def test_reduce_idempotent():
     for letters in itertools.product([1, -1, 2, -2], repeat=5):
-        w = reduce(F2, letters)
-        assert reduce(F2, w.data) == w
+        w = Word.from_letters(F2, letters)
+        assert Word.from_letters(F2, w.data) == w
 
 
 def test_reduce_rejects_out_of_range():
     with pytest.raises(InvalidLetter):
-        reduce(F2, [3])
+        Word.from_letters(F2, [3])
     with pytest.raises(InvalidLetter):
-        reduce(F2, [0])
+        Word.from_letters(F2, [0])
 
 
 def test_multiply_examples():
-    u = reduce(F2, [1, 2])
-    v = reduce(F2, [-2, 1])
+    u = Word.from_letters(F2, [1, 2])
+    v = Word.from_letters(F2, [-2, 1])
     assert multiply(u, v) == Word(F2, (1, 1))
-    w = reduce(F2, [1, -2, 1])
+    w = Word.from_letters(F2, [1, -2, 1])
     assert multiply(Word.identity(F2), w) == w
     assert multiply(Word.from_vector(Z2, (2, -1)), Word.from_vector(Z2, (-2, 3))) == Word.from_vector(Z2, (0, 2))
 
@@ -138,6 +139,26 @@ def test_ball_sizes_against_oracle_and_closed_form():
             assert {w.data for w in got} == expected
 
 
+def oracle_ball_abelian(rank, radius):
+    return {v for v in itertools.product(range(-radius, radius + 1), repeat=rank) if sum(map(abs, v)) <= radius}
+
+
+def test_abelian_ball_against_oracle_and_closed_form():
+    for d, r in ((1, 7), (2, 5), (3, 4), (4, 3), (5, 2)):
+        desc = free_abelian(d)
+        got = ball(desc, r)
+        assert {w.data for w in got} == oracle_ball_abelian(d, r)
+        assert len(got) == ball_size(desc, r)
+    assert len(ball(free_abelian(9), 6)) == 75517
+
+
+def test_ball_cap_refuses_before_building():
+    for desc, r in ((free_abelian(30), 40), (free_abelian(10**9), 3), (free_group(2), 11), (free_group(2), 10**9)):
+        assert ball_size(desc, min(r, 40)) > ENUMERATION_CAP
+        with pytest.raises(SearchSpaceTooLarge):
+            ball(desc, r)
+
+
 def test_ball_no_duplicates_and_sorted():
     for d, r in ((F2, 4), (Z2, 5)):
         b = ball(d, r)
@@ -156,10 +177,10 @@ def test_ball_serialization_stable():
 
 
 def test_begins_with():
-    w = reduce(F2, [-1, 2])
+    w = Word.from_letters(F2, [-1, 2])
     assert begins_with(w, -1)
     assert not begins_with(Word.identity(F2), 1)
-    assert not begins_with(reduce(F2, [1, 2]), -1)
+    assert not begins_with(Word.from_letters(F2, [1, 2]), -1)
     with pytest.raises(InvalidLetter):
         begins_with(Word.from_vector(Z2, (1, 0)), 1)
 
@@ -169,7 +190,7 @@ def test_word_syntax_roundtrip():
         assert parse_word(F2, format_word(w)) == w
     for w in ball(Z2, 2):
         assert parse_word(Z2, format_word(w)) == w
-    assert format_word(reduce(F2, [1, -2, 1])) == "a1.A2.a1"
+    assert format_word(Word.from_letters(F2, [1, -2, 1])) == "a1.A2.a1"
     assert parse_word(F2, "e") == Word.identity(F2)
     assert format_word(Word.from_vector(Z2, (2, -1))) == "(2,-1)"
 
