@@ -45,12 +45,9 @@ from .errors import (
 from .l2ops import (
     Frame,
     GroupAlgebraElement,
-    L2Vec,
-    apply,
     commutator_ratio,
     compress,
     gram_schmidt,
-    inner_product,
     nearest_unitary,
     svd_small,
     trace_defect,
@@ -62,7 +59,6 @@ from .paradox import (
     contradiction_threshold,
     displacement_bound,
     prefix_set,
-    restriction_norm,
     verify_set_identities,
 )
 from .words import (
@@ -77,4 +73,5 @@ from .words import (
     multiply,
     parse_word,
     standard_generators,
+    translation_indices,
 )

@@ -23,20 +23,23 @@ from .errors import (
     SeedRequired,
 )
 from .words import (
-    Ball,
+    ENUMERATION_CAP,
     GroupDescriptor,
     Word,
     ball,
+    ball_size,
     format_word,
     free_ball_size,
     free_sphere_size,
     multiply,
     shortlex_key,
     standard_generators,
+    translation_indices,
 )
 
 EXHAUSTIVE_BALL_CAP = 22  # |ball| cap: at most 2^22 candidate subsets
 EXHAUSTIVE_CHUNK = 1 << 20  # subset bitmasks evaluated per vectorized pass
+FAMILY_RADIUS_CAP = 2_000  # largest r_max of a ball family; its exact big-integer closed forms cost ~r_max^2.2
 
 
 @dataclass(frozen=True)
@@ -134,18 +137,9 @@ def boundary_ratio(A: ElementSet, X: GeneratingSet) -> BoundaryReport:
 # Exhaustive search over all non-empty subsets of a ball (bitmask-vectorized).
 
 
-def _neighbor_table(b: Ball, X: GeneratingSet) -> np.ndarray:
-    """nbr[x, i] = ball index of elements[i] * closure[x], or -1 if outside."""
-    closure = X.closure()
-    nbr = np.full((len(closure), len(b)), -1, dtype=np.int64)
-    for xi, x in enumerate(closure):
-        for i, w in enumerate(b.elements):
-            nbr[xi, i] = b.get_index(multiply(w, x))
-    return nbr
-
-
 def _subset_boundary_counts(masks: np.ndarray, nbr: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Boundary popcount and size popcount for each subset bitmask."""
+    """Boundary popcount and size popcount for each subset bitmask; nbr[x, i]
+    is the ball index of elements[i] * closure[x], or -1 outside the ball."""
     interior = masks.copy()
     one = np.uint64(1)
     for xi in range(nbr.shape[0]):
@@ -173,7 +167,7 @@ def exhaustive_min_ratio(
     n = len(b)
     if n > EXHAUSTIVE_BALL_CAP:
         raise SearchSpaceTooLarge(f"|ball({radius})| = {n} exceeds the exhaustive cap of {EXHAUSTIVE_BALL_CAP}")
-    nbr = _neighbor_table(b, X)
+    nbr = np.stack([translation_indices(b.elements, x, right=True) for x in X.closure()])
     total = (1 << n) - 1
 
     best: tuple[Fraction, int, tuple[int, ...]] | None = None
@@ -219,11 +213,14 @@ def ball_family_ratios(
     """Boundary ratios of ball(r) for r = 1..r_max.
 
     method 'auto' uses the closed form for free groups with standard
-    generators and enumeration otherwise; 'enumerate' (refused beyond
-    words.ENUMERATION_CAP elements) and 'closed_form' force one path.
+    generators and enumeration otherwise; 'enumerate' and 'closed_form' force
+    one path.  Refused before any work: radii above FAMILY_RADIUS_CAP, and an
+    enumeration whose balls hold more than words.ENUMERATION_CAP words in all.
     """
     if r_max < 1:
         raise PreconditionError("r_max must be >= 1")
+    if r_max > FAMILY_RADIUS_CAP:
+        raise SearchSpaceTooLarge(f"r_max = {r_max} exceeds the ball-family radius cap of {FAMILY_RADIUS_CAP}")
     if method not in ("auto", "enumerate", "closed_form"):
         raise PreconditionError(f"unknown method {method!r}")
     closed_ok = descriptor.is_free and X.is_standard()
@@ -231,6 +228,12 @@ def ball_family_ratios(
         raise PreconditionError("closed form only applies to free groups with standard generators")
 
     use_closed = method == "closed_form" or (method == "auto" and closed_ok)
+    # |ball(r)| >= 1 + 2 * rank * r, so the first test bounds the sum's length
+    if not use_closed and (
+        descriptor.rank * r_max**2 > ENUMERATION_CAP
+        or sum(ball_size(descriptor, r) for r in range(1, r_max + 1)) > ENUMERATION_CAP
+    ):
+        raise SearchSpaceTooLarge(f"the balls of radius <= {r_max} hold more than {ENUMERATION_CAP} words in all")
     out: list[BallRatio] = []
     for r in range(1, r_max + 1):
         if use_closed:
@@ -309,17 +312,15 @@ def local_search_min_ratio(
         raise SeedRequired("local search requires an explicit seed")
     b = ball(descriptor, config.radius)
     n = len(b)
-    nbr = _neighbor_table(b, X)
+    nbr = np.stack([translation_indices(b.elements, x, right=True) for x in X.closure()])
     mask = np.zeros(n, dtype=bool)
-    if initial is None:
-        mask[b.index_of(Word.identity(descriptor))] = True
-    else:
-        for w in initial.members:
-            if w not in b:
-                raise PreconditionError(f"initial member {format_word(w)} outside ball({config.radius})")
-            mask[b.index_of(w)] = True
-        if not mask.any():
-            raise PreconditionError("initial set must be non-empty")
+    where = {w: i for i, w in enumerate(b.elements)}
+    for w in [Word.identity(descriptor)] if initial is None else initial.members:
+        if w not in where:
+            raise PreconditionError(f"initial member {format_word(w)} outside ball({config.radius})")
+        mask[where[w]] = True
+    if not mask.any():
+        raise PreconditionError("initial set must be non-empty")
 
     rng = np.random.default_rng(config.seed)
     bcnt, size = _mask_ratio(mask, nbr)

@@ -31,6 +31,7 @@ from .boundary import (
 )
 from .connes import (
     ProjectionSearchConfig,
+    WitnessConfig,
     anneal_projection,
     certificate_formula,
     foelner_upper_estimate,
@@ -41,9 +42,9 @@ from .connes import (
     witness_certificate,
 )
 from .errors import ConvergenceError, InvariantViolation, PreconditionError, SeedRequired
-from .l2ops import GroupAlgebraElement, commutator_ratio, trace_defect, vec_to_json
+from .l2ops import GroupAlgebraElement, commutator_ratio, frame_to_json, trace_defect
 from .paradox import chain_audit, contradiction_threshold, make_paper_trace, verify_set_identities
-from .words import GroupDescriptor, Word, format_word, free_group, parse_generators
+from .words import GroupDescriptor, Word, format_word, free_group, parse_generators, standard_generators
 
 # the parameters of each command, read from the parsed arguments and echoed
 # in every payload's config
@@ -55,6 +56,7 @@ COMMAND_PARAMS = {
     "identity-check": ("trials",),
 }
 STOCHASTIC_COMMANDS = {"scan", "audit", "identity-check"}
+COUNT_PARAMS = ("iters", "frames", "trials")  # refused below 0
 
 
 @dataclass
@@ -166,7 +168,7 @@ def _run_group(cfg: RunConfig) -> tuple[Any, list]:
 def _run_witness(cfg: RunConfig) -> tuple[Any, list]:
     p = cfg.params
     n, k, depth = p["n"], p["k"], p["depth"]
-    if p.get("k_max"):
+    if p["k_max"] is not None:
         mode = "formula" if p["formula_only"] else "frame"
         est = foelner_upper_estimate(n, p["k_max"], T=depth, mode=mode)
         results = {
@@ -178,22 +180,20 @@ def _run_witness(cfg: RunConfig) -> tuple[Any, list]:
         }
         return results, []
     if p["formula_only"]:
-        results = {
-            "config": {"n": n, "k": k, "depth": depth, "formula_only": True},
-            "per_unitary": [],
-            "certified_epsilon": certificate_formula(n, k),
-            "formula_epsilon": certificate_formula(n, k),
-            "limit_epsilon": limit_formula(n),
-        }
-        return results, []
-    cert = witness_certificate(n, k, depth)
+        WitnessConfig(n, k, depth)  # the checks a frame build makes, bar its work cap
+        certified = formula = certificate_formula(n, k)
+        records, frame = (), {}
+    else:
+        cert = witness_certificate(n, k, depth)
+        certified, formula, records = cert.certified_epsilon, cert.formula_epsilon, cert.records
+        frame = {"frame_fingerprint": cert.frame_fingerprint}
     results = {
-        "config": {"n": n, "k": k, "depth": depth, "formula_only": False},
-        "per_unitary": [{"label": r.label, "ratio": r.ratio, "defect": r.defect} for r in cert.records],
-        "certified_epsilon": cert.certified_epsilon,
-        "formula_epsilon": cert.formula_epsilon,
+        "config": {"n": n, "k": k, "depth": depth, "formula_only": p["formula_only"]},
+        "per_unitary": [{"label": r.label, "ratio": r.ratio, "defect": r.defect} for r in records],
+        "certified_epsilon": certified,
+        "formula_epsilon": formula,
         "limit_epsilon": limit_formula(n),
-        "frame_fingerprint": cert.frame_fingerprint,
+        **frame,
     }
     return results, []
 
@@ -201,10 +201,7 @@ def _run_witness(cfg: RunConfig) -> tuple[Any, list]:
 def _run_scan(cfg: RunConfig) -> tuple[Any, list]:
     p = cfg.params
     descriptor = free_group(p["n"])
-    if p.get("unitaries"):
-        unitary_words = parse_generators(descriptor, p["unitaries"])
-    else:
-        unitary_words = tuple(Word(descriptor, (i,)) for i in range(1, descriptor.rank + 1))
+    unitary_words = parse_generators(descriptor, p["unitaries"]) if p.get("unitaries") else standard_generators(descriptor)
     sc = ProjectionSearchConfig(
         descriptor=descriptor,
         rank=p["rank"],
@@ -227,7 +224,7 @@ def _run_scan(cfg: RunConfig) -> tuple[Any, list]:
         "best_objective": res.objective,
         "history": [{"iteration": it, "objective": obj} for it, obj in res.history],
         "frame_fingerprint": frame_fingerprint(res.frame),
-        "frame": [vec_to_json(col) for col in res.frame.columns],
+        "frame": frame_to_json(res.frame),
     }
     return results, []
 
@@ -352,6 +349,9 @@ def run(cfg: RunConfig) -> RunReport:
             raise SeedRequired(f"command {cfg.command!r} requires an explicit --seed")
         if cfg.command == "group" and cfg.params["mode"] == "search":
             raise SeedRequired("group --mode search requires --seed")
+    for name in COUNT_PARAMS:
+        if cfg.params.get(name, 0) < 0:
+            raise PreconditionError(f"--{name} must be >= 0, got {cfg.params[name]}")
     handler = _HANDLERS[cfg.command]
     results, warnings = handler(cfg)
     wall_ms = (time.perf_counter() - t0) * 1000.0

@@ -14,19 +14,28 @@ import hashlib
 import json
 import math
 from dataclasses import dataclass
-from typing import Sequence
+from typing import Iterable, Sequence
 
 import numpy as np
 
-from .errors import ConvergenceError, InvariantViolation, PreconditionError, RankDeficiency, SeedRequired
+from .errors import (
+    ConvergenceError,
+    InvariantViolation,
+    PreconditionError,
+    RankDeficiency,
+    SearchSpaceTooLarge,
+    SeedRequired,
+)
 from .l2ops import (
     Frame,
     GroupAlgebraElement,
-    L2Vec,
+    closed_form_ratio,
     commutator_ratio,
+    compress,
+    frame_to_json,
     gram_schmidt,
+    normalized_trace,
     trace_defect,
-    vec_to_json,
 )
 from .words import (
     GroupDescriptor,
@@ -35,9 +44,16 @@ from .words import (
     free_group,
     letters_in_order,
     multiply,
+    shortlex_key,
+    standard_generators,
 )
 
 MAX_RESTARTS = 1000  # rank-deficient random draws tolerated before giving up
+# Certifying a witness frame with R = n * k * T rows costs about n * k * R^2
+# multiply-adds (the direct HS route, per standard generator); one witness run
+# refuses frames whose costs sum past this cap.  It admits (n, k, T) = (5, 32, 8).
+WITNESS_WORK_CAP = 1 << 28
+FORMULA_K_MAX_CAP = 100_000  # longest formula-mode certificate sweep
 
 
 @dataclass(frozen=True)
@@ -59,10 +75,6 @@ class QReport:
     records: tuple[UnitaryRecord, ...]
     verdict: bool
 
-    @property
-    def worst(self) -> float:
-        return max(r.worst for r in self.records)
-
 
 def q_objective(unitaries: Sequence[GroupAlgebraElement], frame: Frame) -> tuple[UnitaryRecord, ...]:
     records = []
@@ -77,9 +89,6 @@ def evaluate_Q(unitaries: Sequence[GroupAlgebraElement], frame: Frame, epsilon: 
     """Does this frame witness Q(X, eps)?  Both Connes conditions are checked."""
     if not unitaries:
         raise PreconditionError("empty unitary list")
-    for op in unitaries:
-        if not op.is_single_unitary:
-            raise PreconditionError(f"{op.label()} is not a single unitary")
     records = q_objective(unitaries, frame)
     verdict = max(r.worst for r in records) <= epsilon
     return QReport(epsilon, records, verdict)
@@ -91,7 +100,11 @@ def evaluate_Q(unitaries: Sequence[GroupAlgebraElement], frame: Frame, epsilon: 
 
 @dataclass(frozen=True)
 class WitnessConfig:
-    """Free rank n >= 2, frame rank k >= 1, enumeration depth T >= 1."""
+    """Free rank n >= 2, frame rank k >= 1, enumeration depth T >= 1.
+
+    These checks hold in frame and formula mode alike; building frames is
+    also subject to WITNESS_WORK_CAP (see check_witness_work).
+    """
 
     n: int
     k: int
@@ -102,6 +115,18 @@ class WitnessConfig:
             raise PreconditionError("witness construction needs free rank n >= 2")
         if self.k < 1 or self.T < 1:
             raise PreconditionError("frame rank and depth must be >= 1")
+
+
+def check_witness_work(n: int, T: int, ks: Iterable[int]) -> None:
+    """Refuse, before building anything, witness frames of ranks `ks` whose
+    costs n * k * (n * k * T)^2 sum past WITNESS_WORK_CAP."""
+    work = 0
+    for k in ks:
+        work += n * k * (n * k * T) ** 2
+        if work > WITNESS_WORK_CAP:
+            raise SearchSpaceTooLarge(
+                f"witness frames up to rank {k} (n = {n}, depth {T}) exceed the work cap of {WITNESS_WORK_CAP}"
+            )
 
 
 def prefixed_words(descriptor: GroupDescriptor, first_letter: int, count: int) -> list[Word]:
@@ -136,23 +161,27 @@ def build_witness_frame(cfg: WitnessConfig) -> Frame:
     renormalized to unit length (raw squared norm 1 - (n+1)^(-T)), so the
     exact inner-product value 1/n survives truncation verbatim.
     """
+    check_witness_work(cfg.n, cfg.T, [cfg.k])
     descriptor = free_group(cfg.n)
     lists = _tail_lists(cfg)
     tail_len = max(lst[-1].length() for lst in lists)
     ambient = cfg.k + tail_len + 2
-    columns = []
+    weights = [(cfg.n + 1) ** (-t / 2.0) for t in range(1, cfg.T + 1)]
+    scale = 1.0 / math.sqrt(sum(w * w for _ in range(cfg.n) for w in weights))
+    entries: dict[Word, tuple[int, float]] = {}  # word -> (column, amplitude)
     for m in range(1, cfg.k + 1):
-        amps: dict[Word, complex] = {}
         for i in range(1, cfg.n + 1):
             head = Word(descriptor, (i,) * m)
             for t in range(1, cfg.T + 1):
-                word = multiply(head, lists[i - 1][t - 1])
-                coeff = (cfg.n + 1) ** (-t / 2.0)
-                amps[word] = amps.get(word, 0.0) + coeff
-        if len(amps) != cfg.n * cfg.T:
-            raise InvariantViolation("witness words must all be distinct")
-        columns.append(L2Vec.of(descriptor, amps).normalized())
-    return Frame(descriptor, tuple(columns), ambient)
+                entries[multiply(head, lists[i - 1][t - 1])] = (m - 1, scale * weights[t - 1])
+    if len(entries) != cfg.n * cfg.k * cfg.T:
+        raise InvariantViolation("witness words must all be distinct")
+    rows = sorted(entries, key=shortlex_key)
+    c = np.zeros((len(rows), cfg.k))
+    for r, w in enumerate(rows):
+        m, amp = entries[w]
+        c[r, m] = amp
+    return Frame(descriptor, ambient, tuple(rows), c)
 
 
 def certificate_formula(n: int, k: int) -> float:
@@ -169,7 +198,7 @@ def frame_fingerprint(frame: Frame) -> str:
     payload = {
         "descriptor": frame.descriptor.spec(),
         "ambient_radius": frame.ambient_radius,
-        "columns": [vec_to_json(col) for col in frame.columns],
+        "columns": frame_to_json(frame),
     }
     return hashlib.sha256(json.dumps(payload, sort_keys=True).encode()).hexdigest()
 
@@ -192,9 +221,7 @@ class UpperBoundCertificate:
 
 
 def standard_unitaries(descriptor: GroupDescriptor) -> tuple[GroupAlgebraElement, ...]:
-    return tuple(
-        GroupAlgebraElement.left_translation(Word(descriptor, (i,))) for i in range(1, descriptor.rank + 1)
-    )
+    return tuple(GroupAlgebraElement.left_translation(w) for w in standard_generators(descriptor))
 
 
 def witness_certificate(n: int, k: int, T: int) -> UpperBoundCertificate:
@@ -224,16 +251,19 @@ def foelner_upper_estimate(n: int, k_max: int, T: int = 6, mode: str = "frame") 
     """Minimum certified epsilon over frame ranks k = 1..k_max.
 
     The formula is strictly decreasing in k, so the best rank is k_max; frame
-    mode re-derives every point from an actual frame, formula mode evaluates
-    the closed form only (for large sweeps).
+    mode re-derives every point from an actual frame (refused up front past
+    WITNESS_WORK_CAP), formula mode evaluates the closed form only, for
+    sweeps up to FORMULA_K_MAX_CAP.
     """
-    if k_max < 1:
-        raise PreconditionError("k_max must be >= 1")
     if mode not in ("frame", "formula"):
         raise PreconditionError(f"unknown mode {mode!r}")
+    WitnessConfig(n, k_max, T)  # the same checks as a single certificate
     if mode == "frame":
+        check_witness_work(n, T, range(1, k_max + 1))
         sweep = [(k, witness_certificate(n, k, T).certified_epsilon) for k in range(1, k_max + 1)]
     else:
+        if k_max > FORMULA_K_MAX_CAP:
+            raise SearchSpaceTooLarge(f"k_max = {k_max} exceeds the formula sweep cap of {FORMULA_K_MAX_CAP}")
         sweep = [(k, certificate_formula(n, k)) for k in range(1, k_max + 1)]
     best_k, best_eps = min(sweep, key=lambda kv: (kv[1], kv[0]))
     return UpperEstimate(n, k_max, mode, best_k, best_eps, limit_formula(n), tuple(sweep))
@@ -255,30 +285,26 @@ def random_frame(
     Refuses a rank above |ball(ambient_radius - 1)|, which no frame can reach,
     and gives up after MAX_RESTARTS rank-deficient draws.
     """
+    if rank < 1:
+        raise PreconditionError("frame rank must be >= 1")
     pool = ball(descriptor, ambient_radius - 1).elements
     if rank > len(pool):
         raise PreconditionError(
             f"rank {rank} exceeds |ball({ambient_radius - 1})| = {len(pool)}, the dimension frames can span"
         )
     for _ in range(MAX_RESTARTS):
-        columns = []
-        for _ in range(rank):
+        raw = np.zeros((len(pool), rank), dtype=complex)
+        for j in range(rank):
             size = int(rng.integers(2, max_support + 1))
             idx = rng.choice(len(pool), size=min(size, len(pool)), replace=False)
-            amps = {pool[int(i)]: complex(rng.normal(), rng.normal()) for i in idx}
-            columns.append(L2Vec.of(descriptor, amps))
+            raw[idx, j] = [complex(rng.normal(), rng.normal()) for _ in idx]
+        used = np.flatnonzero(raw.any(axis=1))  # the drawn words, still in shortlex order
         try:
-            return gram_schmidt(columns, ambient_radius)
+            c = gram_schmidt(raw[used])
         except RankDeficiency:
             continue
+        return Frame(descriptor, ambient_radius, tuple(pool[i] for i in used), c)
     raise ConvergenceError(f"no rank-{rank} random frame after {MAX_RESTARTS} draws")
-
-
-def frame_pool(
-    descriptor: GroupDescriptor, rank: int, ambient_radius: int, seed: int, count: int
-) -> list[Frame]:
-    rng = np.random.default_rng(seed)
-    return [random_frame(descriptor, rank, ambient_radius, rng) for _ in range(count)]
 
 
 def pool_objective(unitaries: Sequence[GroupAlgebraElement], frames: Sequence[Frame]) -> tuple[float, int]:
@@ -319,99 +345,51 @@ class ProjectionSearchConfig:
 
 @dataclass
 class AnnealResult:
-    config: ProjectionSearchConfig
     frame: Frame
     objective: float
     records: tuple[UnitaryRecord, ...]
     history: tuple[tuple[int, float], ...]  # (iteration, best objective so far)
 
 
-class _DenseEngine:
-    """Frame columns as a dense matrix over the ambient ball, for hot loops."""
-
-    def __init__(self, cfg: ProjectionSearchConfig):
-        op_radius = max(w.length() for w in cfg.unitaries)
-        if cfg.ambient_radius - op_radius < 0:
-            raise PreconditionError("ambient radius too small for the unitary list")
-        self.cfg = cfg
-        self.full = ball(cfg.descriptor, cfg.ambient_radius)
-        support_ball = ball(cfg.descriptor, cfg.ambient_radius - max(op_radius, 1))
-        self.n_support = len(support_ball)
-        # shortlex sorts by length first, so the support ball is a prefix
-        if any(self.full.elements[i] != support_ball.elements[i] for i in (0, self.n_support - 1)):
-            raise InvariantViolation("the support ball is not a prefix of the ambient ball")
-        self.perms = []
-        self.is_identity = []
-        for g in cfg.unitaries:
-            perm = np.array(
-                [self.full.index_of(multiply(g, w)) for w in support_ball.elements], dtype=np.int64
-            )
-            self.perms.append(perm)
-            self.is_identity.append(g.is_identity)
-
-    def objective(self, c: np.ndarray) -> float:
-        k = c.shape[1]
-        worst = 0.0
-        for perm, ident in zip(self.perms, self.is_identity):
-            uc = np.zeros_like(c)
-            uc[perm, :] = c[: self.n_support, :]
-            a = c.conj().T @ uc
-            ratio = math.sqrt(max(0.0, 2.0 - 2.0 * float(np.sum(np.abs(a) ** 2)) / k))
-            defect = abs(complex(np.trace(a)) / k - (1.0 if ident else 0.0))
-            worst = max(worst, ratio, defect)
-        return worst
-
-    def mgs(self, c: np.ndarray, tol: float = 1e-8) -> np.ndarray:
-        q = c.astype(complex).copy()
-        for j in range(q.shape[1]):
-            col = q[:, j]
-            if j:
-                prev = q[:, :j]
-                for _ in range(2):
-                    col -= prev @ (prev.conj().T @ col)
-            nrm = float(np.linalg.norm(col))
-            if nrm < tol:
-                raise RankDeficiency(j)
-            q[:, j] = col / nrm
-        return q
-
-    def to_frame(self, c: np.ndarray) -> Frame:
-        columns = []
-        for j in range(c.shape[1]):
-            amps = {
-                self.full.elements[i]: complex(c[i, j])
-                for i in range(self.n_support)
-                if abs(c[i, j]) >= 1e-15
-            }
-            columns.append(L2Vec.of(self.cfg.descriptor, amps))
-        return Frame(self.cfg.descriptor, tuple(columns), self.cfg.ambient_radius)
+def _worst_record(ops: Sequence[GroupAlgebraElement], frame: Frame) -> float:
+    """max over ops of the closed-form commutator ratio and the trace defect."""
+    worst = 0.0
+    for op in ops:
+        a = compress(op, frame)
+        worst = max(worst, closed_form_ratio(a, frame), abs(op.identity_coefficient - normalized_trace(a)))
+    return worst
 
 
 def anneal_projection(cfg: ProjectionSearchConfig) -> AnnealResult:
-    """Seeded annealing over frames: perturb one column sparsely, re-orthonormalize,
-    accept by Metropolis on the Q-objective.  Deterministic per seed; the
-    best-so-far history never increases."""
-    engine = _DenseEngine(cfg)
-    rng = np.random.default_rng(cfg.seed)
-    n_sup, k = engine.n_support, cfg.rank
+    """Seeded annealing over frames on the support ball: perturb one column
+    sparsely, re-orthonormalize, accept by Metropolis on the Q-objective.
+    Deterministic per seed; the best-so-far history never increases."""
+    op_radius = max(w.length() for w in cfg.unitaries)
+    if cfg.ambient_radius - op_radius < 0:
+        raise PreconditionError("ambient radius too small for the unitary list")
+    rows = ball(cfg.descriptor, cfg.ambient_radius - max(op_radius, 1)).elements
+    n_sup, k = len(rows), cfg.rank
     if k > n_sup:
         raise PreconditionError(f"rank {k} exceeds the support dimension {n_sup}")
+    ops = [GroupAlgebraElement.left_translation(w) for w in cfg.unitaries]
+    rng = np.random.default_rng(cfg.seed)
 
     for _ in range(MAX_RESTARTS):
-        raw = np.zeros((len(engine.full), k), dtype=complex)
+        raw = np.zeros((n_sup, k), dtype=complex)
         for j in range(k):
             idx = rng.choice(n_sup, size=min(8, n_sup), replace=False)
             raw[idx, j] = rng.normal(size=len(idx)) + 1j * rng.normal(size=len(idx))
         try:
-            c = engine.mgs(raw)
+            c = gram_schmidt(raw)
             break
         except RankDeficiency:
             continue
     else:
         raise ConvergenceError(f"no rank-{k} starting frame after {MAX_RESTARTS} draws")
+    frame = Frame(cfg.descriptor, cfg.ambient_radius, rows, c)
 
-    current = engine.objective(c)
-    best_val, best_c = current, c.copy()
+    current = _worst_record(ops, frame)
+    best_val, best = current, frame
     history: list[tuple[int, float]] = [(0, best_val)]
     scale = cfg.step_scale
 
@@ -419,26 +397,21 @@ def anneal_projection(cfg: ProjectionSearchConfig) -> AnnealResult:
         j = int(rng.integers(k))
         positions = rng.choice(n_sup, size=min(cfg.step_entries, n_sup), replace=False)
         noise = (rng.normal(size=len(positions)) + 1j * rng.normal(size=len(positions))) * scale
-        trial = c.copy()
+        trial = frame.C.copy()
         trial[positions, j] += noise
         scale *= cfg.step_decay
         try:
-            trial_q = engine.mgs(trial)
+            trial_frame = frame.with_columns(gram_schmidt(trial))
         except RankDeficiency:
             continue  # move rejected, not fatal
-        val = engine.objective(trial_q)
+        val = _worst_record(ops, trial_frame)
         temp = 0.5 * scale
         accept = val <= current or (temp > 0 and rng.random() < math.exp((current - val) / temp))
         if accept:
-            c, current = trial_q, val
+            frame, current = trial_frame, val
             if val < best_val:
-                best_val, best_c = val, trial_q.copy()
+                best_val, best = val, trial_frame
                 history.append((it, best_val))
 
-    frame = engine.to_frame(best_c)
-    unitaries = [GroupAlgebraElement.left_translation(w) for w in cfg.unitaries]
-    records = q_objective(unitaries, frame)
-    sparse_val = max(r.worst for r in records)
-    if abs(sparse_val - best_val) > 1e-9:
-        raise InvariantViolation(f"dense objective {best_val} and sparse objective {sparse_val} disagree")
-    return AnnealResult(cfg, frame, sparse_val, records, tuple(history))
+    records = q_objective(ops, best)
+    return AnnealResult(best, max(r.worst for r in records), records, tuple(history))

@@ -1,8 +1,11 @@
 """Truncated l2(G) linear algebra.
 
-Finitely supported vectors, left-translation operators, orthonormal frames
-(finite-rank projections), Hilbert-Schmidt quantities, and nearest-unitary
-approximation via a small dense SVD.
+A frame is the one representation of a finite-rank projection: the shortlex
+tuple of its support words (the rows) and an N x k complex coefficient array
+whose orthonormal columns span the range.  Left translations act on frames as
+index gathers over the rows, so compressions, Hilbert-Schmidt quantities and
+trace defects are array work; nearest-unitary approximation uses a small
+dense SVD.
 
 Nothing is ever clipped: operators are applied only when the support radius
 plus the operator radius fits inside the ambient radius, which keeps every
@@ -11,9 +14,10 @@ inner product, HS norm and compression exact.
 
 from __future__ import annotations
 
+import copy
 import math
-from dataclasses import dataclass
-from typing import Mapping, NamedTuple, Sequence
+from dataclasses import dataclass, field
+from typing import Mapping, NamedTuple
 
 import numpy as np
 
@@ -26,75 +30,18 @@ from .errors import (
     RankDeficiency,
     UnitaryRequired,
 )
-from .words import GroupDescriptor, Word, format_word, multiply, shortlex_key
+from .words import GroupDescriptor, Word, format_word, shortlex_key, translation_indices
 
-PRUNE_TOL = 1e-15   # amplitudes below this magnitude are dropped
+PRUNE_TOL = 1e-15   # amplitudes below this are dropped from operators and at the JSON edge
 GRAM_TOL = 1e-10    # frame Gram matrix must match the identity entrywise
 RANK_TOL = 1e-8     # residual threshold declaring columns dependent
 SVD_MAX_K = 256
-
-
-@dataclass(frozen=True)
-class L2Vec:
-    """Finitely supported vector in l2(G); zero amplitudes are never stored."""
-
-    descriptor: GroupDescriptor
-    amplitudes: Mapping[Word, complex]
-    support_radius: int
-
-    @staticmethod
-    def of(descriptor: GroupDescriptor, amplitudes: Mapping[Word, complex], prune_tol: float = PRUNE_TOL) -> "L2Vec":
-        kept: dict[Word, complex] = {}
-        radius = 0
-        for w, a in amplitudes.items():
-            if w.descriptor != descriptor:
-                raise DescriptorMismatch(f"amplitude on {format_word(w)} from {w.descriptor.spec()}")
-            a = complex(a)
-            if abs(a) < prune_tol:
-                continue
-            kept[w] = a
-            radius = max(radius, w.length())
-        return L2Vec(descriptor, kept, radius)
-
-    @staticmethod
-    def delta(w: Word) -> "L2Vec":
-        return L2Vec(w.descriptor, {w: 1.0 + 0.0j}, w.length())
-
-    def norm_squared(self) -> float:
-        return sum((a.real * a.real + a.imag * a.imag) for a in self.amplitudes.values())
-
-    def norm(self) -> float:
-        return math.sqrt(self.norm_squared())
-
-    def scale(self, c: complex) -> "L2Vec":
-        return L2Vec.of(self.descriptor, {w: c * a for w, a in self.amplitudes.items()})
-
-    def add(self, other: "L2Vec") -> "L2Vec":
-        if self.descriptor != other.descriptor:
-            raise DescriptorMismatch("adding vectors from different groups")
-        out = dict(self.amplitudes)
-        for w, a in other.amplitudes.items():
-            out[w] = out.get(w, 0.0) + a
-        return L2Vec.of(self.descriptor, out)
-
-    def normalized(self) -> "L2Vec":
-        n = self.norm()
-        if n < RANK_TOL:
-            raise RankDeficiency(0, "cannot normalize a (numerically) zero vector")
-        return self.scale(1.0 / n)
-
-
-def inner_product(u: L2Vec, v: L2Vec) -> complex:
-    """<u, v> = sum_w u(w) * conj(v(w)); linear in the first argument."""
-    if u.descriptor != v.descriptor:
-        raise DescriptorMismatch("inner product across different groups")
-    small, big = (u, v) if len(u.amplitudes) <= len(v.amplitudes) else (v, u)
-    acc = 0.0 + 0.0j
-    for w, a in small.amplitudes.items():
-        b = big.amplitudes.get(w)
-        if b is not None:
-            acc += (a * b.conjugate()) if small is u else (b * a.conjugate())
-    return acc
+# Most multiply-adds per matrix product.  OpenBLAS, numpy's default BLAS, runs
+# products of up to about 2^16 multiply-adds, and dot products of up to 10^4
+# entries, on the calling thread; larger ones wake its worker threads, which
+# can cost milliseconds per call when the calls are interleaved with Python
+# work, far more than the arithmetic.
+BLAS_CHUNK = 1 << 14
 
 
 @dataclass(frozen=True)
@@ -132,16 +79,9 @@ class GroupAlgebraElement:
         return abs(abs(c) - 1.0) <= 1e-12
 
     @property
-    def single_word(self) -> Word:
-        if len(self.coefficients) != 1:
-            raise UnitaryRequired("operator is not a single left translation")
-        (w,) = self.coefficients.keys()
-        return w
-
-    @property
     def identity_coefficient(self) -> complex:
         """The trace tau: the coefficient of the identity word."""
-        return complex(self.coefficients.get(Word.identity(self.descriptor), 0.0))
+        return complex(sum(c for w, c in self.coefficients.items() if w.is_identity))
 
     def label(self) -> str:
         if len(self.coefficients) == 1:
@@ -152,101 +92,136 @@ class GroupAlgebraElement:
         return "sum(" + ",".join(f"{format_word(w)}" for w in sorted(self.coefficients, key=shortlex_key)) + ")"
 
 
-def apply(op: GroupAlgebraElement, v: L2Vec, ambient_radius: int) -> L2Vec:
-    """Left action (op v)(w) = sum_g lambda_g v(g^-1 w).
-
-    Refuses (rather than truncating) when the result could leave the ambient
-    ball: requires v.support_radius + op.operator_radius <= ambient_radius.
-    """
-    if op.descriptor != v.descriptor:
-        raise DescriptorMismatch("operator and vector from different groups")
-    if v.support_radius + op.operator_radius > ambient_radius:
-        raise HeadroomViolation(
-            f"support {v.support_radius} + operator {op.operator_radius} exceeds ambient {ambient_radius}"
-        )
-    out: dict[Word, complex] = {}
-    for g, lam in op.coefficients.items():
-        for w, a in v.amplitudes.items():
-            gw = multiply(g, w)
-            out[gw] = out.get(gw, 0.0) + lam * a
-    return L2Vec.of(v.descriptor, out)
-
-
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class Frame:
-    """Ordered orthonormal columns spanning the range of a finite-rank projection."""
+    """Ordered orthonormal columns spanning the range of a finite-rank projection.
+
+    `rows` are distinct words in strictly increasing shortlex order, none
+    longer than ambient_radius - 1, and C[i, j] is the amplitude of column j
+    on rows[i].  C is stored as a read-only complex copy.  hs_norm_sq is
+    ||e||^2_HS = ||C* C||^2_F for the projection e = CC*: the rank k up to
+    roundoff, and exact for the stored C.
+    """
 
     descriptor: GroupDescriptor
-    columns: tuple[L2Vec, ...]
     ambient_radius: int
+    rows: tuple[Word, ...]
+    C: np.ndarray
+    support_radius: int = field(init=False)
+    hs_norm_sq: float = field(init=False)
+    _translations: dict = field(init=False, repr=False)  # g.data -> translation(g), shared by with_columns
 
     def __post_init__(self):
-        if not self.columns:
-            raise PreconditionError("frame needs at least one column")
-        for i, col in enumerate(self.columns):
-            if col.descriptor != self.descriptor:
-                raise DescriptorMismatch(f"column {i} from {col.descriptor.spec()}")
-            if col.support_radius > self.ambient_radius - 1:
-                raise HeadroomViolation(
-                    f"column {i} support radius {col.support_radius} needs ambient >= {col.support_radius + 1}"
-                )
-        g = gram_matrix(self.columns)
-        if not np.allclose(g, np.eye(len(self.columns)), atol=GRAM_TOL, rtol=0.0):
+        if any(w.descriptor != self.descriptor for w in self.rows):
+            raise DescriptorMismatch(f"frame rows outside {self.descriptor.spec()}")
+        keys = [shortlex_key(w) for w in self.rows]
+        if any(a >= b for a, b in zip(keys, keys[1:])):
+            raise PreconditionError("frame rows must be distinct and in increasing shortlex order")
+        radius = keys[-1][0] if keys else 0
+        if radius > self.ambient_radius - 1:
+            raise HeadroomViolation(f"support radius {radius} needs ambient >= {radius + 1}")
+        object.__setattr__(self, "support_radius", radius)
+        object.__setattr__(self, "_translations", {})
+        self._set_columns(self.C)
+
+    def _set_columns(self, c: np.ndarray) -> None:
+        c = np.array(c, dtype=complex)
+        if c.ndim != 2 or c.shape[0] != len(self.rows) or c.shape[1] < 1:
+            raise PreconditionError(f"need a {len(self.rows)} x k coefficient array with k >= 1, got shape {c.shape}")
+        gram = _adjoint_product(c, c)
+        if not np.abs(gram - np.eye(c.shape[1])).max() <= GRAM_TOL:  # also refuses NaN
             raise PreconditionError("frame columns are not orthonormal within the Gram tolerance")
+        c.flags.writeable = False
+        object.__setattr__(self, "C", c)
+        object.__setattr__(self, "hs_norm_sq", float(np.sum(np.abs(gram) ** 2)))
 
     @property
     def rank(self) -> int:
-        return len(self.columns)
+        return self.C.shape[1]
+
+    def with_columns(self, c: np.ndarray) -> "Frame":
+        """The frame on the same, already checked, rows with new orthonormal columns."""
+        frame = copy.copy(self)
+        frame._set_columns(c)
+        return frame
+
+    def translation(self, g: Word) -> np.ndarray:
+        """Position in rows of g * rows[i], or -1 where that word is not a row."""
+        idx = self._translations.get(g.data)
+        if idx is None:
+            idx = self._translations[g.data] = translation_indices(self.rows, g)
+        return idx
 
 
-def gram_matrix(columns: Sequence[L2Vec]) -> np.ndarray:
-    k = len(columns)
-    g = np.zeros((k, k), dtype=complex)
-    for i in range(k):
-        for j in range(i, k):
-            g[i, j] = inner_product(columns[i], columns[j])
-            g[j, i] = g[i, j].conjugate()
-    return g
+def _adjoint_product(x: np.ndarray, y: np.ndarray) -> np.ndarray:
+    """x* y for arrays with equal row counts, in pieces of at most BLAS_CHUNK multiply-adds."""
+    out = np.zeros((x.shape[1], y.shape[1]), dtype=complex)
+    cols = max(1, BLAS_CHUNK // x.shape[1])
+    rows = max(1, BLAS_CHUNK // (x.shape[1] * min(cols, y.shape[1])))
+    for s in range(0, len(x), rows):
+        xs = x[s : s + rows].conj().T
+        for t in range(0, y.shape[1], cols):
+            out[:, t : t + cols] += xs @ y[s : s + rows, t : t + cols]
+    return out
 
 
-def gram_schmidt(
-    columns: Sequence[L2Vec],
-    ambient_radius: int,
-    rank_tol: float = RANK_TOL,
-) -> Frame:
-    """Modified Gram-Schmidt with one re-orthogonalization pass.
+def gram_schmidt(raw: np.ndarray, rank_tol: float = RANK_TOL) -> np.ndarray:
+    """Orthonormal columns with the spans of `raw`'s leading columns, in order.
 
-    Raises RankDeficiency naming the first column whose residual collapses.
+    Each column is projected off its predecessors twice (one
+    re-orthogonalization pass) and normalized.  Raises RankDeficiency naming
+    the first column whose residual norm falls below rank_tol.
     """
-    if not columns:
-        raise PreconditionError("no columns given")
-    ortho: list[L2Vec] = []
-    for i, raw in enumerate(columns):
-        if raw.norm() < rank_tol:
-            raise RankDeficiency(i, f"column {i} is numerically zero")
-        v = raw.normalized()
-        for _ in range(2):
-            for u in ortho:
-                v = v.add(u.scale(-inner_product(v, u)))
-        if v.norm() < rank_tol:
-            raise RankDeficiency(i)
-        ortho.append(v.normalized())
-    return Frame(columns[0].descriptor, tuple(ortho), ambient_radius)
+    q = np.array(raw, dtype=complex)
+    if q.ndim != 2 or q.shape[1] < 1:
+        raise PreconditionError(f"need an N x k array with k >= 1, got shape {q.shape}")
+    for j in range(q.shape[1]):
+        col = q[:, j]
+        if j:
+            prev = q[:, :j]
+            for _ in range(2):
+                col -= prev @ (prev.conj().T @ col)
+        nrm = float(np.linalg.norm(col))
+        if nrm < rank_tol:
+            raise RankDeficiency(j)
+        q[:, j] = col / nrm
+    return q
 
 
 def compress(op: GroupAlgebraElement, frame: Frame) -> np.ndarray:
-    """The k x k compression eUe: entry [q, p] = <U xi_p, xi_q>."""
-    k = frame.rank
-    out = np.zeros((k, k), dtype=complex)
-    images = [apply(op, col, frame.ambient_radius) for col in frame.columns]
-    for p in range(k):
-        for q in range(k):
-            out[q, p] = inner_product(images[p], frame.columns[q])
+    """The k x k compression eUe: entry [q, p] = <U xi_p, xi_q> = sum_g lambda_g (C* L_g C)[q, p].
+
+    Refuses (rather than truncating) when U could move the support out of
+    the ambient ball: requires support_radius + operator_radius <= ambient_radius.
+    """
+    if op.descriptor != frame.descriptor:
+        raise DescriptorMismatch("operator and frame from different groups")
+    if frame.support_radius + op.operator_radius > frame.ambient_radius:
+        raise HeadroomViolation(
+            f"support {frame.support_radius} + operator {op.operator_radius} exceeds ambient {frame.ambient_radius}"
+        )
+    c = frame.C
+    out = np.zeros((frame.rank, frame.rank), dtype=complex)
+    for g, lam in op.coefficients.items():
+        idx = frame.translation(g)
+        src = np.flatnonzero(idx >= 0)
+        out += lam * _adjoint_product(c[idx[src]], c[src])
     return out
 
 
 def normalized_trace(a: np.ndarray) -> complex:
     return complex(np.trace(a)) / a.shape[0]
+
+
+def closed_form_ratio(a: np.ndarray, frame: Frame) -> float:
+    """||[U,e]||_HS / ||e||_HS from the compression A = compress(U, frame) of a unitary U.
+
+    ||[U,e]||^2_HS = 2 ||e||^2_HS - 2 ||A||^2_F holds for e = CC* with any C,
+    so the ratio is sqrt(2) * sqrt(1 - tau_k(A* A)) with ||e||^2_HS in place
+    of k; U = 1 then gives exactly 0 rather than the square root of a rounding
+    error.
+    """
+    return math.sqrt(2.0) * math.sqrt(max(0.0, 1.0 - float(np.sum(np.abs(a) ** 2)) / frame.hs_norm_sq))
 
 
 class CommutatorRatio(NamedTuple):
@@ -255,61 +230,38 @@ class CommutatorRatio(NamedTuple):
     direct: float
     closed_form: float
 
-    @property
-    def value(self) -> float:
-        return self.closed_form
-
-
-def _require_single_unitary(op: GroupAlgebraElement) -> tuple[Word, complex]:
-    if not op.is_single_unitary:
-        raise UnitaryRequired("a single unitary L_g is required here")
-    (w,) = op.coefficients.keys()
-    (c,) = op.coefficients.values()
-    return w, c
-
 
 def commutator_ratio(op: GroupAlgebraElement, frame: Frame) -> CommutatorRatio:
     """Two evaluations of ||[U,e]||_HS / ||e||_HS for a single unitary U.
 
-    The direct route expands Ue - eU in the group basis; the closed form is
-    sqrt(2) * sqrt(1 - tau_k(A* A)) with A the compression.  Both are exact
-    up to roundoff and must agree within 1e-9.
+    The direct route forms ||Ue - eU||_HS = ||UeU* - e||_HS = ||(UC)(UC)* - CC*||_F
+    on the rows and their translates, one tile of at most BLAS_CHUNK
+    multiply-adds at a time, so no whole matrix of that size is formed; the closed
+    form is sqrt(2) * sqrt(1 - tau_k(A* A)) with A the compression (see
+    closed_form_ratio).  Both are exact up to roundoff and must agree within 1e-9.
     """
-    g, lam = _require_single_unitary(op)
-    k = frame.rank
+    if not op.is_single_unitary:
+        raise UnitaryRequired("a single unitary L_g is required here")
+    ((g, lam),) = op.coefficients.items()
+    closed = closed_form_ratio(compress(op, frame), frame)
 
-    # closed form
-    a = compress(op, frame)
-    tau_aa = float(np.sum(np.abs(a) ** 2)) / k
-    closed = math.sqrt(2.0) * math.sqrt(max(0.0, 1.0 - tau_aa))
-
-    # direct expansion: ||Ue - eU||^2_HS = sum over basis words of ||(Ue - eU) delta_w||^2
-    images = [apply(op, col, frame.ambient_radius) for col in frame.columns]
-    g_inv = g.inverse()
-    # insertion-ordered, so the summation order (and the last bits of the sum)
-    # does not depend on the per-process string-hash seed
-    domain: dict[Word, None] = {}
-    for col in frame.columns:
-        for w in col.amplitudes:
-            domain[w] = None
-            domain[multiply(g_inv, w)] = None
+    # embed C and UC = lambda L_g C over rows + (translates outside the rows)
+    k, n = frame.rank, len(frame.rows)
+    pos = frame.translation(g).copy()
+    outside = np.flatnonzero(pos < 0)
+    pos[outside] = n + np.arange(len(outside))
+    z = np.zeros((n + len(outside), 2 * k), dtype=complex)  # [UC, C]
+    z[pos, :k] = lam * frame.C
+    z[:n, k:] = frame.C
+    w = z.conj()
+    w[:, k:] *= -1  # conj([UC, -C]), so z @ w.T = (UC)(UC)* - CC*
+    tile = max(1, math.isqrt(BLAS_CHUNK // (2 * k)))
     hs_sq = 0.0
-    for w in domain:
-        gw = multiply(g, w)
-        out: dict[Word, complex] = {}
-        for m, col in enumerate(frame.columns):
-            cw = col.amplitudes.get(w)
-            if cw is not None:  # U e delta_w contribution
-                c = cw.conjugate()
-                for u, amp in images[m].amplitudes.items():
-                    out[u] = out.get(u, 0.0) + c * amp
-            cgw = col.amplitudes.get(gw)
-            if cgw is not None:  # e U delta_w contribution
-                c = lam * cgw.conjugate()
-                for u, amp in col.amplitudes.items():
-                    out[u] = out.get(u, 0.0) - c * amp
-        hs_sq += sum(x.real * x.real + x.imag * x.imag for x in out.values())
-    direct = math.sqrt(max(0.0, hs_sq) / k)
+    for s in range(0, len(z), tile):
+        for t in range(0, len(z), tile):
+            d = z[s : s + tile] @ w[t : t + tile].T  # at most BLAS_CHUNK / 2 entries
+            hs_sq += float(np.vdot(d, d).real)
+    direct = math.sqrt(hs_sq / frame.hs_norm_sq)
 
     if abs(direct - closed) > 1e-9:
         raise InvariantViolation(f"HS identity violated: {direct} vs {closed}")
@@ -363,6 +315,10 @@ def nearest_unitary(a: np.ndarray) -> tuple[np.ndarray, float]:
 # Serialization.
 
 
-def vec_to_json(v: L2Vec) -> dict:
-    items = sorted(v.amplitudes.items(), key=lambda kv: shortlex_key(kv[0]))
-    return {format_word(w): [a.real, a.imag] for w, a in items}
+def frame_to_json(frame: Frame) -> list[dict]:
+    """Each column as {word: [re, im]} over its amplitudes of magnitude >= PRUNE_TOL."""
+    names = [format_word(w) for w in frame.rows]
+    return [
+        {names[i]: [a.real, a.imag] for i, a in enumerate(col) if abs(a) >= PRUNE_TOL}
+        for col in frame.C.T.tolist()
+    ]

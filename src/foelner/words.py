@@ -11,15 +11,18 @@ from __future__ import annotations
 
 import math
 import re
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from functools import lru_cache
 from typing import Iterable, Iterator, Sequence
+
+import numpy as np
 
 from .errors import DescriptorMismatch, InvalidDescriptor, InvalidLetter, SearchSpaceTooLarge
 
 FREE = "free"
 ABELIAN = "abelian"
 ENUMERATION_CAP = 200_000  # largest Cayley ball that is ever materialized
+INTEGER_CAP = 1_000_000  # most integers a Z^d generator list or ball may store (d^2, or |ball| * d)
 
 
 @dataclass(frozen=True)
@@ -185,10 +188,6 @@ class Ball:
     descriptor: GroupDescriptor
     radius: int
     elements: tuple[Word, ...]
-    _index: dict = field(init=False, repr=False, compare=False, hash=False)
-
-    def __post_init__(self):
-        object.__setattr__(self, "_index", {w: i for i, w in enumerate(self.elements)})
 
     def __len__(self) -> int:
         return len(self.elements)
@@ -196,14 +195,13 @@ class Ball:
     def __iter__(self) -> Iterator[Word]:
         return iter(self.elements)
 
-    def __contains__(self, w: Word) -> bool:
-        return w in self._index
 
-    def index_of(self, w: Word) -> int:
-        return self._index[w]
-
-    def get_index(self, w: Word, default: int = -1) -> int:
-        return self._index.get(w, default)
+def translation_indices(words: Sequence[Word], g: Word, right: bool = False) -> np.ndarray:
+    """idx[i] = position in `words` of g * words[i] (of words[i] * g when
+    `right`), or -1 where that product is not in `words`."""
+    where = {w.data: i for i, w in enumerate(words)}
+    products = [multiply(w, g) if right else multiply(g, w) for w in words]
+    return np.array([where.get(p.data, -1) for p in products], dtype=np.int64)
 
 
 def _free_spheres(descriptor: GroupDescriptor, radius: int) -> list[list[Word]]:
@@ -252,15 +250,16 @@ def ball(descriptor: GroupDescriptor, radius: int) -> Ball:
     """The radius-`radius` Cayley ball with respect to the standard generators.
 
     Refuses, before building anything, when the ball has more than
-    ENUMERATION_CAP elements.
+    ENUMERATION_CAP elements or, for Z^d, stores more than INTEGER_CAP integers.
     """
     if radius < 0:
         raise InvalidDescriptor(f"radius must be >= 0, got {radius}")
     # every sphere of radius 1..radius holds at least 2 * rank words; that cheap
     # bound keeps the closed form away from huge ranks and radii
-    if 1 + 2 * descriptor.rank * radius > ENUMERATION_CAP or ball_size(descriptor, radius) > ENUMERATION_CAP:
+    size = ball_size(descriptor, radius) if 1 + 2 * descriptor.rank * radius <= ENUMERATION_CAP else math.inf
+    if size > ENUMERATION_CAP or (not descriptor.is_free and size * descriptor.rank > INTEGER_CAP):
         raise SearchSpaceTooLarge(
-            f"ball({descriptor.spec()}, {radius}) has more elements than the enumeration cap of {ENUMERATION_CAP}"
+            f"ball({descriptor.spec()}, {radius}) exceeds the caps of {ENUMERATION_CAP} elements and {INTEGER_CAP} integers"
         )
     if descriptor.is_free:
         elems = [w for sphere in _free_spheres(descriptor, radius) for w in sphere]
@@ -330,8 +329,12 @@ def parse_word(descriptor: GroupDescriptor, text: str) -> Word:
 
 
 def standard_generators(descriptor: GroupDescriptor) -> tuple[Word, ...]:
+    """a1..an; refused beyond ENUMERATION_CAP words or, for Z^d, INTEGER_CAP stored integers (d^2)."""
+    n = descriptor.rank
+    if n > ENUMERATION_CAP or (not descriptor.is_free and n * n > INTEGER_CAP):
+        raise SearchSpaceTooLarge(f"the standard generators of {descriptor.spec()} exceed the word or integer cap")
     if descriptor.is_free:
-        return tuple(Word(descriptor, (i,)) for i in range(1, descriptor.rank + 1))
+        return tuple(Word(descriptor, (i,)) for i in range(1, n + 1))
     gens = []
     for i in range(descriptor.rank):
         vec = [0] * descriptor.rank

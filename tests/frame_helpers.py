@@ -1,0 +1,72 @@
+"""Frames built from sparse columns, and the group-basis references the array
+code is checked against."""
+
+import numpy as np
+
+from foelner.connes import random_frame
+from foelner.l2ops import Frame, gram_schmidt
+from foelner.words import multiply, shortlex_key
+
+
+def frame_of(descriptor, ambient, columns, orthonormalize=False):
+    """The frame whose column j has amplitude columns[j][w] on the word w.
+
+    With `orthonormalize`, the columns go through gram_schmidt first.
+    """
+    rows = sorted({w for col in columns for w in col}, key=shortlex_key)
+    c = np.array([[col.get(w, 0.0) for col in columns] for w in rows], dtype=complex)
+    c = c.reshape(len(rows), len(columns))
+    return Frame(descriptor, ambient, tuple(rows), gram_schmidt(c) if orthonormalize else c)
+
+
+def frame_pool(descriptor, rank, ambient_radius, seed, count):
+    """`count` random frames from one seeded generator."""
+    rng = np.random.default_rng(seed)
+    return [random_frame(descriptor, rank, ambient_radius, rng) for _ in range(count)]
+
+
+def columns_of(frame):
+    """Each column of the frame as {word: amplitude} over its nonzero amplitudes."""
+    return [{w: a for w, a in zip(frame.rows, col) if a != 0} for col in frame.C.T.tolist()]
+
+
+def translate(g, col):
+    """(L_g v)(g w) = v(w) on a {word: amplitude} column."""
+    return {multiply(g, w): a for w, a in col.items()}
+
+
+def inner(u, v):
+    """<u, v> = sum_w u(w) conj(v(w)) on {word: amplitude} columns."""
+    return sum(a * v[w].conjugate() for w, a in u.items() if w in v)
+
+
+def reference_compression(g, frame):
+    """[q, p] = <L_g xi_p, xi_q>, computed word by word."""
+    cols = columns_of(frame)
+    return np.array([[inner(translate(g, p), q) for p in cols] for q in cols])
+
+
+def reference_hs_ratio(g, frame):
+    """||L_g e - e L_g||_HS / ||e||_HS, expanding (L_g e - e L_g) delta_w over
+    every word w of the frame's support and its translate g^-1 * support."""
+    cols = columns_of(frame)
+    images = [translate(g, col) for col in cols]
+    g_inv = g.inverse()
+    domain = {}
+    for col in cols:
+        for w in col:
+            domain[w] = None
+            domain[multiply(g_inv, w)] = None
+    hs_sq = 0.0
+    for w in domain:
+        gw = multiply(g, w)
+        out = {}
+        for col, image in zip(cols, images):
+            if w in col:  # L_g e delta_w
+                for u, amp in image.items():
+                    out[u] = out.get(u, 0.0) + col[w].conjugate() * amp
+            if gw in col:  # e L_g delta_w
+                for u, amp in col.items():
+                    out[u] = out.get(u, 0.0) - col[gw].conjugate() * amp
+        hs_sq += sum(abs(x) ** 2 for x in out.values())
+    return (hs_sq / frame.rank) ** 0.5

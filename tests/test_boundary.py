@@ -11,7 +11,6 @@ from foelner.boundary import (
     ElementSet,
     GeneratingSet,
     GroupSearchConfig,
-    _neighbor_table,
     _subset_boundary_counts,
     ball_family_ratios,
     boundary_ratio,
@@ -20,7 +19,7 @@ from foelner.boundary import (
     local_search_min_ratio,
 )
 from foelner.errors import PreconditionError, SearchSpaceTooLarge, SeedRequired
-from foelner.words import Word, ball, free_abelian, free_group, multiply
+from foelner.words import Word, ball, free_abelian, free_group, multiply, translation_indices
 
 F2 = free_group(2)
 Z1 = free_abelian(1)
@@ -175,7 +174,7 @@ def test_boundary_never_empty_at_small_radius():
     # every non-empty subset of ball(2) has a non-empty interior boundary
     for descriptor, X in ((F2, XF2), (Z2, XZ2)):
         b = ball(descriptor, 2)
-        nbr = _neighbor_table(b, X)
+        nbr = np.stack([translation_indices(b.elements, x, right=True) for x in X.closure()])
         masks = np.arange(1, 1 << len(b), dtype=np.uint64)
         bcnt, _ = _subset_boundary_counts(masks, nbr)
         assert int(bcnt.min()) >= 1

@@ -4,9 +4,13 @@ import json
 import os
 import subprocess
 import sys
+import textwrap
+from datetime import timedelta
 from pathlib import Path
 
 import pytest
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
 
 from foelner.cli import _HANDLERS, RunConfig, build_parser, main, run
 from foelner.errors import ConvergenceError, InvariantViolation
@@ -186,11 +190,51 @@ def test_identity_check_payload_independent_of_hash_seed():
         ["audit", "--rank", "3", "--radius", "1", "--seed", "1", "--frames", "1"],
         ["audit", "--rank", "6", "--radius", "2", "--seed", "1", "--frames", "1"],
         ["group", "--group", "abelian:30", "--radius", "40", "--mode", "search", "--seed", "1"],
+        # ball families past boundary.FAMILY_RADIUS_CAP, and enumerated ones whose
+        # balls hold more than words.ENUMERATION_CAP words in all
+        ["group", "--group", "free:2", "--radius", "2001", "--mode", "balls"],
+        ["group", "--group", "abelian:2", "--radius", "66", "--mode", "balls"],
+        # witness inputs: the same n >= 2, k >= 1, depth >= 1 checks in every mode
+        ["witness", "--n", "0", "--k", "2", "--formula-only"],
+        ["witness", "--n", "1", "--k", "2", "--formula-only"],
+        ["witness", "--n", "2", "--k", "0", "--formula-only"],
+        ["witness", "--n", "2", "--k", "2", "--depth", "0", "--formula-only"],
+        ["witness", "--n", "2", "--k-max", "0"],
+        ["witness", "--n", "2", "--k-max", "0", "--formula-only"],
+        # just past connes.WITNESS_WORK_CAP, for one frame and for a sweep, and
+        # just past connes.FORMULA_K_MAX_CAP
+        ["witness", "--n", "5", "--k", "32", "--depth", "9"],
+        ["witness", "--n", "5", "--k-max", "19", "--depth", "8"],
+        ["witness", "--n", "2", "--k-max", "100001", "--formula-only"],
+        # negative counts
+        ["identity-check", "--trials", "-1", "--seed", "1"],
+        ["audit", "--rank", "2", "--radius", "3", "--seed", "1", "--frames", "-1"],
+        ["scan", "--n", "2", "--rank", "2", "--radius", "3", "--iters", "-1", "--seed", "1"],
+        ["group", "--group", "abelian:2", "--radius", "3", "--mode", "search", "--iters", "-1", "--seed", "1"],
     ],
 )
 def test_unbounded_inputs_refused_with_exit_2(argv, capsys):
     assert main(argv) == 2
     assert capsys.readouterr().err.startswith("error: ")
+
+
+def test_huge_abelian_rank_refused_before_allocating():
+    # without a cap, the 50,000 standard generators of Z^50000 alone hold 2.5e9
+    # integers; the address-space limit turns such an allocation into a
+    # MemoryError instead of exhausting the machine
+    script = textwrap.dedent(
+        """
+        import resource, sys
+        resource.setrlimit(resource.RLIMIT_AS, (1 << 30, 1 << 30))
+        from foelner.cli import main
+        sys.exit(main(["group", "--group", "abelian:50000", "--radius", "1", "--mode", "balls"]))
+        """
+    )
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [str(SRC), env.get("PYTHONPATH")]))
+    proc = subprocess.run([sys.executable, "-c", script], env=env, capture_output=True, timeout=120)
+    assert proc.returncode == 2, proc.stderr.decode(errors="replace")[-400:]
+    assert b"cap" in proc.stderr
 
 
 def test_convergence_error_maps_to_exit_3(monkeypatch, capsys):
@@ -230,3 +274,73 @@ def test_parser_rejects_unknown_mode():
 def test_csv_unavailable_for_non_tabular(capsys):
     code = main(["witness", "--n", "2", "--k", "2", "--depth", "2", "--format", "csv"])
     assert code == 2
+
+
+# ---------------------------------------------------------------------------
+# Fuzzing: every argument tuple ends in a documented exit code.
+
+SMALL = st.integers(-2, 4)
+SEED = st.one_of(st.none(), st.integers(0, 3)).map(lambda s: [] if s is None else ["--seed", str(s)])
+
+
+def _argv(*parts):
+    return [str(p) for p in parts]
+
+
+FUZZ_ARGV = st.one_of(
+    st.builds(
+        lambda group, radius, mode, iters, seed: _argv("group", "--group", group, "--radius", radius, "--mode", mode,
+                                                       "--iters", iters) + seed,
+        st.sampled_from(["free:0", "free:1", "free:2", "free:3", "abelian:1", "abelian:2", "abelian:3", "abelian:1001"]),
+        st.one_of(SMALL, st.just(2001)),
+        st.sampled_from(["exhaustive", "balls", "search"]),
+        st.integers(-2, 30),
+        SEED,
+    ),
+    st.builds(
+        lambda n, k, depth, k_max, formula: _argv("witness", "--n", n, "--k", k, "--depth", depth)
+        + ([] if k_max is None else ["--k-max", str(k_max)]) + (["--formula-only"] if formula else []),
+        SMALL,
+        SMALL,
+        SMALL,
+        st.one_of(st.none(), SMALL),
+        st.booleans(),
+    ),
+    st.sampled_from(
+        [
+            _argv("witness", "--n", 5, "--k", 32, "--depth", 9),
+            _argv("witness", "--n", 5, "--k-max", 19, "--depth", 8),
+            _argv("witness", "--n", 2, "--k-max", 100_001, "--formula-only"),
+        ]
+    ),
+    st.builds(
+        lambda n, rank, radius, iters, seed: _argv("scan", "--n", n, "--rank", rank, "--radius", radius,
+                                                   "--iters", iters) + seed,
+        st.integers(-1, 3),
+        SMALL,
+        SMALL,
+        st.integers(-2, 20),
+        SEED,
+    ),
+    st.builds(
+        lambda rank, radius, frames, paper, seed: _argv("audit", "--rank", rank, "--radius", radius, "--frames", frames)
+        + (["--paper-mode"] if paper else []) + seed,
+        SMALL,
+        SMALL,
+        st.integers(-2, 3),
+        st.booleans(),
+        SEED,
+    ),
+    st.builds(lambda trials, seed: _argv("identity-check", "--trials", trials) + seed, st.integers(-2, 3), SEED),
+)
+
+
+@settings(derandomize=True, database=None, max_examples=400, deadline=timedelta(seconds=5),
+          suppress_health_check=[HealthCheck.too_slow])
+@given(FUZZ_ARGV)
+def test_cli_fuzz_exit_codes(argv):
+    try:
+        code = main(argv + ["--out", os.devnull])
+    except SystemExit as exc:  # argparse rejects the arguments
+        code = exc.code
+    assert code in (0, 2, 3), argv

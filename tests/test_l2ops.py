@@ -1,4 +1,4 @@
-"""Vectors, frames, HS quantities, SVD, nearest unitary."""
+"""Frames, translations, HS quantities, SVD, nearest unitary."""
 
 import math
 
@@ -15,20 +15,17 @@ from foelner.errors import (
 from foelner.l2ops import (
     Frame,
     GroupAlgebraElement,
-    L2Vec,
-    apply,
     commutator_ratio,
     compress,
-    gram_matrix,
+    frame_to_json,
     gram_schmidt,
-    inner_product,
     nearest_unitary,
     normalized_trace,
     svd_small,
     trace_defect,
-    vec_to_json,
 )
-from foelner.words import Word, ball, free_group, multiply, parse_word
+from foelner.words import Word, ball, free_group, multiply, parse_word, translation_indices
+from frame_helpers import columns_of, frame_of, reference_compression, reference_hs_ratio
 
 F2 = free_group(2)
 E = Word.identity(F2)
@@ -40,86 +37,105 @@ L_e = GroupAlgebraElement.left_translation(E)
 SQRT2 = math.sqrt(2.0)
 
 
-def delta(w):
-    return L2Vec.delta(w)
+def delta_frame(*words, ambient=3):
+    return frame_of(F2, ambient, [{w: 1.0} for w in words])
 
 
-def random_vec(rng, radius=3, size=8):
+def random_columns(rng, rank, radius=3):
     pool = ball(F2, radius).elements
-    idx = rng.choice(len(pool), size=size, replace=False)
-    return L2Vec.of(F2, {pool[int(i)]: complex(rng.normal(), rng.normal()) for i in idx})
+    cols = []
+    for _ in range(rank):
+        idx = rng.choice(len(pool), size=int(rng.integers(3, 10)), replace=False)
+        cols.append({pool[int(i)]: complex(rng.normal(), rng.normal()) for i in idx})
+    return cols
 
 
 def random_frame(rng, rank=4, ambient=5):
-    cols = [random_vec(rng, radius=ambient - 1, size=int(rng.integers(3, 10))) for _ in range(rank)]
-    return gram_schmidt(cols, ambient)
+    return frame_of(F2, ambient, random_columns(rng, rank, radius=ambient - 1), orthonormalize=True)
 
 
 # ---------------------------------------------------------------------------
-# Vectors and inner products.
+# The group basis and inner products of translates.
 
 
 def test_inner_product_group_basis_orthonormal():
-    for g in ball(F2, 2):
-        for h in ball(F2, 2):
-            expected = 1.0 if g == h else 0.0
-            assert inner_product(delta(g), delta(h)) == expected
+    words = ball(F2, 2).elements
+    frame = delta_frame(*words)
+    assert np.array_equal(frame.C.conj().T @ frame.C, np.eye(len(words)))
+    assert np.array_equal(compress(L_e, frame), np.eye(len(words)))
+    # <L_a delta_g, delta_h> = 1 exactly when h = a g
+    a_mat = compress(L_a, frame)
+    for p, g in enumerate(words):
+        for q, h in enumerate(words):
+            assert a_mat[q, p] == (1.0 if h == multiply(A, g) else 0.0)
 
 
 def test_inner_product_example():
-    v = delta(A).add(delta(B)).scale(1 / SQRT2)
-    assert abs(inner_product(v, delta(A)) - 1 / SQRT2) < 1e-15
+    # <L_a delta_e, (delta_a + delta_b)/sqrt2> = 1/sqrt2
+    frame = frame_of(F2, 3, [{E: 1.0}, {A: 1 / SQRT2, B: 1 / SQRT2}])
+    assert abs(compress(L_a, frame)[1, 0] - 1 / SQRT2) < 1e-15
 
 
 def test_inner_product_conjugate_symmetric_and_linear():
     rng = np.random.default_rng(1)
     for _ in range(20):
-        u, v = random_vec(rng), random_vec(rng)
-        assert abs(inner_product(u, v) - inner_product(v, u).conjugate()) < 1e-12
-        c = complex(rng.normal(), rng.normal())
-        assert abs(inner_product(u.scale(c), v) - c * inner_product(u, v)) < 1e-12
+        frame = random_frame(rng)
+        c1, c2 = complex(rng.normal(), rng.normal()), complex(rng.normal(), rng.normal())
+        blend = GroupAlgebraElement.of(F2, {A: c1, B: c2})
+        assert np.allclose(compress(blend, frame), c1 * compress(L_a, frame) + c2 * compress(L_b, frame), atol=1e-12)
+        a_inv = compress(GroupAlgebraElement.left_translation(A.inverse()), frame)
+        assert np.allclose(a_inv, compress(L_a, frame).conj().T, atol=1e-12)
 
 
 def test_amplitude_pruning():
-    v = L2Vec.of(F2, {E: 1.0, A: 1e-16})
-    assert A not in v.amplitudes
-    assert v.support_radius == 0
+    frame = frame_of(F2, 2, [{E: 1.0, A: 1e-16}])
+    assert frame_to_json(frame) == [{"e": [1.0, 0.0]}]
+    op = GroupAlgebraElement.of(F2, {E: 1.0, A: 1e-16})
+    assert A not in op.coefficients
+    assert op.operator_radius == 0
 
 
 # ---------------------------------------------------------------------------
-# Left translation.
+# Left translation as an index gather.
 
 
 def test_apply_examples():
-    assert apply(L_a, delta(Word.from_letters(F2, [-1, 2])), 3).amplitudes == {B: 1.0 + 0.0j}
-    assert apply(L_a, delta(E), 2).amplitudes == {A: 1.0 + 0.0j}
+    # L_a delta_{a^-1 b} = delta_b, L_a delta_e = delta_a; b * a^-1 b is not a row
+    rows = (B, Word.from_letters(F2, [-1, 2]))
+    assert translation_indices(rows, A).tolist() == [-1, 0]
+    assert translation_indices((E, A), A).tolist() == [1, -1]
+    assert translation_indices((E, A), A, right=True).tolist() == [1, -1]
+    frame = delta_frame(E, A)
     op = GroupAlgebraElement.of(F2, {E: 0.5, A: 0.5})
-    out = apply(op, delta(E), 2)
-    assert out.amplitudes == {E: 0.5 + 0.0j, A: 0.5 + 0.0j}
+    assert np.array_equal(compress(op, frame), [[0.5, 0.0], [0.5, 0.5]])
 
 
 def test_apply_headroom_refusal():
-    v = delta(Word(F2, (1, 1, 1)))
     with pytest.raises(HeadroomViolation):
-        apply(L_a, v, 3)
-    assert apply(L_a, v, 4).support_radius == 4
+        delta_frame(Word(F2, (1, 1, 1)), ambient=3)  # support radius 3 > ambient - 1
+    frame = delta_frame(Word(F2, (1, 1, 1)), ambient=4)
+    l_aa = GroupAlgebraElement.left_translation(Word(F2, (1, 1)))
+    with pytest.raises(HeadroomViolation):
+        compress(l_aa, frame)  # support 3 + operator 2 > ambient 4
+    compress(L_a, frame)
+    assert np.array_equal(compress(l_aa, delta_frame(Word(F2, (1, 1, 1)), ambient=5)), [[0.0]])
 
 
 def test_apply_isometry_and_composition():
-    rng = np.random.default_rng(2)
+    words = ball(F2, 4).elements
     for g in (A, B, A.inverse(), multiply(A, B)):
-        op = GroupAlgebraElement.left_translation(g)
-        for _ in range(10):
-            v = random_vec(rng)
-            out = apply(op, v, 10)
-            assert abs(out.norm() - v.norm()) < 1e-12
-    for _ in range(10):
-        v = random_vec(rng)
-        gh = apply(GroupAlgebraElement.left_translation(A), apply(GroupAlgebraElement.left_translation(B), v, 10), 11)
-        combined = apply(GroupAlgebraElement.left_translation(multiply(A, B)), v, 11)
-        assert gh.amplitudes.keys() == combined.amplitudes.keys()
-        for w in gh.amplitudes:
-            assert abs(gh.amplitudes[w] - combined.amplitudes[w]) < 1e-12
+        idx = translation_indices(words, g)
+        hit = idx[idx >= 0]
+        assert len(set(hit.tolist())) == len(hit)  # injective: L_g is an isometry
+        for i, j in enumerate(idx):
+            assert (j >= 0) == (multiply(g, words[i]).length() <= 4)
+            if j >= 0:
+                assert words[j] == multiply(g, words[i])
+    # L_a L_b = L_ab wherever both sides stay inside the ball
+    via_b, via_a, via_ab = (translation_indices(words, g) for g in (B, A, multiply(A, B)))
+    for i in range(len(words)):
+        if via_b[i] >= 0 and via_a[via_b[i]] >= 0:
+            assert via_a[via_b[i]] == via_ab[i]
 
 
 def test_single_unitary_flag():
@@ -134,33 +150,38 @@ def test_single_unitary_flag():
 
 
 def test_gram_schmidt_already_orthonormal():
-    frame = gram_schmidt([delta(E), delta(A)], 2)
-    assert frame.columns[0].amplitudes == {E: 1.0 + 0.0j}
-    assert frame.columns[1].amplitudes == {A: 1.0 + 0.0j}
+    assert np.array_equal(gram_schmidt(np.eye(3)[:, :2]), np.eye(3)[:, :2])
 
 
 def test_gram_schmidt_example():
-    frame = gram_schmidt([delta(E), delta(E).add(delta(A))], 2)
-    assert set(frame.columns[1].amplitudes) == {A}
-    assert abs(frame.columns[1].amplitudes[A] - 1.0) < 1e-12
+    # rows (e, a): columns delta_e and delta_e + delta_a give delta_e, delta_a
+    q = gram_schmidt(np.array([[1.0, 1.0], [0.0, 1.0]]))
+    assert np.allclose(q, np.eye(2), atol=1e-12)
 
 
 def test_gram_schmidt_rank_deficiency():
     with pytest.raises(RankDeficiency) as exc:
-        gram_schmidt([delta(E), delta(E).scale(1 + 1e-12)], 2)
+        gram_schmidt(np.array([[1.0, 1.0 + 1e-12], [0.0, 0.0]]))
     assert exc.value.column_index == 1
+    with pytest.raises(RankDeficiency) as exc:
+        gram_schmidt(np.zeros((3, 2)))
+    assert exc.value.column_index == 0
 
 
 def test_frame_invariants():
     rng = np.random.default_rng(3)
     for _ in range(10):
         frame = random_frame(rng)
-        g = gram_matrix(frame.columns)
-        assert np.allclose(g, np.eye(frame.rank), atol=1e-10)
+        assert np.allclose(frame.C.conj().T @ frame.C, np.eye(frame.rank), atol=1e-10)
+        assert not frame.C.flags.writeable
     with pytest.raises(PreconditionError):
-        Frame(F2, (delta(E), delta(E)), 2)  # not orthonormal
+        Frame(F2, 2, (E,), np.array([[1.0, 1.0]]))  # not orthonormal
     with pytest.raises(HeadroomViolation):
-        Frame(F2, (delta(Word(F2, (1, 1))),), 2)  # support radius 2 > ambient - 1
+        delta_frame(Word(F2, (1, 1)), ambient=2)  # support radius 2 > ambient - 1
+    with pytest.raises(PreconditionError):
+        Frame(F2, 3, (A, E), np.eye(2))  # rows out of shortlex order
+    with pytest.raises(PreconditionError):
+        Frame(F2, 3, (E, A), np.eye(3))  # one row per array row
 
 
 # ---------------------------------------------------------------------------
@@ -168,11 +189,20 @@ def test_frame_invariants():
 
 
 def test_compress_examples():
-    f_e = Frame(F2, (delta(E),), 2)
+    f_e = delta_frame(E, ambient=2)
     assert np.allclose(compress(L_a, f_e), [[0.0]])
-    f_ea = gram_schmidt([delta(E), delta(A)], 3)
+    f_ea = delta_frame(E, A)
     assert np.allclose(compress(L_e, f_ea), np.eye(2))
     assert np.allclose(compress(L_a, f_ea), [[0, 0], [1, 0]])
+
+
+def test_compress_matches_word_by_word_reference():
+    rng = np.random.default_rng(5)
+    for _ in range(20):
+        frame = random_frame(rng, rank=int(rng.integers(1, 6)))
+        for g in (A, B, A.inverse(), E):
+            got = compress(GroupAlgebraElement.left_translation(g), frame)
+            assert np.allclose(got, reference_compression(g, frame), atol=1e-12, rtol=0)
 
 
 def test_compress_adjoint_relation():
@@ -186,7 +216,7 @@ def test_compress_adjoint_relation():
 
 
 def test_commutator_ratio_examples():
-    f_e = Frame(F2, (delta(E),), 2)
+    f_e = delta_frame(E, ambient=2)
     r = commutator_ratio(L_a, f_e)
     assert abs(r.direct - SQRT2) < 1e-12
     assert abs(r.closed_form - SQRT2) < 1e-12
@@ -197,7 +227,7 @@ def test_commutator_ratio_examples():
 
 
 def test_commutator_ratio_requires_unitary():
-    f_e = Frame(F2, (delta(E),), 3)
+    f_e = delta_frame(E)
     with pytest.raises(UnitaryRequired):
         commutator_ratio(GroupAlgebraElement.of(F2, {E: 0.5, A: 0.5}), f_e)
 
@@ -213,11 +243,22 @@ def test_hs_identity_property():
             assert trace_defect(op, frame) <= 2.0
 
 
+def test_direct_route_matches_word_by_word_reference():
+    rng = np.random.default_rng(17)
+    for _ in range(20):
+        frame = random_frame(rng, rank=int(rng.integers(1, 6)))
+        for g in (A, B, A.inverse(), multiply(A, B)):
+            if frame.support_radius + g.length() > frame.ambient_radius:
+                continue
+            direct = commutator_ratio(GroupAlgebraElement.left_translation(g), frame).direct
+            assert abs(direct - reference_hs_ratio(g, frame)) < 1e-12
+
+
 def test_trace_defect_examples():
     rng = np.random.default_rng(8)
     frame = random_frame(rng)
     assert trace_defect(L_e, frame) < 1e-12
-    f_e = Frame(F2, (delta(E),), 2)
+    f_e = delta_frame(E, ambient=2)
     assert trace_defect(L_a, f_e) == 0.0
 
 
@@ -317,9 +358,9 @@ def test_nearest_unitary_monotone_under_unit_padding():
 
 def test_vec_serialization_roundtrip():
     rng = np.random.default_rng(13)
-    v = random_vec(rng)
-    back = {parse_word(F2, text): complex(re, im) for text, (re, im) in vec_to_json(v).items()}
-    assert back == dict(v.amplitudes)
+    frame = random_frame(rng)
+    back = [{parse_word(F2, text): complex(re, im) for text, (re, im) in col.items()} for col in frame_to_json(frame)]
+    assert back == [{w: a for w, a in col.items() if abs(a) >= 1e-15} for col in columns_of(frame)]
 
 
 def test_normalized_trace():

@@ -6,9 +6,9 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
-from foelner.connes import WitnessConfig, build_witness_frame, frame_pool
+from foelner.connes import WitnessConfig, build_witness_frame
 from foelner.errors import PreconditionError, UnitaryRequired
-from foelner.l2ops import Frame, GroupAlgebraElement, L2Vec
+from foelner.l2ops import GroupAlgebraElement
 from foelner.paradox import (
     DERIVED_THRESHOLD,
     chain_audit,
@@ -18,10 +18,10 @@ from foelner.paradox import (
     identity_set,
     make_paper_trace,
     prefix_set,
-    restriction_norm,
     verify_set_identities,
 )
 from foelner.words import Word, ball, free_group
+from frame_helpers import frame_of, frame_pool
 
 F2 = free_group(2)
 E = Word.identity(F2)
@@ -33,25 +33,20 @@ L_b = GroupAlgebraElement.left_translation(B)
 L_e = GroupAlgebraElement.left_translation(E)
 
 
-def delta(w):
-    return L2Vec.delta(w)
-
-
-def frame_of(*words, ambient=3):
-    cols = tuple(delta(w) for w in words)
-    return Frame(F2, cols, ambient)
+def delta_frame(*words, ambient=3):
+    return frame_of(F2, ambient, [{w: 1.0} for w in words])
 
 
 # ---------------------------------------------------------------------------
-# Restriction norms and c values.
+# Restriction norms (c values of one-column frames) and c values.
 
 
 def test_restriction_norm_examples():
     s = prefix_set(F2, -1, 4)
-    assert restriction_norm(delta(A_INV), s) == 1.0
-    assert restriction_norm(delta(E), s) == 0.0
-    v = delta(A_INV).add(delta(B)).scale(1 / math.sqrt(2))
-    assert abs(restriction_norm(v, s) - 0.5) < 1e-15
+    assert c_value(delta_frame(A_INV), s) == 1.0
+    assert c_value(delta_frame(E), s) == 0.0
+    v = frame_of(F2, 3, [{A_INV: 1 / math.sqrt(2), B: 1 / math.sqrt(2)}])
+    assert abs(c_value(v, s) - 0.5) < 1e-15
 
 
 def test_restriction_norm_complement_additivity():
@@ -60,24 +55,24 @@ def test_restriction_norm_complement_additivity():
     s = prefix_set(F2, 1, 4)
     for _ in range(20):
         idx = rng.choice(len(pool), size=6, replace=False)
-        v = L2Vec.of(F2, {pool[int(i)]: complex(rng.normal(), rng.normal()) for i in idx})
-        total = restriction_norm(v, s) + restriction_norm(v, s.complemented())
-        assert abs(total - v.norm_squared()) < 1e-12
+        v = frame_of(F2, 4, [{pool[int(i)]: complex(rng.normal(), rng.normal()) for i in idx}], orthonormalize=True)
+        total = c_value(v, s) + c_value(v, s.complemented())
+        assert abs(total - 1.0) < 1e-12
 
 
 def test_restriction_norm_radius_contract():
     s = prefix_set(F2, -1, 2)
     with pytest.raises(PreconditionError):
-        restriction_norm(delta(Word(F2, (1, 1, 1))), s)
+        c_value(delta_frame(Word(F2, (1, 1, 1)), ambient=4), s)
 
 
 def test_c_value_examples():
-    f_e = frame_of(E)
+    f_e = delta_frame(E)
     s = prefix_set(F2, -1, 3)
     assert c_value(f_e, s) == 0.0
     a_s = s.translated(A)
     assert c_value(f_e, a_s) == 1.0  # e = a * a^-1 lies in the translate
-    f2 = frame_of(A_INV, B)
+    f2 = delta_frame(A_INV, B)
     assert abs(c_value(f2, s) - 0.5) < 1e-15
 
 
@@ -138,7 +133,7 @@ def test_set_identities_radius_contract():
 
 
 def test_displacement_identity_unitary():
-    frame = frame_of(E, A, ambient=3)
+    frame = delta_frame(E, A, ambient=3)
     s = prefix_set(F2, -1, 3)
     d = displacement_bound(frame, L_e, s)
     assert d.measured == 0.0
@@ -147,7 +142,7 @@ def test_displacement_identity_unitary():
 
 def test_displacement_delta_e_example():
     # A = [[0]]: polar distance 1, compression gap 1, certified = 2*sqrt(2)
-    frame = frame_of(E, ambient=2)
+    frame = delta_frame(E, ambient=2)
     s = prefix_set(F2, -1, 2)
     d = displacement_bound(frame, L_a, s)
     assert abs(d.measured_push - 1.0) < 1e-15  # |c_{aS} - c_S| = 1
@@ -175,7 +170,7 @@ def test_displacement_random_frames():
 
 
 def test_displacement_requires_unitary():
-    frame = frame_of(E)
+    frame = delta_frame(E)
     blend = GroupAlgebraElement.of(F2, {E: 0.5, A: 0.5})
     with pytest.raises(UnitaryRequired):
         displacement_bound(frame, blend, prefix_set(F2, -1, 2))
@@ -224,8 +219,7 @@ def test_chain_audit_rejects_abelian():
     from foelner.words import free_abelian
 
     d = free_abelian(2)
-    col = L2Vec.delta(Word.identity(d))
-    frame = Frame(d, (col,), 2)
+    frame = frame_of(d, 2, [{Word.identity(d): 1.0}])
     with pytest.raises(PreconditionError):
         chain_audit(frame)
 

@@ -7,6 +7,7 @@ import pytest
 from foelner.errors import DescriptorMismatch, InvalidDescriptor, InvalidLetter, SearchSpaceTooLarge
 from foelner.words import (
     ENUMERATION_CAP,
+    INTEGER_CAP,
     GroupDescriptor,
     Word,
     ball,
@@ -157,6 +158,15 @@ def test_ball_cap_refuses_before_building():
         assert ball_size(desc, min(r, 40)) > ENUMERATION_CAP
         with pytest.raises(SearchSpaceTooLarge):
             ball(desc, r)
+
+
+def test_integer_cap_bounds_abelian_ranks():
+    assert len(standard_generators(free_abelian(1000))) == 1000  # 1000^2 = INTEGER_CAP integers
+    for desc, r in ((free_abelian(1001), None), (free_abelian(10**9), 0), (free_abelian(100), 2), (free_group(10**9), None)):
+        with pytest.raises(SearchSpaceTooLarge):
+            standard_generators(desc) if r is None else ball(desc, r)
+    # |ball(Z^100, 2)| = 20201 elements of 100 integers each
+    assert ball_size(free_abelian(100), 2) * 100 > INTEGER_CAP >= ball_size(free_abelian(9), 6) * 9
 
 
 def test_ball_no_duplicates_and_sorted():
