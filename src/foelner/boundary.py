@@ -284,19 +284,6 @@ class LocalSearchResult:
     initial_report: BoundaryReport
 
 
-def _mask_ratio(mask: np.ndarray, nbr: np.ndarray) -> tuple[int, int]:
-    stay = np.ones_like(mask)
-    for xi in range(nbr.shape[0]):
-        nb = nbr[xi]
-        valid = nb >= 0
-        s = np.zeros_like(mask)
-        s[valid] = mask[nb[valid]]
-        stay &= s
-    interior = mask & stay
-    size = int(mask.sum())
-    return size - int(interior.sum()), size
-
-
 def local_search_min_ratio(
     descriptor: GroupDescriptor,
     X: GeneratingSet,
@@ -307,51 +294,84 @@ def local_search_min_ratio(
 
     Deterministic for a fixed seed.  The reported ratio is an achieved value,
     hence an upper bound for the infimum; it never exceeds the initial ratio.
+    A toggle costs O(|X u X^-1|): it updates the boundary count through the
+    elements whose neighbour it is, without rescanning the ball.
     """
     if config.seed is None:
         raise SeedRequired("local search requires an explicit seed")
     b = ball(descriptor, config.radius)
     n = len(b)
-    nbr = np.stack([translation_indices(b.elements, x, right=True) for x in X.closure()])
-    mask = np.zeros(n, dtype=bool)
+    start = np.zeros(n, dtype=bool)
     where = {w: i for i, w in enumerate(b.elements)}
     for w in [Word.identity(descriptor)] if initial is None else initial.members:
         if w not in where:
             raise PreconditionError(f"initial member {format_word(w)} outside ball({config.radius})")
-        mask[where[w]] = True
-    if not mask.any():
+        start[where[w]] = True
+    if not start.any():
         raise PreconditionError("initial set must be non-empty")
 
+    # The identity never moves a member off the set, and its self-loop p * e = p
+    # would make p its own predecessor, so it is left out.  Right multiplication
+    # by x is a bijection, so each i has at most one predecessor p * x = i per x.
+    gens = [x for x in X.closure() if not x.is_identity]
+    nbr = np.array([translation_indices(b.elements, x, right=True) for x in gens], dtype=np.int64).reshape(-1, n)
+    pred = np.full_like(nbr, -1)  # pred[x, i] = p with p * x = i, or -1
+    for row, prow in zip(nbr, pred):
+        inside = row >= 0
+        prow[row[inside]] = np.flatnonzero(inside)
+    preds = [memoryview(prow) for prow in pred]  # flat rows whose items index as Python ints
+    # bad[p]: the x in gens with p * x outside the ball or outside the set;
+    # p is on the boundary iff it is a member and bad[p] > 0
+    bad = ((nbr < 0) | ~start[nbr]).sum(axis=0).tolist()
+    member = start.tolist()
+    bcnt = sum(1 for m, d in zip(member, bad) if m and d)
+    size = int(start.sum())
+
+    def toggle(i: int) -> None:
+        nonlocal bcnt, size
+        add = not member[i]
+        member[i] = add
+        # adding i: a member p with p * x = i leaves the boundary when bad[p] reaches 0;
+        # removing i: it joins the boundary when bad[p] reaches 1
+        step, edge = (-1, 0) if add else (1, 1)
+        for prow in preds:
+            p = prow[i]
+            if p >= 0:
+                bad[p] += step
+                if member[p] and bad[p] == edge:
+                    bcnt += step
+        if bad[i]:
+            bcnt -= step
+        size -= step
+
     rng = np.random.default_rng(config.seed)
-    bcnt, size = _mask_ratio(mask, nbr)
     current = bcnt / size
-    best = (Fraction(bcnt, size), size, mask.copy())
+    best = (Fraction(bcnt, size), size, member.copy())
     initial_report = BoundaryReport.of(size, bcnt)
     history: list[AcceptedMove] = []
     temp = config.temp_initial
 
     for it in range(config.iterations):
         i = int(rng.integers(n))
-        removing = bool(mask[i])
+        removing = member[i]
         if removing and size == 1:
             temp *= config.temp_decay
             continue  # never empty the set
-        mask[i] = not mask[i]
-        nb, ns = _mask_ratio(mask, nbr)
-        cand = nb / ns
+        toggle(i)
+        cand = bcnt / size
         accept = cand <= current or (temp > 0 and rng.random() < math.exp((current - cand) / temp))
         if accept:
-            current, bcnt, size = cand, nb, ns
-            history.append(AcceptedMove(it, ("-" if removing else "+") + format_word(b.elements[i]), nb, ns))
-            frac = Fraction(nb, ns)
-            if (frac, ns) < (best[0], best[1]):
-                best = (frac, ns, mask.copy())
+            current = cand
+            history.append(AcceptedMove(it, ("-" if removing else "+") + format_word(b.elements[i]), bcnt, size))
+            frac = Fraction(bcnt, size)
+            if (frac, size) < (best[0], best[1]):
+                best = (frac, size, member.copy())
         else:
-            mask[i] = not mask[i]
+            toggle(i)  # undo
         temp *= config.temp_decay
 
     frac, _, bm = best
-    members = ElementSet.of(descriptor, (b.elements[i] for i in np.flatnonzero(bm)))
+    members = ElementSet.of(descriptor, (w for w, m in zip(b.elements, bm) if m))
     report = boundary_ratio(members, X)
     if report.ratio != frac or report.ratio > initial_report.ratio:
         raise InvariantViolation(

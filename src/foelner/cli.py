@@ -41,10 +41,10 @@ from .connes import (
     standard_unitaries,
     witness_certificate,
 )
-from .errors import ConvergenceError, InvariantViolation, PreconditionError, SeedRequired
+from .errors import ConvergenceError, InvariantViolation, PreconditionError, SearchSpaceTooLarge, SeedRequired
 from .l2ops import GroupAlgebraElement, commutator_ratio, frame_to_json, trace_defect
 from .paradox import chain_audit, contradiction_threshold, make_paper_trace, verify_set_identities
-from .words import GroupDescriptor, Word, format_word, free_group, parse_generators, standard_generators
+from .words import GroupDescriptor, Word, capped_ball_size, format_word, free_group, parse_generators, standard_generators
 
 # the parameters of each command, read from the parsed arguments and echoed
 # in every payload's config
@@ -57,6 +57,17 @@ COMMAND_PARAMS = {
 }
 STOCHASTIC_COMMANDS = {"scan", "audit", "identity-check"}
 COUNT_PARAMS = ("iters", "frames", "trials")  # refused below 0
+
+# Caps on the counts, checked by run() before any work.  A count cap bounds the
+# fixed cost of each unit (interpreter and numpy-call overhead); scan and audit
+# also cap count * rank^2 * |ball(radius - 1)|, which bounds the arithmetic on
+# frames of at most |ball(radius - 1)| rows.  README states the worst-case times.
+SEARCH_ITERS_CAP = 100_000  # group --mode search, O(|X u X^-1|) per iteration
+TRIALS_CAP = 20_000  # identity-check, frames of rank <= 8 and ambient radius <= 5
+SCAN_ITERS_CAP = 200_000
+SCAN_WORK_CAP = 1 << 30
+AUDIT_FRAMES_CAP = 2_000
+AUDIT_WORK_CAP = 1 << 28
 
 
 @dataclass
@@ -341,6 +352,34 @@ _HANDLERS = {
 }
 
 
+def _check_counts(cfg: RunConfig) -> None:
+    """Refuse a negative count, and one past its command's caps."""
+    p = cfg.params
+    for name in COUNT_PARAMS:
+        if p.get(name, 0) < 0:
+            raise PreconditionError(f"--{name} must be >= 0, got {p[name]}")
+    if cfg.command == "group" and p["mode"] == "search":
+        name, count_cap, work_cap = "iters", SEARCH_ITERS_CAP, None
+    elif cfg.command == "identity-check":
+        name, count_cap, work_cap = "trials", TRIALS_CAP, None
+    elif cfg.command == "scan":
+        name, count_cap, work_cap = "iters", SCAN_ITERS_CAP, SCAN_WORK_CAP
+    elif cfg.command == "audit":
+        name, count_cap, work_cap = "frames", AUDIT_FRAMES_CAP, AUDIT_WORK_CAP
+    else:
+        return
+    if p[name] > count_cap:
+        raise SearchSpaceTooLarge(f"--{name} {p[name]} exceeds the cap of {count_cap}")
+    if work_cap is not None:
+        # audit frames live in F_2; no ball past words.ENUMERATION_CAP is ever built
+        rows = capped_ball_size(free_group(p.get("n", 2)), max(p["radius"] - 1, 0))
+        work = p[name] * p["rank"] ** 2 * rows
+        if work > work_cap:
+            raise SearchSpaceTooLarge(
+                f"--{name} {p[name]} at rank {p['rank']} on up to {rows} rows costs {work} > the work cap of {work_cap}"
+            )
+
+
 def run(cfg: RunConfig) -> RunReport:
     """Dispatch a validated RunConfig to its owning module."""
     t0 = time.perf_counter()
@@ -349,9 +388,7 @@ def run(cfg: RunConfig) -> RunReport:
             raise SeedRequired(f"command {cfg.command!r} requires an explicit --seed")
         if cfg.command == "group" and cfg.params["mode"] == "search":
             raise SeedRequired("group --mode search requires --seed")
-    for name in COUNT_PARAMS:
-        if cfg.params.get(name, 0) < 0:
-            raise PreconditionError(f"--{name} must be >= 0, got {cfg.params[name]}")
+    _check_counts(cfg)
     handler = _HANDLERS[cfg.command]
     results, warnings = handler(cfg)
     wall_ms = (time.perf_counter() - t0) * 1000.0

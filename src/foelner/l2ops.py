@@ -17,6 +17,7 @@ from __future__ import annotations
 import copy
 import math
 from dataclasses import dataclass, field
+from functools import cached_property
 from typing import Mapping, NamedTuple
 
 import numpy as np
@@ -144,6 +145,15 @@ class Frame:
         frame = copy.copy(self)
         frame._set_columns(c)
         return frame
+
+    @cached_property
+    def letters(self) -> np.ndarray:
+        """Read-only N x (support_radius + 1) array: row i holds the letters of
+        rows[i] (Word.letters), zero-padded, so every row ends in a 0."""
+        width = self.support_radius + 1
+        out = np.array([w.letters() + (0,) * (width - w.length()) for w in self.rows], dtype=np.int64)
+        out.flags.writeable = False
+        return out.reshape(len(self.rows), width)
 
     def translation(self, g: Word) -> np.ndarray:
         """Position in rows of g * rows[i], or -1 where that word is not a row."""

@@ -30,7 +30,8 @@ class PrefixSet:
     """A first-letter set S_{a_i^eps} (or {e}), optionally translated/complemented.
 
     Membership is decided symbolically (translate back, inspect the first
-    letter); the realization radius bounds the vectors it may be applied to.
+    letter) by contains(), and for all rows of a frame at once by row_mask();
+    the realization radius bounds the vectors it may be applied to.
     """
 
     descriptor: GroupDescriptor
@@ -54,6 +55,23 @@ class PrefixSet:
             inside = u.is_identity
         else:
             inside = begins_with(u, self.base_letter)
+        return inside != self.complement
+
+    def row_mask(self, letters: np.ndarray) -> np.ndarray:
+        """contains() of every row of a zero-padded letter array (Frame.letters).
+
+        t^-1 w begins with l exactly when either w = t u with u beginning with
+        l, or w does not begin with t and l inverts t's last letter; {e} is the
+        row w = t, i.e. l = 0 after the prefix t.
+        """
+        t = self._translate_word().data
+        m = len(t)
+        l = 0 if self.base_letter is None else self.base_letter
+        if m < letters.shape[1]:
+            after_t = (letters[:, :m] == t).all(axis=1)
+            inside = np.where(after_t, letters[:, m] == l, m > 0 and -t[-1] == l)
+        else:  # no row is as long as t
+            inside = np.full(len(letters), -t[-1] == l)
         return inside != self.complement
 
     def translated(self, g: Word) -> "PrefixSet":
@@ -99,7 +117,7 @@ def c_value(frame: Frame, s: PrefixSet) -> float:
         raise PreconditionError(
             f"support radius {frame.support_radius} escapes the realization radius {s.realization_radius}"
         )
-    inside = frame.C[[s.contains(w) for w in frame.rows]]
+    inside = frame.C[s.row_mask(frame.letters)]
     return float(np.sum(inside.real**2 + inside.imag**2)) / frame.rank
 
 

@@ -245,7 +245,10 @@ def _abelian_elements(descriptor: GroupDescriptor, radius: int) -> list[Word]:
     return out
 
 
-@lru_cache(maxsize=None)
+# A run reuses at most three balls (identity-check draws frames on three
+# radii); an unbounded cache would pin every ball a long-lived caller ever
+# built, each of up to ENUMERATION_CAP words (about 45 MB at 199,081 words).
+@lru_cache(maxsize=4)
 def ball(descriptor: GroupDescriptor, radius: int) -> Ball:
     """The radius-`radius` Cayley ball with respect to the standard generators.
 
@@ -254,9 +257,7 @@ def ball(descriptor: GroupDescriptor, radius: int) -> Ball:
     """
     if radius < 0:
         raise InvalidDescriptor(f"radius must be >= 0, got {radius}")
-    # every sphere of radius 1..radius holds at least 2 * rank words; that cheap
-    # bound keeps the closed form away from huge ranks and radii
-    size = ball_size(descriptor, radius) if 1 + 2 * descriptor.rank * radius <= ENUMERATION_CAP else math.inf
+    size = capped_ball_size(descriptor, radius)
     if size > ENUMERATION_CAP or (not descriptor.is_free and size * descriptor.rank > INTEGER_CAP):
         raise SearchSpaceTooLarge(
             f"ball({descriptor.spec()}, {radius}) exceeds the caps of {ENUMERATION_CAP} elements and {INTEGER_CAP} integers"
@@ -274,6 +275,15 @@ def ball_size(descriptor: GroupDescriptor, radius: int) -> int:
         return free_ball_size(descriptor.rank, radius)
     d = descriptor.rank
     return sum(2**k * math.comb(d, k) * math.comb(radius, k) for k in range(min(d, radius) + 1))
+
+
+def capped_ball_size(descriptor: GroupDescriptor, radius: int) -> int:
+    """min(|ball(radius)|, ENUMERATION_CAP + 1) for radius >= 0."""
+    # every sphere of radius 1..radius holds at least 2 * rank words; that cheap
+    # bound keeps the closed form away from huge ranks and radii
+    if 1 + 2 * descriptor.rank * radius > ENUMERATION_CAP:
+        return ENUMERATION_CAP + 1
+    return min(ball_size(descriptor, radius), ENUMERATION_CAP + 1)
 
 
 def free_ball_size(rank: int, radius: int) -> int:

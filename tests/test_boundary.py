@@ -19,7 +19,8 @@ from foelner.boundary import (
     local_search_min_ratio,
 )
 from foelner.errors import PreconditionError, SearchSpaceTooLarge, SeedRequired
-from foelner.words import Word, ball, free_abelian, free_group, multiply, translation_indices
+from foelner.words import Word, ball, free_abelian, free_group, multiply, parse_generators, translation_indices
+from search_helpers import rescan_local_search
 
 F2 = free_group(2)
 Z1 = free_abelian(1)
@@ -251,6 +252,50 @@ def test_local_search_deterministic():
     b = local_search_min_ratio(Z2, XZ2, cfg)
     assert a.report == b.report
     assert [(m.iteration, m.move) for m in a.history] == [(m.iteration, m.move) for m in b.history]
+
+
+SEARCH_CASES = [
+    # (group, generators (None: standard), radius, iterations)
+    (Z2, None, 8, 3000),
+    (F2, None, 4, 3000),
+    (Z2, "(0,0),(1,0),(0,1)", 6, 2000),
+    (F2, "e,a1.a2,a2", 3, 2000),
+    (Z2, "(2,1),(1,-1)", 6, 2000),
+    (Z2, "(0,0)", 3, 300),  # the identity alone: no boundary at all
+]
+
+
+def _generating_set(descriptor, gens):
+    if gens is None:
+        return GeneratingSet.standard(descriptor)
+    return GeneratingSet.of(descriptor, parse_generators(descriptor, gens))
+
+
+@pytest.mark.parametrize("seed", [1, 2, 3])
+@pytest.mark.parametrize("descriptor, gens, radius, iterations", SEARCH_CASES)
+def test_incremental_search_matches_rescan(descriptor, gens, radius, iterations, seed):
+    X = _generating_set(descriptor, gens)
+    cfg = GroupSearchConfig(radius=radius, mode="search", seed=seed, iterations=iterations)
+    got = local_search_min_ratio(descriptor, X, cfg)
+    assert got == rescan_local_search(descriptor, X, cfg)
+    assert 10 < len(got.history) <= iterations
+
+
+@pytest.mark.parametrize("seed", [4, 5])
+@pytest.mark.parametrize(
+    "descriptor, gens, start",
+    [
+        (Z2, None, box(3)),
+        (F2, None, ElementSet.of(F2, ball(F2, 2).elements)),
+        (F2, "e,a1.a2,a2", ElementSet.of(F2, [Word.from_letters(F2, [2]), Word.from_letters(F2, [1, -2])])),
+    ],
+)
+def test_incremental_search_matches_rescan_from_initial_set(descriptor, gens, start, seed):
+    X = _generating_set(descriptor, gens)
+    cfg = GroupSearchConfig(radius=4, mode="search", seed=seed, iterations=2000)
+    got = local_search_min_ratio(descriptor, X, cfg, initial=start)
+    assert got == rescan_local_search(descriptor, X, cfg, initial=start)
+    assert got.initial_report == boundary_ratio(start, X)
 
 
 def test_local_search_requires_seed():

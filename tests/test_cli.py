@@ -12,7 +12,7 @@ import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
-from foelner.cli import _HANDLERS, RunConfig, build_parser, main, run
+from foelner.cli import _HANDLERS, RunConfig, _check_counts, build_parser, config_from_args, main, run
 from foelner.errors import ConvergenceError, InvariantViolation
 
 SRC = Path(__file__).resolve().parents[1] / "src"
@@ -211,11 +211,35 @@ def test_identity_check_payload_independent_of_hash_seed():
         ["audit", "--rank", "2", "--radius", "3", "--seed", "1", "--frames", "-1"],
         ["scan", "--n", "2", "--rank", "2", "--radius", "3", "--iters", "-1", "--seed", "1"],
         ["group", "--group", "abelian:2", "--radius", "3", "--mode", "search", "--iters", "-1", "--seed", "1"],
+        # counts just past the cli caps: the count caps, then the work caps
+        # count * rank^2 * |ball(radius - 1)| of scan (rank 8 on 161 rows) and
+        # audit (rank 200 on 485 rows)
+        ["group", "--group", "abelian:2", "--radius", "3", "--mode", "search", "--iters", "100001", "--seed", "1"],
+        ["identity-check", "--trials", "20001", "--seed", "1"],
+        ["scan", "--n", "1", "--rank", "1", "--radius", "2", "--iters", "200001", "--seed", "1"],
+        ["audit", "--rank", "1", "--radius", "1", "--seed", "1", "--frames", "2001"],
+        ["scan", "--n", "2", "--rank", "8", "--radius", "5", "--iters", "104207", "--seed", "1"],
+        ["audit", "--rank", "200", "--radius", "6", "--seed", "1", "--frames", "14"],
     ],
 )
 def test_unbounded_inputs_refused_with_exit_2(argv, capsys):
     assert main(argv) == 2
     assert capsys.readouterr().err.startswith("error: ")
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["group", "--group", "abelian:2", "--radius", "3", "--mode", "search", "--iters", "100000", "--seed", "1"],
+        ["identity-check", "--trials", "20000", "--seed", "1"],
+        ["scan", "--n", "1", "--rank", "1", "--radius", "2", "--iters", "200000", "--seed", "1"],
+        ["audit", "--rank", "1", "--radius", "1", "--seed", "1", "--frames", "2000"],
+        ["scan", "--n", "2", "--rank", "8", "--radius", "5", "--iters", "104206", "--seed", "1"],
+        ["audit", "--rank", "200", "--radius", "6", "--seed", "1", "--frames", "13"],
+    ],
+)
+def test_counts_at_their_caps_admitted(argv):
+    _check_counts(config_from_args(build_parser().parse_args(argv)))  # checks only; runs nothing
 
 
 def test_huge_abelian_rank_refused_before_allocating():
@@ -311,6 +335,12 @@ FUZZ_ARGV = st.one_of(
             _argv("witness", "--n", 5, "--k", 32, "--depth", 9),
             _argv("witness", "--n", 5, "--k-max", 19, "--depth", 8),
             _argv("witness", "--n", 2, "--k-max", 100_001, "--formula-only"),
+            _argv("group", "--group", "abelian:2", "--radius", 3, "--mode", "search", "--iters", 100_001, "--seed", 1),
+            _argv("identity-check", "--trials", 20_001, "--seed", 1),
+            _argv("scan", "--n", 1, "--rank", 1, "--radius", 2, "--iters", 200_001, "--seed", 1),
+            _argv("scan", "--n", 2, "--rank", 8, "--radius", 5, "--iters", 104_207, "--seed", 1),
+            _argv("audit", "--rank", 1, "--radius", 1, "--frames", 2_001, "--seed", 1),
+            _argv("audit", "--rank", 200, "--radius", 6, "--frames", 14, "--seed", 1),
         ]
     ),
     st.builds(

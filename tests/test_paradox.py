@@ -102,6 +102,31 @@ def test_prefix_set_realization_agrees_with_membership():
         assert s.contains(w) == (bool(w.data) and w.data[0] == -1)
 
 
+def test_row_masks_agree_with_membership():
+    # every row of ball(F2, 4): S(l) for each letter and {e}, translated by each
+    # word of length <= 2 (which includes every translate chain_audit and
+    # displacement_bound build) and by one longer than any row, with complements
+    rows = ball(F2, 4).elements
+    frame = frame_of(F2, 5, [{w: len(rows) ** -0.5 for w in rows}])
+    assert frame.rows == rows
+    bases = [prefix_set(F2, l, 12) for l in (1, -1, 2, -2)] + [identity_set(F2, 12)]
+    translates = list(ball(F2, 2)) + [Word.from_letters(F2, [1, 2, 1, 2, -1])]
+    checked = 0
+    for base in bases:
+        for t in translates:
+            for s in (base.translated(t), base.translated(t).complemented()):
+                assert s.row_mask(frame.letters).tolist() == [s.contains(w) for w in rows], s.label()
+                checked += 1
+    assert checked == 5 * 18 * 2
+
+
+def test_frame_letters_pad_rows():
+    frame = frame_of(F2, 4, [{E: 0.6, A_INV: 0.8}, {Word.from_letters(F2, [2, 1, 1]): 1.0}])
+    assert frame.letters.tolist() == [[0, 0, 0, 0], [-1, 0, 0, 0], [2, 1, 1, 0]]
+    assert not frame.letters.flags.writeable
+    assert frame.with_columns(frame.C).letters is frame.letters
+
+
 # ---------------------------------------------------------------------------
 # Set identities.
 
