@@ -42,7 +42,7 @@ from .connes import (
     witness_certificate,
 )
 from .errors import ConvergenceError, InvariantViolation, PreconditionError, SearchSpaceTooLarge, SeedRequired
-from .l2ops import GroupAlgebraElement, commutator_ratio, frame_to_json, trace_defect
+from .l2ops import SVD_MAX_K, GroupAlgebraElement, commutator_ratio, frame_to_json, trace_defect
 from .paradox import chain_audit, contradiction_threshold, make_paper_trace, verify_set_identities
 from .words import GroupDescriptor, Word, capped_ball_size, format_word, free_group, parse_generators, standard_generators
 
@@ -365,6 +365,8 @@ def _check_counts(cfg: RunConfig) -> None:
     elif cfg.command == "scan":
         name, count_cap, work_cap = "iters", SCAN_ITERS_CAP, SCAN_WORK_CAP
     elif cfg.command == "audit":
+        if p["rank"] > SVD_MAX_K:  # svd_small's own refusal would come after the first frame
+            raise SearchSpaceTooLarge(f"--rank {p['rank']} exceeds the SVD size cap of {SVD_MAX_K}")
         name, count_cap, work_cap = "frames", AUDIT_FRAMES_CAP, AUDIT_WORK_CAP
     else:
         return

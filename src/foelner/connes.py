@@ -29,6 +29,8 @@ from .errors import (
 from .l2ops import (
     Frame,
     GroupAlgebraElement,
+    _adjoint_product,
+    checked_hs_norm_sq,
     closed_form_ratio,
     commutator_ratio,
     compress,
@@ -351,19 +353,11 @@ class AnnealResult:
     history: tuple[tuple[int, float], ...]  # (iteration, best objective so far)
 
 
-def _worst_record(ops: Sequence[GroupAlgebraElement], frame: Frame) -> float:
-    """max over ops of the closed-form commutator ratio and the trace defect."""
-    worst = 0.0
-    for op in ops:
-        a = compress(op, frame)
-        worst = max(worst, closed_form_ratio(a, frame), abs(op.identity_coefficient - normalized_trace(a)))
-    return worst
-
-
 def anneal_projection(cfg: ProjectionSearchConfig) -> AnnealResult:
     """Seeded annealing over frames on the support ball: perturb one column
     sparsely, re-orthonormalize, accept by Metropolis on the Q-objective.
-    Deterministic per seed; the best-so-far history never increases."""
+    Deterministic per seed; the best-so-far history never increases.  Trials
+    are Gram-checked bare arrays; only the returned one becomes a Frame."""
     op_radius = max(w.length() for w in cfg.unitaries)
     if cfg.ambient_radius - op_radius < 0:
         raise PreconditionError("ambient radius too small for the unitary list")
@@ -388,8 +382,23 @@ def anneal_projection(cfg: ProjectionSearchConfig) -> AnnealResult:
         raise ConvergenceError(f"no rank-{k} starting frame after {MAX_RESTARTS} draws")
     frame = Frame(cfg.descriptor, cfg.ambient_radius, rows, c)
 
-    current = _worst_record(ops, frame)
-    best_val, best = current, frame
+    gathers = []  # (dst, src, tau) per op L_w: compress(op, frame) = C[dst]* C[src]
+    for w, op in zip(cfg.unitaries, ops):
+        compress(op, frame)  # its descriptor and headroom checks, once
+        idx = frame.translation(w)
+        src = np.flatnonzero(idx >= 0)
+        gathers.append((idx[src], src, op.identity_coefficient))
+
+    def objective(c: np.ndarray) -> float:  # max over ops of the closed-form ratio and the trace defect
+        hs_norm_sq = checked_hs_norm_sq(c)
+        worst = 0.0
+        for dst, src, tau in gathers:
+            a = _adjoint_product(c[dst], c[src])
+            worst = max(worst, closed_form_ratio(a, hs_norm_sq), abs(tau - normalized_trace(a)))
+        return worst
+
+    current = objective(c)
+    best_val, best = current, c
     history: list[tuple[int, float]] = [(0, best_val)]
     scale = cfg.step_scale
 
@@ -397,21 +406,22 @@ def anneal_projection(cfg: ProjectionSearchConfig) -> AnnealResult:
         j = int(rng.integers(k))
         positions = rng.choice(n_sup, size=min(cfg.step_entries, n_sup), replace=False)
         noise = (rng.normal(size=len(positions)) + 1j * rng.normal(size=len(positions))) * scale
-        trial = frame.C.copy()
+        trial = c.copy()
         trial[positions, j] += noise
         scale *= cfg.step_decay
         try:
-            trial_frame = frame.with_columns(gram_schmidt(trial))
+            trial = gram_schmidt(trial)
         except RankDeficiency:
             continue  # move rejected, not fatal
-        val = _worst_record(ops, trial_frame)
+        val = objective(trial)
         temp = 0.5 * scale
         accept = val <= current or (temp > 0 and rng.random() < math.exp((current - val) / temp))
         if accept:
-            frame, current = trial_frame, val
+            c, current = trial, val
             if val < best_val:
-                best_val, best = val, trial_frame
+                best_val, best = val, trial
                 history.append((it, best_val))
 
-    records = q_objective(ops, best)
-    return AnnealResult(best, max(r.worst for r in records), records, tuple(history))
+    best_frame = frame.with_columns(best)
+    records = q_objective(ops, best_frame)
+    return AnnealResult(best_frame, max(r.worst for r in records), records, tuple(history))

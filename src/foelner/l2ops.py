@@ -129,12 +129,9 @@ class Frame:
         c = np.array(c, dtype=complex)
         if c.ndim != 2 or c.shape[0] != len(self.rows) or c.shape[1] < 1:
             raise PreconditionError(f"need a {len(self.rows)} x k coefficient array with k >= 1, got shape {c.shape}")
-        gram = _adjoint_product(c, c)
-        if not np.abs(gram - np.eye(c.shape[1])).max() <= GRAM_TOL:  # also refuses NaN
-            raise PreconditionError("frame columns are not orthonormal within the Gram tolerance")
+        object.__setattr__(self, "hs_norm_sq", checked_hs_norm_sq(c))
         c.flags.writeable = False
         object.__setattr__(self, "C", c)
-        object.__setattr__(self, "hs_norm_sq", float(np.sum(np.abs(gram) ** 2)))
 
     @property
     def rank(self) -> int:
@@ -175,26 +172,37 @@ def _adjoint_product(x: np.ndarray, y: np.ndarray) -> np.ndarray:
     return out
 
 
+def checked_hs_norm_sq(c: np.ndarray) -> float:
+    """||C* C||_F^2, after checking that C* C matches the identity within GRAM_TOL."""
+    gram = _adjoint_product(c, c)
+    if not np.abs(gram - np.eye(c.shape[1])).max() <= GRAM_TOL:  # also refuses NaN
+        raise PreconditionError("frame columns are not orthonormal within the Gram tolerance")
+    return float(np.sum(np.abs(gram) ** 2))
+
+
 def gram_schmidt(raw: np.ndarray, rank_tol: float = RANK_TOL) -> np.ndarray:
     """Orthonormal columns with the spans of `raw`'s leading columns, in order.
 
-    Each column is projected off its predecessors twice (one
-    re-orthogonalization pass) and normalized.  Raises RankDeficiency naming
-    the first column whose residual norm falls below rank_tol.
+    Each column is projected twice off its predecessors, read through a
+    conjugated copy, and normalized.  Raises RankDeficiency naming the
+    first column whose residual norm falls below rank_tol.
     """
     q = np.array(raw, dtype=complex)
     if q.ndim != 2 or q.shape[1] < 1:
         raise PreconditionError(f"need an N x k array with k >= 1, got shape {q.shape}")
+    qc = np.empty_like(q)
     for j in range(q.shape[1]):
         col = q[:, j]
         if j:
-            prev = q[:, :j]
+            prev, prev_adj = q[:, :j], qc[:, :j].T
             for _ in range(2):
-                col -= prev @ (prev.conj().T @ col)
-        nrm = float(np.linalg.norm(col))
+                col -= prev @ (prev_adj @ col)
+        re, im = col.real, col.imag
+        nrm = math.sqrt(re.dot(re) + im.dot(im))
         if nrm < rank_tol:
             raise RankDeficiency(j)
-        q[:, j] = col / nrm
+        col /= nrm
+        np.conjugate(col, out=qc[:, j])
     return q
 
 
@@ -223,15 +231,15 @@ def normalized_trace(a: np.ndarray) -> complex:
     return complex(np.trace(a)) / a.shape[0]
 
 
-def closed_form_ratio(a: np.ndarray, frame: Frame) -> float:
-    """||[U,e]||_HS / ||e||_HS from the compression A = compress(U, frame) of a unitary U.
+def closed_form_ratio(a: np.ndarray, hs_norm_sq: float) -> float:
+    """||[U,e]||_HS / ||e||_HS from A = compress(U, frame) of a unitary U and frame.hs_norm_sq.
 
     ||[U,e]||^2_HS = 2 ||e||^2_HS - 2 ||A||^2_F holds for e = CC* with any C,
     so the ratio is sqrt(2) * sqrt(1 - tau_k(A* A)) with ||e||^2_HS in place
     of k; U = 1 then gives exactly 0 rather than the square root of a rounding
     error.
     """
-    return math.sqrt(2.0) * math.sqrt(max(0.0, 1.0 - float(np.sum(np.abs(a) ** 2)) / frame.hs_norm_sq))
+    return math.sqrt(2.0) * math.sqrt(max(0.0, 1.0 - float(np.sum(np.abs(a) ** 2)) / hs_norm_sq))
 
 
 class CommutatorRatio(NamedTuple):
@@ -253,7 +261,7 @@ def commutator_ratio(op: GroupAlgebraElement, frame: Frame) -> CommutatorRatio:
     if not op.is_single_unitary:
         raise UnitaryRequired("a single unitary L_g is required here")
     ((g, lam),) = op.coefficients.items()
-    closed = closed_form_ratio(compress(op, frame), frame)
+    closed = closed_form_ratio(compress(op, frame), frame.hs_norm_sq)
 
     # embed C and UC = lambda L_g C over rows + (translates outside the rows)
     k, n = frame.rank, len(frame.rows)

@@ -216,7 +216,7 @@ def displacement_bound(frame: Frame, op: GroupAlgebraElement, s: PrefixSet) -> D
     c_push = c_value(frame, s.translated(g))
     a = compress(op, frame)
     _, dist = nearest_unitary(a)
-    gap = closed_form_ratio(a, frame) / math.sqrt(2.0)  # sqrt(1 - tau_k(A*A))
+    gap = closed_form_ratio(a, frame.hs_norm_sq) / math.sqrt(2.0)  # sqrt(1 - tau_k(A*A))
     certified = 2.0 * math.sqrt(dist * dist + gap * gap)
     measured = max(abs(c_pull - c_s), abs(c_push - c_s))
     if measured > certified + 1e-9:

@@ -4,7 +4,8 @@ code is checked against."""
 import numpy as np
 
 from foelner.connes import random_frame
-from foelner.l2ops import Frame, gram_schmidt
+from foelner.errors import PreconditionError, RankDeficiency
+from foelner.l2ops import RANK_TOL, Frame, gram_schmidt
 from foelner.words import multiply, shortlex_key
 
 
@@ -70,3 +71,22 @@ def reference_hs_ratio(g, frame):
                     out[u] = out.get(u, 0.0) - col[gw].conjugate() * amp
         hs_sq += sum(abs(x) ** 2 for x in out.values())
     return (hs_sq / frame.rank) ** 0.5
+
+
+def reference_gram_schmidt(raw, rank_tol=RANK_TOL):
+    """The former l2ops.gram_schmidt: conjugates the finished columns afresh
+    in every projection, and normalizes through numpy.linalg.norm."""
+    q = np.array(raw, dtype=complex)
+    if q.ndim != 2 or q.shape[1] < 1:
+        raise PreconditionError(f"need an N x k array with k >= 1, got shape {q.shape}")
+    for j in range(q.shape[1]):
+        col = q[:, j]
+        if j:
+            prev = q[:, :j]
+            for _ in range(2):
+                col -= prev @ (prev.conj().T @ col)
+        nrm = float(np.linalg.norm(col))
+        if nrm < rank_tol:
+            raise RankDeficiency(j)
+        q[:, j] = col / nrm
+    return q

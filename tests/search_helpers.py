@@ -1,5 +1,6 @@
-"""The full-rescan local search: every toggle recounts the boundary over the
-whole ball.  It is the reference the incremental search is checked against."""
+"""Reference searches the optimized ones are checked against: the
+full-rescan local search, where every toggle recounts the boundary over the
+whole ball, and the projection annealer that builds a checked Frame per trial."""
 
 import math
 from fractions import Fraction
@@ -7,7 +8,11 @@ from fractions import Fraction
 import numpy as np
 
 from foelner.boundary import AcceptedMove, BoundaryReport, ElementSet, LocalSearchResult, boundary_ratio
+from foelner.connes import MAX_RESTARTS, AnnealResult, q_objective
+from foelner.errors import ConvergenceError, PreconditionError, RankDeficiency
+from foelner.l2ops import Frame, GroupAlgebraElement, closed_form_ratio, compress, normalized_trace
 from foelner.words import Word, ball, format_word, translation_indices
+from frame_helpers import reference_gram_schmidt
 
 
 def mask_ratio(mask, nbr):
@@ -62,3 +67,69 @@ def rescan_local_search(descriptor, X, config, initial=None):
 
     members = ElementSet.of(descriptor, (b.elements[i] for i in np.flatnonzero(best[2])))
     return LocalSearchResult(members, boundary_ratio(members, X), history, initial_report)
+
+
+def _worst_record(ops, frame):
+    """max over ops of the closed-form commutator ratio and the trace defect."""
+    worst = 0.0
+    for op in ops:
+        a = compress(op, frame)
+        worst = max(worst, closed_form_ratio(a, frame.hs_norm_sq), abs(op.identity_coefficient - normalized_trace(a)))
+    return worst
+
+
+def frame_per_trial_anneal(cfg):
+    """anneal_projection with a checked Frame per trial, scored through
+    compress, and the former Gram-Schmidt; the same rng draws, accept rule
+    and best tracking."""
+    op_radius = max(w.length() for w in cfg.unitaries)
+    if cfg.ambient_radius - op_radius < 0:
+        raise PreconditionError("ambient radius too small for the unitary list")
+    rows = ball(cfg.descriptor, cfg.ambient_radius - max(op_radius, 1)).elements
+    n_sup, k = len(rows), cfg.rank
+    if k > n_sup:
+        raise PreconditionError(f"rank {k} exceeds the support dimension {n_sup}")
+    ops = [GroupAlgebraElement.left_translation(w) for w in cfg.unitaries]
+    rng = np.random.default_rng(cfg.seed)
+
+    for _ in range(MAX_RESTARTS):
+        raw = np.zeros((n_sup, k), dtype=complex)
+        for j in range(k):
+            idx = rng.choice(n_sup, size=min(8, n_sup), replace=False)
+            raw[idx, j] = rng.normal(size=len(idx)) + 1j * rng.normal(size=len(idx))
+        try:
+            c = reference_gram_schmidt(raw)
+            break
+        except RankDeficiency:
+            continue
+    else:
+        raise ConvergenceError(f"no rank-{k} starting frame after {MAX_RESTARTS} draws")
+    frame = Frame(cfg.descriptor, cfg.ambient_radius, rows, c)
+
+    current = _worst_record(ops, frame)
+    best_val, best = current, frame
+    history = [(0, best_val)]
+    scale = cfg.step_scale
+
+    for it in range(1, cfg.iterations + 1):
+        j = int(rng.integers(k))
+        positions = rng.choice(n_sup, size=min(cfg.step_entries, n_sup), replace=False)
+        noise = (rng.normal(size=len(positions)) + 1j * rng.normal(size=len(positions))) * scale
+        trial = frame.C.copy()
+        trial[positions, j] += noise
+        scale *= cfg.step_decay
+        try:
+            trial_frame = frame.with_columns(reference_gram_schmidt(trial))
+        except RankDeficiency:
+            continue  # move rejected, not fatal
+        val = _worst_record(ops, trial_frame)
+        temp = 0.5 * scale
+        accept = val <= current or (temp > 0 and rng.random() < math.exp((current - val) / temp))
+        if accept:
+            frame, current = trial_frame, val
+            if val < best_val:
+                best_val, best = val, trial_frame
+                history.append((it, best_val))
+
+    records = q_objective(ops, best)
+    return AnnealResult(best, max(r.worst for r in records), records, tuple(history))

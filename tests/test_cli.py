@@ -220,6 +220,8 @@ def test_identity_check_payload_independent_of_hash_seed():
         ["audit", "--rank", "1", "--radius", "1", "--seed", "1", "--frames", "2001"],
         ["scan", "--n", "2", "--rank", "8", "--radius", "5", "--iters", "104207", "--seed", "1"],
         ["audit", "--rank", "200", "--radius", "6", "--seed", "1", "--frames", "14"],
+        # an audit rank past l2ops.SVD_MAX_K, refused before any frame is drawn
+        ["audit", "--rank", "400", "--radius", "7", "--seed", "1", "--frames", "1"],
     ],
 )
 def test_unbounded_inputs_refused_with_exit_2(argv, capsys):
@@ -236,6 +238,7 @@ def test_unbounded_inputs_refused_with_exit_2(argv, capsys):
         ["audit", "--rank", "1", "--radius", "1", "--seed", "1", "--frames", "2000"],
         ["scan", "--n", "2", "--rank", "8", "--radius", "5", "--iters", "104206", "--seed", "1"],
         ["audit", "--rank", "200", "--radius", "6", "--seed", "1", "--frames", "13"],
+        ["audit", "--rank", "256", "--radius", "7", "--seed", "1", "--frames", "2"],
     ],
 )
 def test_counts_at_their_caps_admitted(argv):
@@ -341,6 +344,7 @@ FUZZ_ARGV = st.one_of(
             _argv("scan", "--n", 2, "--rank", 8, "--radius", 5, "--iters", 104_207, "--seed", 1),
             _argv("audit", "--rank", 1, "--radius", 1, "--frames", 2_001, "--seed", 1),
             _argv("audit", "--rank", 200, "--radius", 6, "--frames", 14, "--seed", 1),
+            _argv("audit", "--rank", 400, "--radius", 7, "--frames", 1, "--seed", 1),
         ]
     ),
     st.builds(

@@ -5,6 +5,8 @@ import math
 import numpy as np
 import pytest
 
+import foelner.connes
+import search_helpers
 from foelner.connes import (
     ProjectionSearchConfig,
     WitnessConfig,
@@ -22,10 +24,11 @@ from foelner.connes import (
     standard_unitaries,
     witness_certificate,
 )
-from foelner.errors import PreconditionError
+from foelner.errors import PreconditionError, RankDeficiency
 from foelner.l2ops import GroupAlgebraElement, compress
-from foelner.words import Word, begins_with, free_group, multiply
+from foelner.words import Word, begins_with, free_group, multiply, parse_generators, standard_generators
 from frame_helpers import columns_of, frame_of, frame_pool, inner, translate
+from search_helpers import frame_per_trial_anneal
 
 F2 = free_group(2)
 L_a = GroupAlgebraElement.left_translation(Word(F2, (1,)))
@@ -276,3 +279,91 @@ def test_anneal_monotone_between_unitary_sets_on_same_seed():
         ProjectionSearchConfig(unitaries=(Word(F2, (1,)), Word(F2, (2,))), **base)
     )
     assert single.objective <= double.objective
+
+
+def test_scan_frame_fingerprint_pinned():
+    # the frame of `foelner scan --n 2 --rank 3 --radius 4 --iters 60 --seed 11`, byte for byte
+    cfg = ProjectionSearchConfig(
+        descriptor=F2, rank=3, ambient_radius=4, seed=11, iterations=60, unitaries=standard_generators(F2)
+    )
+    res = anneal_projection(cfg)
+    assert frame_fingerprint(res.frame) == "89594cede9ff0043e86199c8ec36620c390d4b46f39416b40fbd78540a261ab2"
+
+
+F3 = free_group(3)
+# (descriptor, rank, ambient radius, seed, iterations, unitaries)
+ANNEAL_CASES = [
+    pytest.param(F3, 4, 3, 7, 500, "a1,a2,a3", id="n3"),
+    pytest.param(F3, 4, 3, 7, 500, "a1,a2.a3", id="n3-word-of-length-2"),  # support ball(1)
+    pytest.param(F2, 1, 3, 5, 300, "a1,a2", id="rank1"),
+    pytest.param(F2, 16, 4, 6, 300, "a1,a2", id="rank16"),
+    pytest.param(F2, 5, 2, 3, 300, "a1,a2", id="rank-equals-support"),  # |ball(1)| = 5
+    pytest.param(F2, 2, 8, 9, 100, "a1,a2", id="radius8"),  # 4,373 support rows
+    pytest.param(F2, 3, 3, 5, 300, "e,a1", id="identity"),  # tau(L_e) = 1
+    pytest.param(F2, 8, 5, 1, 1000, "a1,a2", id="bench-shortened"),  # the benchmark's scan, 1,000 iterations
+]
+
+
+def _assert_same_anneal(new, ref):
+    assert new.history == ref.history
+    assert new.records == ref.records
+    assert new.objective == ref.objective
+    assert new.frame.rows == ref.frame.rows
+    assert np.array_equal(new.frame.C, ref.frame.C)
+    assert frame_fingerprint(new.frame) == frame_fingerprint(ref.frame)
+
+
+@pytest.mark.parametrize("descriptor, rank, radius, seed, iters, unitaries", ANNEAL_CASES)
+def test_anneal_matches_frame_per_trial_reference(descriptor, rank, radius, seed, iters, unitaries):
+    cfg = ProjectionSearchConfig(
+        descriptor=descriptor, rank=rank, ambient_radius=radius, seed=seed, iterations=iters,
+        unitaries=tuple(parse_generators(descriptor, unitaries)),
+    )
+    _assert_same_anneal(anneal_projection(cfg), frame_per_trial_anneal(cfg))
+
+
+def _deficient_every(period, gram_schmidt):
+    """gram_schmidt raising RankDeficiency on every `period`-th call."""
+    calls = [0]
+
+    def wrapped(raw):
+        calls[0] += 1
+        if calls[0] % period == 0:
+            raise RankDeficiency(0)
+        return gram_schmidt(raw)
+
+    return wrapped
+
+
+def test_anneal_rejects_rank_deficient_moves_like_reference(monkeypatch):
+    # start-up draws and moves alike: every third orthonormalization fails
+    cfg = ProjectionSearchConfig(
+        descriptor=F2, rank=4, ambient_radius=4, seed=3, iterations=300, unitaries=(Word(F2, (1,)), Word(F2, (2,)))
+    )
+    monkeypatch.setattr(foelner.connes, "gram_schmidt", _deficient_every(3, foelner.connes.gram_schmidt))
+    monkeypatch.setattr(
+        search_helpers, "reference_gram_schmidt", _deficient_every(3, search_helpers.reference_gram_schmidt)
+    )
+    new, ref = anneal_projection(cfg), frame_per_trial_anneal(cfg)
+    _assert_same_anneal(new, ref)
+    assert len(new.history) > 1
+
+
+def test_anneal_gram_check_runs_on_every_trial(monkeypatch):
+    # a trial whose columns are off orthonormal by 2e-9 (> GRAM_TOL) is refused
+    # as a frame with such columns would be, on whichever call it comes
+    gram_schmidt = foelner.connes.gram_schmidt
+    cfg = ProjectionSearchConfig(
+        descriptor=F2, rank=4, ambient_radius=4, seed=3, iterations=300, unitaries=(Word(F2, (1,)), Word(F2, (2,)))
+    )
+    for bad_call in (1, 2, 250):
+        calls = [0]
+
+        def skewed(raw):
+            calls[0] += 1
+            q = gram_schmidt(raw)
+            return q * (1 + 1e-9) if calls[0] == bad_call else q
+
+        monkeypatch.setattr(foelner.connes, "gram_schmidt", skewed)
+        with pytest.raises(PreconditionError, match="orthonormal"):
+            anneal_projection(cfg)

@@ -25,7 +25,7 @@ from foelner.l2ops import (
     trace_defect,
 )
 from foelner.words import Word, ball, free_group, multiply, parse_word, translation_indices
-from frame_helpers import columns_of, frame_of, reference_compression, reference_hs_ratio
+from frame_helpers import columns_of, frame_of, reference_compression, reference_gram_schmidt, reference_hs_ratio
 
 F2 = free_group(2)
 E = Word.identity(F2)
@@ -166,6 +166,56 @@ def test_gram_schmidt_rank_deficiency():
     with pytest.raises(RankDeficiency) as exc:
         gram_schmidt(np.zeros((3, 2)))
     assert exc.value.column_index == 0
+
+
+# |ball(F2, r)| for r = 0..7, and two sizes outside that list
+GS_ROWS = (1, 2, 5, 17, 53, 161, 485, 1457, 4373)
+GS_RANKS = (1, 2, 3, 5, 8, 16, 30)
+
+
+def _gs_input(kind, n, k, rng):
+    normal = lambda *shape: rng.normal(size=shape) + 1j * rng.normal(size=shape)
+    if kind == "dense":
+        return normal(n, k)
+    if kind == "real":
+        return rng.normal(size=(n, k))
+    if kind == "sparse":  # as the annealer draws its start: at most 8 entries a column
+        raw = np.zeros((n, k), dtype=complex)
+        for j in range(k):
+            idx = rng.choice(n, size=min(8, n), replace=False)
+            raw[idx, j] = normal(len(idx))
+        return raw
+    # dependent: column d a combination of earlier columns, exactly or up to
+    # a perturbation near the rank tolerance, or zero
+    raw = normal(n, k)
+    d = int(rng.integers(k))
+    mix = raw[:, :d] @ normal(d) if d else np.zeros(n, dtype=complex)
+    raw[:, d] = mix + normal(n) * [0.0, 1e-9, 1e-7][int(rng.integers(3))]
+    return raw
+
+
+def _gs_outcome(fn, raw):
+    try:
+        return fn(raw)
+    except RankDeficiency as exc:
+        return exc.column_index
+
+
+@pytest.mark.parametrize("kind, seed", [("dense", 1), ("real", 2), ("sparse", 3), ("dependent", 4)])
+def test_gram_schmidt_matches_reference_bit_for_bit(kind, seed):
+    rng = np.random.default_rng(seed)
+    deficient = 0
+    for n in GS_ROWS:
+        for k in GS_RANKS:
+            raw = _gs_input(kind, n, k, rng)
+            ref, new = _gs_outcome(reference_gram_schmidt, raw), _gs_outcome(gram_schmidt, raw)
+            if isinstance(ref, int):
+                deficient += 1
+                assert new == ref, (kind, n, k)
+            else:
+                assert isinstance(new, np.ndarray) and np.array_equal(new, ref), (kind, n, k)
+                assert new.tobytes() == ref.tobytes(), (kind, n, k)  # signed zeros too
+    assert deficient >= sum(k > n for n in GS_ROWS for k in GS_RANKS)
 
 
 def test_frame_invariants():
