@@ -40,6 +40,8 @@ from .words import (
 EXHAUSTIVE_BALL_CAP = 22  # |ball| cap: at most 2^22 candidate subsets
 EXHAUSTIVE_CHUNK = 1 << 20  # subset bitmasks evaluated per vectorized pass
 FAMILY_RADIUS_CAP = 2_000  # largest r_max of a ball family; its exact big-integer closed forms cost ~r_max^2.2
+TEMP_INITIAL = 0.25  # local-search temperature at the first iteration
+TEMP_DECAY = 0.999  # its factor per iteration
 
 
 @dataclass(frozen=True)
@@ -256,8 +258,6 @@ class GroupSearchConfig:
     mode: str = "search"  # exhaustive | balls | search
     seed: int | None = None
     iterations: int = 10_000
-    temp_initial: float = 0.25
-    temp_decay: float = 0.999
 
     def __post_init__(self):
         if self.mode not in ("exhaustive", "balls", "search"):
@@ -288,7 +288,6 @@ def local_search_min_ratio(
     descriptor: GroupDescriptor,
     X: GeneratingSet,
     config: GroupSearchConfig,
-    initial: ElementSet | None = None,
 ) -> LocalSearchResult:
     """Annealed single-element toggles within ball(radius), starting from {e}.
 
@@ -301,14 +300,7 @@ def local_search_min_ratio(
         raise SeedRequired("local search requires an explicit seed")
     b = ball(descriptor, config.radius)
     n = len(b)
-    start = np.zeros(n, dtype=bool)
-    where = {w: i for i, w in enumerate(b.elements)}
-    for w in [Word.identity(descriptor)] if initial is None else initial.members:
-        if w not in where:
-            raise PreconditionError(f"initial member {format_word(w)} outside ball({config.radius})")
-        start[where[w]] = True
-    if not start.any():
-        raise PreconditionError("initial set must be non-empty")
+    start = np.arange(n) == b.elements.index(Word.identity(descriptor))  # the set {e}
 
     # The identity never moves a member off the set, and its self-loop p * e = p
     # would make p its own predecessor, so it is left out.  Right multiplication
@@ -349,13 +341,13 @@ def local_search_min_ratio(
     best = (Fraction(bcnt, size), size, member.copy())
     initial_report = BoundaryReport.of(size, bcnt)
     history: list[AcceptedMove] = []
-    temp = config.temp_initial
+    temp = TEMP_INITIAL
 
     for it in range(config.iterations):
         i = int(rng.integers(n))
         removing = member[i]
         if removing and size == 1:
-            temp *= config.temp_decay
+            temp *= TEMP_DECAY
             continue  # never empty the set
         toggle(i)
         cand = bcnt / size
@@ -368,7 +360,7 @@ def local_search_min_ratio(
                 best = (frac, size, member.copy())
         else:
             toggle(i)  # undo
-        temp *= config.temp_decay
+        temp *= TEMP_DECAY
 
     frac, _, bm = best
     members = ElementSet.of(descriptor, (w for w, m in zip(b.elements, bm) if m))

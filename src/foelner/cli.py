@@ -2,8 +2,9 @@
 
 Every stochastic command requires an explicit --seed; identical flags always
 produce byte-identical payloads (wall time goes to stderr, never into the
-report).  Exit codes: 0 success, 2 precondition violation, 3 numerical
-non-convergence, 4 a theorem or consistency check failed.
+report).  Exit codes: 0 success, 2 precondition violation (including an
+--out file that cannot be written), 3 numerical non-convergence, 4 a theorem
+or consistency check failed.
 """
 
 from __future__ import annotations
@@ -12,9 +13,10 @@ import argparse
 import csv
 import io
 import json
+import os
 import sys
 import time
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 from fractions import Fraction
 from typing import Any
 
@@ -43,7 +45,14 @@ from .connes import (
 )
 from .errors import ConvergenceError, InvariantViolation, PreconditionError, SearchSpaceTooLarge, SeedRequired
 from .l2ops import SVD_MAX_K, GroupAlgebraElement, commutator_ratio, frame_to_json, trace_defect
-from .paradox import chain_audit, contradiction_threshold, make_paper_trace, verify_set_identities
+from .paradox import (
+    DERIVED_THRESHOLD,
+    PAPER_EPSILON,
+    THRESHOLD_NOTE,
+    chain_audit,
+    make_paper_trace,
+    verify_set_identities,
+)
 from .words import GroupDescriptor, Word, capped_ball_size, format_word, free_group, parse_generators, standard_generators
 
 # the parameters of each command, read from the parsed arguments and echoed
@@ -262,20 +271,10 @@ def _run_audit(cfg: RunConfig) -> tuple[Any, list]:
     identities = verify_set_identities(max(2, p["radius"] + 1))
     rng = np.random.default_rng(cfg.seed)
     evaluated = [_audit_one_frame(random_frame(descriptor, p["rank"], p["radius"], rng)) for _ in range(p["frames"])]
-    thr = contradiction_threshold()
     worst = min(range(len(evaluated)), key=lambda i: evaluated[i]["max_commutator_ratio"]) if evaluated else None
     results = {
-        "set_identities": {
-            "radius": identities.radius,
-            "checked_words": identities.checked_words,
-            "disjoint_ok": identities.disjoint_ok,
-            "corrected_cover_ok": identities.corrected_cover_ok,
-            "literal_cover_holds": identities.literal_cover_holds,
-            "uncovered_count": identities.uncovered_count,
-            "uncovered_examples": list(identities.uncovered_examples),
-            "uncovered_equals_first_letter_set": identities.uncovered_equals_first_letter_set,
-        },
-        "thresholds": {"paper": thr.paper_nominal, "derived": thr.derived},
+        "set_identities": asdict(identities),
+        "thresholds": {"paper": float(PAPER_EPSILON), "derived": DERIVED_THRESHOLD},
         "frames_evaluated": len(evaluated),
         "frames": evaluated,
         "c_values": evaluated[worst]["c_values"] if worst is not None else {},
@@ -289,20 +288,9 @@ def _run_audit(cfg: RunConfig) -> tuple[Any, list]:
             min(e["max_commutator_ratio"] for e in evaluated) if evaluated else None
         ),
     }
-    warnings = [thr.note]
+    warnings = [THRESHOLD_NOTE]
     if p["paper_mode"]:
-        t = make_paper_trace()
-        results["paper_trace"] = {
-            "epsilon": t.epsilon,
-            "displacement_constant": t.displacement_constant,
-            "pincer_lower": t.pincer_lower,
-            "pincer_upper": t.pincer_upper,
-            "pincer_threshold": t.pincer_threshold,
-            "lower_exceeds_threshold": t.lower_exceeds_threshold,
-            "upper_below_threshold": t.upper_below_threshold,
-            "chain_closes": t.chain_closes,
-            "honest_displacement_constant": t.honest_displacement_constant,
-        }
+        results["paper_trace"] = asdict(make_paper_trace())
         warnings.append(
             "paper-mode replays the literal constants; verdicts always use the derived regime"
         )
@@ -382,6 +370,17 @@ def _check_counts(cfg: RunConfig) -> None:
             )
 
 
+def _check_output(cfg: RunConfig) -> None:
+    """Refuse a csv request for a report with no table, and an --out path whose
+    directory does not exist."""
+    p = cfg.params
+    tabular = (cfg.command == "group" and p["mode"] == "balls") or (cfg.command == "witness" and p["k_max"] is not None)
+    if cfg.fmt == "csv" and not tabular:
+        raise PreconditionError("csv output is only available for group --mode balls and witness --k-max")
+    if cfg.out and not os.path.isdir(os.path.dirname(os.path.abspath(cfg.out))):
+        raise PreconditionError(f"the directory of --out {cfg.out} does not exist")
+
+
 def run(cfg: RunConfig) -> RunReport:
     """Dispatch a validated RunConfig to its owning module."""
     t0 = time.perf_counter()
@@ -390,6 +389,7 @@ def run(cfg: RunConfig) -> RunReport:
             raise SeedRequired(f"command {cfg.command!r} requires an explicit --seed")
         if cfg.command == "group" and cfg.params["mode"] == "search":
             raise SeedRequired("group --mode search requires --seed")
+    _check_output(cfg)
     _check_counts(cfg)
     handler = _HANDLERS[cfg.command]
     results, warnings = handler(cfg)
@@ -407,30 +407,31 @@ def render_json(report: RunReport) -> str:
 
 
 def render_csv(report: RunReport) -> str:
-    """CSV for the tabular reports (ball families and certificate sweeps)."""
+    """CSV for the tabular reports: ball families and certificate sweeps (see _check_output)."""
     results = report.results
     buf = io.StringIO()
     writer = csv.writer(buf, lineterminator="\n")
-    if isinstance(results, dict) and "history" in results and results.get("mode") == "balls":
+    if results.get("mode") == "balls":
         writer.writerow(["radius", "set_size", "boundary_size", "ratio_rational", "ratio_float", "method"])
         for row in results["history"]:
             writer.writerow(
                 [row["radius"], row["set_size"], row["boundary_size"], row["ratio_rational"], row["ratio_float"], row["method"]]
             )
-    elif isinstance(results, dict) and "sweep" in results:
+    else:
         writer.writerow(["k", "epsilon"])
         for row in results["sweep"]:
             writer.writerow([row["k"], row["epsilon"]])
-    else:
-        raise PreconditionError("csv output is only available for ball families and certificate sweeps")
     return buf.getvalue()
 
 
 def write_report(report: RunReport, out: str | None, fmt: str) -> None:
     text = render_csv(report) if fmt == "csv" else render_json(report)
     if out:
-        with open(out, "w") as fh:
-            fh.write(text)
+        try:
+            with open(out, "w") as fh:
+                fh.write(text)
+        except OSError as exc:
+            raise PreconditionError(f"cannot write --out {out}: {exc.strerror or exc}") from exc
     else:
         sys.stdout.write(text)
 

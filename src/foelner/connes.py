@@ -56,6 +56,12 @@ MAX_RESTARTS = 1000  # rank-deficient random draws tolerated before giving up
 # refuses frames whose costs sum past this cap.  It admits (n, k, T) = (5, 32, 8).
 WITNESS_WORK_CAP = 1 << 28
 FORMULA_K_MAX_CAP = 100_000  # longest formula-mode certificate sweep
+FRAME_MAX_SUPPORT = 12  # random_frame draws 2..FRAME_MAX_SUPPORT amplitudes per column
+# the annealer's moves: STEP_ENTRIES amplitudes of one column get complex
+# normal noise of scale STEP_SCALE, which shrinks by STEP_DECAY per iteration
+STEP_SCALE = 0.5
+STEP_DECAY = 0.9995
+STEP_ENTRIES = 3
 
 
 @dataclass(frozen=True)
@@ -280,7 +286,6 @@ def random_frame(
     rank: int,
     ambient_radius: int,
     rng: np.random.Generator,
-    max_support: int = 12,
 ) -> Frame:
     """A deterministic (given rng state) random orthonormal frame.
 
@@ -297,7 +302,7 @@ def random_frame(
     for _ in range(MAX_RESTARTS):
         raw = np.zeros((len(pool), rank), dtype=complex)
         for j in range(rank):
-            size = int(rng.integers(2, max_support + 1))
+            size = int(rng.integers(2, FRAME_MAX_SUPPORT + 1))
             idx = rng.choice(len(pool), size=min(size, len(pool)), replace=False)
             raw[idx, j] = [complex(rng.normal(), rng.normal()) for _ in idx]
         used = np.flatnonzero(raw.any(axis=1))  # the drawn words, still in shortlex order
@@ -332,9 +337,6 @@ class ProjectionSearchConfig:
     seed: int
     iterations: int
     unitaries: tuple[Word, ...]
-    step_scale: float = 0.5
-    step_decay: float = 0.9995
-    step_entries: int = 3
 
     def __post_init__(self):
         if self.ambient_radius < 2 or self.rank < 1:
@@ -383,9 +385,9 @@ def anneal_projection(cfg: ProjectionSearchConfig) -> AnnealResult:
     frame = Frame(cfg.descriptor, cfg.ambient_radius, rows, c)
 
     gathers = []  # (dst, src, tau) per op L_w: compress(op, frame) = C[dst]* C[src]
-    for w, op in zip(cfg.unitaries, ops):
+    for op in ops:
         compress(op, frame)  # its descriptor and headroom checks, once
-        idx = frame.translation(w)
+        idx = frame.translation(op.word)
         src = np.flatnonzero(idx >= 0)
         gathers.append((idx[src], src, op.identity_coefficient))
 
@@ -400,15 +402,15 @@ def anneal_projection(cfg: ProjectionSearchConfig) -> AnnealResult:
     current = objective(c)
     best_val, best = current, c
     history: list[tuple[int, float]] = [(0, best_val)]
-    scale = cfg.step_scale
+    scale = STEP_SCALE
 
     for it in range(1, cfg.iterations + 1):
         j = int(rng.integers(k))
-        positions = rng.choice(n_sup, size=min(cfg.step_entries, n_sup), replace=False)
+        positions = rng.choice(n_sup, size=min(STEP_ENTRIES, n_sup), replace=False)
         noise = (rng.normal(size=len(positions)) + 1j * rng.normal(size=len(positions))) * scale
         trial = c.copy()
         trial[positions, j] += noise
-        scale *= cfg.step_decay
+        scale *= STEP_DECAY
         try:
             trial = gram_schmidt(trial)
         except RankDeficiency:

@@ -48,10 +48,6 @@ class RankDeficiency(PreconditionError):
         super().__init__(message or f"column {column_index} is numerically dependent on its predecessors")
 
 
-class UnitaryRequired(PreconditionError):
-    """The operator must be a single left-translation unitary L_g."""
-
-
 class SearchSpaceTooLarge(PreconditionError):
     """Enumeration was requested beyond its element or subset-count cap."""
 

@@ -18,7 +18,7 @@ import copy
 import math
 from dataclasses import dataclass, field
 from functools import cached_property
-from typing import Mapping, NamedTuple
+from typing import NamedTuple
 
 import numpy as np
 
@@ -29,11 +29,10 @@ from .errors import (
     InvariantViolation,
     PreconditionError,
     RankDeficiency,
-    UnitaryRequired,
 )
 from .words import GroupDescriptor, Word, format_word, shortlex_key, translation_indices
 
-PRUNE_TOL = 1e-15   # amplitudes below this are dropped from operators and at the JSON edge
+PRUNE_TOL = 1e-15   # amplitudes below this are dropped at the JSON edge
 GRAM_TOL = 1e-10    # frame Gram matrix must match the identity entrywise
 RANK_TOL = 1e-8     # residual threshold declaring columns dependent
 SVD_MAX_K = 256
@@ -47,50 +46,30 @@ BLAS_CHUNK = 1 << 14
 
 @dataclass(frozen=True)
 class GroupAlgebraElement:
-    """A finitely supported element sum_g lambda_g L_g acting by left translation."""
+    """The unitary L_g of left translation by one word g."""
 
-    descriptor: GroupDescriptor
-    coefficients: Mapping[Word, complex]
-    operator_radius: int
-
-    @staticmethod
-    def of(descriptor: GroupDescriptor, coefficients: Mapping[Word, complex]) -> "GroupAlgebraElement":
-        kept: dict[Word, complex] = {}
-        radius = 0
-        for w, c in coefficients.items():
-            if w.descriptor != descriptor:
-                raise DescriptorMismatch(f"coefficient on {format_word(w)} from {w.descriptor.spec()}")
-            c = complex(c)
-            if abs(c) < PRUNE_TOL:
-                continue
-            kept[w] = c
-            radius = max(radius, w.length())
-        return GroupAlgebraElement(descriptor, kept, radius)
+    word: Word
 
     @staticmethod
     def left_translation(w: Word) -> "GroupAlgebraElement":
         """The unitary L_w."""
-        return GroupAlgebraElement(w.descriptor, {w: 1.0 + 0.0j}, w.length())
+        return GroupAlgebraElement(w)
 
     @property
-    def is_single_unitary(self) -> bool:
-        if len(self.coefficients) != 1:
-            return False
-        (c,) = self.coefficients.values()
-        return abs(abs(c) - 1.0) <= 1e-12
+    def descriptor(self) -> GroupDescriptor:
+        return self.word.descriptor
+
+    @property
+    def operator_radius(self) -> int:
+        return self.word.length()
 
     @property
     def identity_coefficient(self) -> complex:
-        """The trace tau: the coefficient of the identity word."""
-        return complex(sum(c for w, c in self.coefficients.items() if w.is_identity))
+        """The trace tau(L_g): 1 for g = e, else 0."""
+        return 1.0 + 0.0j if self.word.is_identity else 0.0j
 
     def label(self) -> str:
-        if len(self.coefficients) == 1:
-            (w,) = self.coefficients.keys()
-            (c,) = self.coefficients.values()
-            if abs(c - 1.0) <= 1e-12:
-                return f"L[{format_word(w)}]"
-        return "sum(" + ",".join(f"{format_word(w)}" for w in sorted(self.coefficients, key=shortlex_key)) + ")"
+        return f"L[{format_word(self.word)}]"
 
 
 @dataclass(frozen=True, eq=False)
@@ -180,12 +159,12 @@ def checked_hs_norm_sq(c: np.ndarray) -> float:
     return float(np.sum(np.abs(gram) ** 2))
 
 
-def gram_schmidt(raw: np.ndarray, rank_tol: float = RANK_TOL) -> np.ndarray:
+def gram_schmidt(raw: np.ndarray) -> np.ndarray:
     """Orthonormal columns with the spans of `raw`'s leading columns, in order.
 
     Each column is projected twice off its predecessors, read through a
     conjugated copy, and normalized.  Raises RankDeficiency naming the
-    first column whose residual norm falls below rank_tol.
+    first column whose residual norm falls below RANK_TOL.
     """
     q = np.array(raw, dtype=complex)
     if q.ndim != 2 or q.shape[1] < 1:
@@ -199,7 +178,7 @@ def gram_schmidt(raw: np.ndarray, rank_tol: float = RANK_TOL) -> np.ndarray:
                 col -= prev @ (prev_adj @ col)
         re, im = col.real, col.imag
         nrm = math.sqrt(re.dot(re) + im.dot(im))
-        if nrm < rank_tol:
+        if nrm < RANK_TOL:
             raise RankDeficiency(j)
         col /= nrm
         np.conjugate(col, out=qc[:, j])
@@ -207,9 +186,9 @@ def gram_schmidt(raw: np.ndarray, rank_tol: float = RANK_TOL) -> np.ndarray:
 
 
 def compress(op: GroupAlgebraElement, frame: Frame) -> np.ndarray:
-    """The k x k compression eUe: entry [q, p] = <U xi_p, xi_q> = sum_g lambda_g (C* L_g C)[q, p].
+    """The k x k compression eL_ge: entry [q, p] = <L_g xi_p, xi_q> = (C* L_g C)[q, p].
 
-    Refuses (rather than truncating) when U could move the support out of
+    Refuses (rather than truncating) when L_g could move the support out of
     the ambient ball: requires support_radius + operator_radius <= ambient_radius.
     """
     if op.descriptor != frame.descriptor:
@@ -219,12 +198,9 @@ def compress(op: GroupAlgebraElement, frame: Frame) -> np.ndarray:
             f"support {frame.support_radius} + operator {op.operator_radius} exceeds ambient {frame.ambient_radius}"
         )
     c = frame.C
-    out = np.zeros((frame.rank, frame.rank), dtype=complex)
-    for g, lam in op.coefficients.items():
-        idx = frame.translation(g)
-        src = np.flatnonzero(idx >= 0)
-        out += lam * _adjoint_product(c[idx[src]], c[src])
-    return out
+    idx = frame.translation(op.word)
+    src = np.flatnonzero(idx >= 0)
+    return _adjoint_product(c[idx[src]], c[src])
 
 
 def normalized_trace(a: np.ndarray) -> complex:
@@ -250,7 +226,7 @@ class CommutatorRatio(NamedTuple):
 
 
 def commutator_ratio(op: GroupAlgebraElement, frame: Frame) -> CommutatorRatio:
-    """Two evaluations of ||[U,e]||_HS / ||e||_HS for a single unitary U.
+    """Two evaluations of ||[U,e]||_HS / ||e||_HS for the unitary U = L_g.
 
     The direct route forms ||Ue - eU||_HS = ||UeU* - e||_HS = ||(UC)(UC)* - CC*||_F
     on the rows and their translates, one tile of at most BLAS_CHUNK
@@ -258,18 +234,15 @@ def commutator_ratio(op: GroupAlgebraElement, frame: Frame) -> CommutatorRatio:
     form is sqrt(2) * sqrt(1 - tau_k(A* A)) with A the compression (see
     closed_form_ratio).  Both are exact up to roundoff and must agree within 1e-9.
     """
-    if not op.is_single_unitary:
-        raise UnitaryRequired("a single unitary L_g is required here")
-    ((g, lam),) = op.coefficients.items()
     closed = closed_form_ratio(compress(op, frame), frame.hs_norm_sq)
 
-    # embed C and UC = lambda L_g C over rows + (translates outside the rows)
+    # embed C and UC = L_g C over rows + (translates outside the rows)
     k, n = frame.rank, len(frame.rows)
-    pos = frame.translation(g).copy()
+    pos = frame.translation(op.word).copy()
     outside = np.flatnonzero(pos < 0)
     pos[outside] = n + np.arange(len(outside))
     z = np.zeros((n + len(outside), 2 * k), dtype=complex)  # [UC, C]
-    z[pos, :k] = lam * frame.C
+    z[pos, :k] = frame.C
     z[:n, k:] = frame.C
     w = z.conj()
     w[:, k:] *= -1  # conj([UC, -C]), so z @ w.T = (UC)(UC)* - CC*

@@ -10,19 +10,26 @@ use the honest constants.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 from fractions import Fraction
 
 import numpy as np
 
-from .errors import InvariantViolation, PreconditionError, UnitaryRequired
+from .errors import InvariantViolation, PreconditionError
 from .l2ops import Frame, GroupAlgebraElement, closed_form_ratio, compress, nearest_unitary
 from .words import GroupDescriptor, Word, ball, begins_with, format_word, free_group, multiply
 
 PAPER_EPSILON = Fraction(1, 7)
 PAPER_DISPLACEMENT = Fraction(4, 49)
 PAPER_PINCER = Fraction(5, 12)
-DERIVED_THRESHOLD = math.sqrt(2.0) / 24.0  # honest chain: B_a + B_b < 1/6 with B -> sqrt(2) eps
+# Largest eps for which the re-derived chain guarantees a contradiction: it
+# needs B_a + B_b < 1/6 with B = 2(eps/sqrt(2) + delta') and delta' -> 0.
+DERIVED_THRESHOLD = math.sqrt(2.0) / 24.0
+THRESHOLD_NOTE = (
+    "the displayed chain bounds the square of the displacement; taking the "
+    "square root honestly turns 4/49 into 2/7 and the closing constant into "
+    f"{DERIVED_THRESHOLD:.6f} instead of {float(PAPER_EPSILON):.6f}"
+)
 
 
 @dataclass(frozen=True)
@@ -208,9 +215,7 @@ def displacement_bound(frame: Frame, op: GroupAlgebraElement, s: PrefixSet) -> D
     an exact identity for the polar factor W; measured <= certified is a
     theorem, and a violation raises InvariantViolation.
     """
-    if not op.is_single_unitary:
-        raise UnitaryRequired("displacement bounds need a single unitary")
-    ((g, _),) = op.coefficients.items()
+    g = op.word
     c_s = c_value(frame, s)
     c_pull = c_value(frame, s.translated(g.inverse()))
     c_push = c_value(frame, s.translated(g))
@@ -274,31 +279,6 @@ class ParadoxReport:
     constants: dict
 
 
-@dataclass(frozen=True)
-class ContradictionThreshold:
-    derived: float
-    paper_nominal: float
-    discrepancy: bool
-
-    @property
-    def note(self) -> str:
-        return (
-            "the displayed chain bounds the square of the displacement; taking the "
-            "square root honestly turns 4/49 into 2/7 and the closing constant into "
-            f"{self.derived:.6f} instead of {self.paper_nominal:.6f}"
-        )
-
-
-def contradiction_threshold() -> ContradictionThreshold:
-    """Largest eps for which the re-derived chain guarantees a contradiction.
-
-    The chain needs B_a + B_b < 1/6 with B = 2(eps/sqrt(2) + delta') and
-    delta' -> 0, giving eps* = sqrt(2)/24; the literal constant 1/7 is
-    returned alongside with a discrepancy flag.
-    """
-    return ContradictionThreshold(DERIVED_THRESHOLD, float(PAPER_EPSILON), True)
-
-
 def make_paper_trace() -> PaperTrace:
     lower = 0.5 - float(PAPER_DISPLACEMENT)
     upper = 1.0 / 3.0 + float(PAPER_DISPLACEMENT)
@@ -347,15 +327,7 @@ def chain_audit(frame: Frame) -> ParadoxReport:
     d_a = displacement_bound(frame, l_a, base)
     d_b = displacement_bound(frame, l_b, base)
     displacements = {
-        d.unitary_label: {
-            "measured_pull": d.measured_pull,
-            "measured_push": d.measured_push,
-            "measured": d.measured,
-            "certified": d.certified,
-            "w_distance": d.w_distance,
-            "compression_gap": d.compression_gap,
-        }
-        for d in (d_a, d_b)
+        d.unitary_label: {name: v for name, v in asdict(d).items() if not name.endswith("_label")} for d in (d_a, d_b)
     }
     bounds = {1: d_a.certified, 2: d_b.certified}
 
@@ -384,10 +356,9 @@ def chain_audit(frame: Frame) -> ParadoxReport:
     else:
         verdict = "consistent"
 
-    thr = contradiction_threshold()
     constants = {
-        "derived_threshold": thr.derived,
-        "paper_epsilon": thr.paper_nominal,
+        "derived_threshold": DERIVED_THRESHOLD,
+        "paper_epsilon": float(PAPER_EPSILON),
         "paper_displacement": float(PAPER_DISPLACEMENT),
         "pincer": float(PAPER_PINCER),
         "honest_B_a": d_a.certified,

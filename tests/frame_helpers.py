@@ -73,7 +73,7 @@ def reference_hs_ratio(g, frame):
     return (hs_sq / frame.rank) ** 0.5
 
 
-def reference_gram_schmidt(raw, rank_tol=RANK_TOL):
+def reference_gram_schmidt(raw):
     """The former l2ops.gram_schmidt: conjugates the finished columns afresh
     in every projection, and normalizes through numpy.linalg.norm."""
     q = np.array(raw, dtype=complex)
@@ -86,7 +86,7 @@ def reference_gram_schmidt(raw, rank_tol=RANK_TOL):
             for _ in range(2):
                 col -= prev @ (prev.conj().T @ col)
         nrm = float(np.linalg.norm(col))
-        if nrm < rank_tol:
+        if nrm < RANK_TOL:
             raise RankDeficiency(j)
         q[:, j] = col / nrm
     return q

@@ -7,8 +7,16 @@ from fractions import Fraction
 
 import numpy as np
 
-from foelner.boundary import AcceptedMove, BoundaryReport, ElementSet, LocalSearchResult, boundary_ratio
-from foelner.connes import MAX_RESTARTS, AnnealResult, q_objective
+from foelner.boundary import (
+    TEMP_DECAY,
+    TEMP_INITIAL,
+    AcceptedMove,
+    BoundaryReport,
+    ElementSet,
+    LocalSearchResult,
+    boundary_ratio,
+)
+from foelner.connes import MAX_RESTARTS, STEP_DECAY, STEP_ENTRIES, STEP_SCALE, AnnealResult, q_objective
 from foelner.errors import ConvergenceError, PreconditionError, RankDeficiency
 from foelner.l2ops import Frame, GroupAlgebraElement, closed_form_ratio, compress, normalized_trace
 from foelner.words import Word, ball, format_word, translation_indices
@@ -28,16 +36,14 @@ def mask_ratio(mask, nbr):
     return size - int((mask & stay).sum()), size
 
 
-def rescan_local_search(descriptor, X, config, initial=None):
+def rescan_local_search(descriptor, X, config):
     """local_search_min_ratio with a full boundary recount per toggle, and the
-    same rng draws, accept rule and best tracking."""
+    same start {e}, rng draws, accept rule and best tracking."""
     b = ball(descriptor, config.radius)
     n = len(b)
     nbr = np.stack([translation_indices(b.elements, x, right=True) for x in X.closure()])
     mask = np.zeros(n, dtype=bool)
-    where = {w: i for i, w in enumerate(b.elements)}
-    for w in [Word.identity(descriptor)] if initial is None else initial.members:
-        mask[where[w]] = True
+    mask[b.elements.index(Word.identity(descriptor))] = True
 
     rng = np.random.default_rng(config.seed)
     bcnt, size = mask_ratio(mask, nbr)
@@ -45,12 +51,12 @@ def rescan_local_search(descriptor, X, config, initial=None):
     best = (Fraction(bcnt, size), size, mask.copy())
     initial_report = BoundaryReport.of(size, bcnt)
     history = []
-    temp = config.temp_initial
+    temp = TEMP_INITIAL
     for it in range(config.iterations):
         i = int(rng.integers(n))
         removing = bool(mask[i])
         if removing and size == 1:
-            temp *= config.temp_decay
+            temp *= TEMP_DECAY
             continue
         mask[i] = not mask[i]
         nb, ns = mask_ratio(mask, nbr)
@@ -63,7 +69,7 @@ def rescan_local_search(descriptor, X, config, initial=None):
                 best = (frac, ns, mask.copy())
         else:
             mask[i] = not mask[i]
-        temp *= config.temp_decay
+        temp *= TEMP_DECAY
 
     members = ElementSet.of(descriptor, (b.elements[i] for i in np.flatnonzero(best[2])))
     return LocalSearchResult(members, boundary_ratio(members, X), history, initial_report)
@@ -109,15 +115,15 @@ def frame_per_trial_anneal(cfg):
     current = _worst_record(ops, frame)
     best_val, best = current, frame
     history = [(0, best_val)]
-    scale = cfg.step_scale
+    scale = STEP_SCALE
 
     for it in range(1, cfg.iterations + 1):
         j = int(rng.integers(k))
-        positions = rng.choice(n_sup, size=min(cfg.step_entries, n_sup), replace=False)
+        positions = rng.choice(n_sup, size=min(STEP_ENTRIES, n_sup), replace=False)
         noise = (rng.normal(size=len(positions)) + 1j * rng.normal(size=len(positions))) * scale
         trial = frame.C.copy()
         trial[positions, j] += noise
-        scale *= cfg.step_decay
+        scale *= STEP_DECAY
         try:
             trial_frame = frame.with_columns(reference_gram_schmidt(trial))
         except RankDeficiency:

@@ -281,23 +281,6 @@ def test_incremental_search_matches_rescan(descriptor, gens, radius, iterations,
     assert 10 < len(got.history) <= iterations
 
 
-@pytest.mark.parametrize("seed", [4, 5])
-@pytest.mark.parametrize(
-    "descriptor, gens, start",
-    [
-        (Z2, None, box(3)),
-        (F2, None, ElementSet.of(F2, ball(F2, 2).elements)),
-        (F2, "e,a1.a2,a2", ElementSet.of(F2, [Word.from_letters(F2, [2]), Word.from_letters(F2, [1, -2])])),
-    ],
-)
-def test_incremental_search_matches_rescan_from_initial_set(descriptor, gens, start, seed):
-    X = _generating_set(descriptor, gens)
-    cfg = GroupSearchConfig(radius=4, mode="search", seed=seed, iterations=2000)
-    got = local_search_min_ratio(descriptor, X, cfg, initial=start)
-    assert got == rescan_local_search(descriptor, X, cfg, initial=start)
-    assert got.initial_report == boundary_ratio(start, X)
-
-
 def test_local_search_requires_seed():
     with pytest.raises(SeedRequired):
         GroupSearchConfig(radius=3, mode="search", seed=None, iterations=10)

@@ -1,5 +1,6 @@
 """CLI behavior: schemas, determinism, exit codes."""
 
+import hashlib
 import json
 import os
 import subprocess
@@ -301,6 +302,65 @@ def test_parser_rejects_unknown_mode():
 def test_csv_unavailable_for_non_tabular(capsys):
     code = main(["witness", "--n", "2", "--k", "2", "--depth", "2", "--format", "csv"])
     assert code == 2
+
+
+def _refuse_work(monkeypatch):
+    def work(cfg):
+        raise AssertionError(f"{cfg.command} ran although its output was to be refused")
+
+    for command in _HANDLERS:
+        monkeypatch.setitem(_HANDLERS, command, work)
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["scan", "--n", "2", "--rank", "8", "--radius", "5", "--iters", "10000", "--seed", "1"],
+        ["audit", "--rank", "2", "--radius", "3", "--seed", "1", "--frames", "3"],
+        ["identity-check", "--trials", "5", "--seed", "1"],
+        ["group", "--group", "free:2", "--radius", "2", "--mode", "exhaustive"],
+        ["witness", "--n", "2", "--k", "2", "--depth", "2"],
+    ],
+)
+def test_csv_refused_before_the_run(argv, monkeypatch, capsys):
+    _refuse_work(monkeypatch)
+    assert main(argv + ["--format", "csv"]) == 2
+    assert capsys.readouterr().err.startswith("error: csv output")
+
+
+def test_out_in_missing_directory_refused_before_the_run(tmp_path, monkeypatch, capsys):
+    _refuse_work(monkeypatch)
+    code = main(["witness", "--n", "2", "--k", "8", "--out", str(tmp_path / "missing" / "x.json")])
+    assert code == 2
+    assert capsys.readouterr().err.startswith("error: the directory of --out")
+
+
+def test_unwritable_out_maps_to_exit_2(tmp_path, capsys):
+    # the directory exists, but the path names a directory, not a file
+    code = main(["witness", "--n", "2", "--k", "2", "--depth", "2", "--out", str(tmp_path)])
+    assert code == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: cannot write --out") and err.count("\n") == 1
+
+
+@pytest.mark.parametrize(
+    "argv, sha256",
+    [
+        (
+            ["audit", "--rank", "3", "--radius", "4", "--seed", "12", "--frames", "5", "--paper-mode"],
+            "e6cf819c979dc9f3656ccc307aef9755c0f467243185dc614c9739aa30e764e4",
+        ),
+        (
+            ["identity-check", "--trials", "8", "--seed", "13"],
+            "7eecab7a3d61a0baa0ee66c6241cd1d1cb9607a37c648d3b131f7426c182a98e",
+        ),
+    ],
+)
+def test_payload_pinned(argv, sha256, tmp_path):
+    # the --out file of these commands, byte for byte
+    code, raw = run_cli(argv, tmp_path)
+    assert code == 0
+    assert hashlib.sha256(raw).hexdigest() == sha256
 
 
 # ---------------------------------------------------------------------------

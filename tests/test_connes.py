@@ -76,8 +76,7 @@ def test_witness_subdiagonal_geometric_series_oracle():
         cols = columns_of(frame)
         for op in ops:
             for m in (1, 2):  # <L_aj xi_m, xi_{m+1}> = 1/n for every j
-                (g,) = op.coefficients
-                got = inner(translate(g, cols[m - 1]), cols[m])
+                got = inner(translate(op.word, cols[m - 1]), cols[m])
                 assert abs(got - 1.0 / n) < 1e-12
         for op in ops:
             a = compress(op, frame)
@@ -192,9 +191,6 @@ def test_evaluate_q_monotone_in_epsilon_antitone_in_x():
 
 def test_evaluate_q_rejects_non_unitaries():
     witness = build_witness_frame(WitnessConfig(2, 2, 2))
-    blend = GroupAlgebraElement.of(F2, {Word.identity(F2): 0.5, Word(F2, (1,)): 0.5})
-    with pytest.raises(PreconditionError):
-        evaluate_Q([blend], witness, 1.0)
     with pytest.raises(PreconditionError):
         evaluate_Q([], witness, 1.0)
 

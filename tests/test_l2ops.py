@@ -10,7 +10,6 @@ from foelner.errors import (
     HeadroomViolation,
     PreconditionError,
     RankDeficiency,
-    UnitaryRequired,
 )
 from foelner.l2ops import (
     Frame,
@@ -80,19 +79,17 @@ def test_inner_product_conjugate_symmetric_and_linear():
     rng = np.random.default_rng(1)
     for _ in range(20):
         frame = random_frame(rng)
-        c1, c2 = complex(rng.normal(), rng.normal()), complex(rng.normal(), rng.normal())
-        blend = GroupAlgebraElement.of(F2, {A: c1, B: c2})
-        assert np.allclose(compress(blend, frame), c1 * compress(L_a, frame) + c2 * compress(L_b, frame), atol=1e-12)
+        # sesquilinear in the columns: the frame C V has compression V* A V
+        v, _ = np.linalg.qr(rng.normal(size=(frame.rank, frame.rank)) + 1j * rng.normal(size=(frame.rank, frame.rank)))
+        a_mat = compress(L_a, frame)
+        assert np.allclose(compress(L_a, frame.with_columns(frame.C @ v)), v.conj().T @ a_mat @ v, atol=1e-12)
         a_inv = compress(GroupAlgebraElement.left_translation(A.inverse()), frame)
-        assert np.allclose(a_inv, compress(L_a, frame).conj().T, atol=1e-12)
+        assert np.allclose(a_inv, a_mat.conj().T, atol=1e-12)
 
 
 def test_amplitude_pruning():
     frame = frame_of(F2, 2, [{E: 1.0, A: 1e-16}])
     assert frame_to_json(frame) == [{"e": [1.0, 0.0]}]
-    op = GroupAlgebraElement.of(F2, {E: 1.0, A: 1e-16})
-    assert A not in op.coefficients
-    assert op.operator_radius == 0
 
 
 # ---------------------------------------------------------------------------
@@ -106,8 +103,8 @@ def test_apply_examples():
     assert translation_indices((E, A), A).tolist() == [1, -1]
     assert translation_indices((E, A), A, right=True).tolist() == [1, -1]
     frame = delta_frame(E, A)
-    op = GroupAlgebraElement.of(F2, {E: 0.5, A: 0.5})
-    assert np.array_equal(compress(op, frame), [[0.5, 0.0], [0.5, 0.5]])
+    # the compression of (L_e + L_a) / 2, as the sum of the two single-word ones
+    assert np.array_equal(0.5 * compress(L_e, frame) + 0.5 * compress(L_a, frame), [[0.5, 0.0], [0.5, 0.5]])
 
 
 def test_apply_headroom_refusal():
@@ -136,13 +133,6 @@ def test_apply_isometry_and_composition():
     for i in range(len(words)):
         if via_b[i] >= 0 and via_a[via_b[i]] >= 0:
             assert via_a[via_b[i]] == via_ab[i]
-
-
-def test_single_unitary_flag():
-    assert L_a.is_single_unitary
-    assert not GroupAlgebraElement.of(F2, {E: 0.5, A: 0.5}).is_single_unitary
-    assert not GroupAlgebraElement.of(F2, {A: 0.5}).is_single_unitary
-    assert GroupAlgebraElement.of(F2, {A: 1j}).is_single_unitary
 
 
 # ---------------------------------------------------------------------------
@@ -274,12 +264,6 @@ def test_commutator_ratio_examples():
     frame = random_frame(rng)
     r0 = commutator_ratio(L_e, frame)
     assert r0.direct < 1e-12 and r0.closed_form < 1e-12
-
-
-def test_commutator_ratio_requires_unitary():
-    f_e = delta_frame(E)
-    with pytest.raises(UnitaryRequired):
-        commutator_ratio(GroupAlgebraElement.of(F2, {E: 0.5, A: 0.5}), f_e)
 
 
 def test_hs_identity_property():

@@ -7,13 +7,14 @@ import numpy as np
 import pytest
 
 from foelner.connes import WitnessConfig, build_witness_frame
-from foelner.errors import PreconditionError, UnitaryRequired
+from foelner.errors import PreconditionError
 from foelner.l2ops import GroupAlgebraElement
 from foelner.paradox import (
     DERIVED_THRESHOLD,
+    PAPER_EPSILON,
+    THRESHOLD_NOTE,
     chain_audit,
     c_value,
-    contradiction_threshold,
     displacement_bound,
     identity_set,
     make_paper_trace,
@@ -194,24 +195,16 @@ def test_displacement_random_frames():
             assert d.measured <= d.certified + 1e-12
 
 
-def test_displacement_requires_unitary():
-    frame = delta_frame(E)
-    blend = GroupAlgebraElement.of(F2, {E: 0.5, A: 0.5})
-    with pytest.raises(UnitaryRequired):
-        displacement_bound(frame, blend, prefix_set(F2, -1, 2))
-
-
 # ---------------------------------------------------------------------------
 # Chain audit and thresholds.
 
 
-def test_contradiction_threshold_values():
-    thr = contradiction_threshold()
-    assert abs(thr.derived - math.sqrt(2) / 24) < 1e-15
-    assert abs(thr.derived - 0.0589) < 1e-4
-    assert thr.paper_nominal == float(Fraction(1, 7))
-    assert thr.derived < thr.paper_nominal
-    assert thr.discrepancy
+def test_threshold_constants_and_note():
+    assert abs(DERIVED_THRESHOLD - math.sqrt(2) / 24) < 1e-15
+    assert abs(DERIVED_THRESHOLD - 0.0589) < 1e-4
+    assert PAPER_EPSILON == Fraction(1, 7)
+    assert DERIVED_THRESHOLD < PAPER_EPSILON
+    assert THRESHOLD_NOTE.endswith("closing constant into 0.058926 instead of 0.142857")
 
 
 def test_paper_trace_pincer():
