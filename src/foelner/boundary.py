@@ -16,7 +16,6 @@ import numpy as np
 
 from .errors import (
     DescriptorMismatch,
-    InvalidDescriptor,
     InvariantViolation,
     PreconditionError,
     SearchSpaceTooLarge,
@@ -169,7 +168,7 @@ def exhaustive_min_ratio(
     n = len(b)
     if n > EXHAUSTIVE_BALL_CAP:
         raise SearchSpaceTooLarge(f"|ball({radius})| = {n} exceeds the exhaustive cap of {EXHAUSTIVE_BALL_CAP}")
-    nbr = np.stack([translation_indices(b.elements, x, right=True) for x in X.closure()])
+    nbr = np.stack([translation_indices(b, x, right=True) for x in X.closure()])
     total = (1 << n) - 1
 
     best: tuple[Fraction, int, tuple[int, ...]] | None = None
@@ -191,12 +190,12 @@ def exhaustive_min_ratio(
     if best is None:
         raise InvariantViolation("no subset was evaluated")
     frac, size, indices = best
-    members = ElementSet.of(descriptor, (b.elements[i] for i in indices))
+    members = ElementSet.of(descriptor, (b[i] for i in indices))
     return members, BoundaryReport(size, int(frac * size), frac)
 
 
 # ---------------------------------------------------------------------------
-# Ball family.
+# The ball family.
 
 
 @dataclass(frozen=True)
@@ -243,7 +242,7 @@ def ball_family_ratios(
             bd = free_sphere_size(descriptor.rank, r)
             out.append(BallRatio(r, BoundaryReport(size, bd, Fraction(bd, size)), "closed_form"))
         else:
-            rep = boundary_ratio(ElementSet.of(descriptor, ball(descriptor, r).elements), X)
+            rep = boundary_ratio(ElementSet.of(descriptor, ball(descriptor, r)), X)
             out.append(BallRatio(r, rep, "enumerated"))
     return out
 
@@ -255,16 +254,16 @@ def ball_family_ratios(
 @dataclass(frozen=True)
 class GroupSearchConfig:
     radius: int
-    mode: str = "search"  # exhaustive | balls | search
+    mode: str = "search"  # always "search"; callers may still pass it
     seed: int | None = None
     iterations: int = 10_000
 
     def __post_init__(self):
-        if self.mode not in ("exhaustive", "balls", "search"):
-            raise InvalidDescriptor(f"unknown search mode {self.mode!r}")
+        if self.mode != "search":
+            raise PreconditionError(f"a local search has mode 'search', not {self.mode!r}")
         if self.radius < 0:
             raise PreconditionError("radius must be >= 0")
-        if self.mode == "search" and self.seed is None:
+        if self.seed is None:
             raise SeedRequired("local search requires an explicit seed")
 
 
@@ -296,17 +295,15 @@ def local_search_min_ratio(
     A toggle costs O(|X u X^-1|): it updates the boundary count through the
     elements whose neighbour it is, without rescanning the ball.
     """
-    if config.seed is None:
-        raise SeedRequired("local search requires an explicit seed")
     b = ball(descriptor, config.radius)
     n = len(b)
-    start = np.arange(n) == b.elements.index(Word.identity(descriptor))  # the set {e}
+    start = np.arange(n) == b.index(Word.identity(descriptor))  # the set {e}
 
     # The identity never moves a member off the set, and its self-loop p * e = p
     # would make p its own predecessor, so it is left out.  Right multiplication
     # by x is a bijection, so each i has at most one predecessor p * x = i per x.
     gens = [x for x in X.closure() if not x.is_identity]
-    nbr = np.array([translation_indices(b.elements, x, right=True) for x in gens], dtype=np.int64).reshape(-1, n)
+    nbr = np.array([translation_indices(b, x, right=True) for x in gens], dtype=np.int64).reshape(-1, n)
     pred = np.full_like(nbr, -1)  # pred[x, i] = p with p * x = i, or -1
     for row, prow in zip(nbr, pred):
         inside = row >= 0
@@ -354,7 +351,7 @@ def local_search_min_ratio(
         accept = cand <= current or (temp > 0 and rng.random() < math.exp((current - cand) / temp))
         if accept:
             current = cand
-            history.append(AcceptedMove(it, ("-" if removing else "+") + format_word(b.elements[i]), bcnt, size))
+            history.append(AcceptedMove(it, ("-" if removing else "+") + format_word(b[i]), bcnt, size))
             frac = Fraction(bcnt, size)
             if (frac, size) < (best[0], best[1]):
                 best = (frac, size, member.copy())
@@ -363,7 +360,7 @@ def local_search_min_ratio(
         temp *= TEMP_DECAY
 
     frac, _, bm = best
-    members = ElementSet.of(descriptor, (w for w, m in zip(b.elements, bm) if m))
+    members = ElementSet.of(descriptor, (w for w, m in zip(b, bm) if m))
     report = boundary_ratio(members, X)
     if report.ratio != frac or report.ratio > initial_report.ratio:
         raise InvariantViolation(

@@ -24,6 +24,7 @@ import numpy as np
 
 from . import __version__
 from .boundary import (
+    BoundaryReport,
     ElementSet,
     GeneratingSet,
     GroupSearchConfig,
@@ -115,6 +116,15 @@ def _element_set_json(s: ElementSet) -> list:
     return [format_word(w) for w in s.sorted_members()]
 
 
+def _report_json(report: BoundaryReport) -> dict:
+    return {
+        "set_size": report.set_size,
+        "boundary_size": report.boundary_size,
+        "ratio_rational": _fraction_str(report.ratio),
+        "ratio_float": report.ratio_float,
+    }
+
+
 # ---------------------------------------------------------------------------
 # Command handlers.
 
@@ -126,62 +136,26 @@ def _run_group(cfg: RunConfig) -> tuple[Any, list]:
         gens = GeneratingSet.of(descriptor, parse_generators(descriptor, p["gens"]))
     else:
         gens = GeneratingSet.standard(descriptor)
-    mode = p["mode"]
-    base = {
+    if p["mode"] == "exhaustive":
+        best, report = exhaustive_min_ratio(descriptor, gens, p["radius"])
+        best_set, history = _element_set_json(best), []
+    elif p["mode"] == "balls":
+        family = ball_family_ratios(descriptor, gens, p["radius"])
+        report, best_set = family[-1].report, f"ball(radius={family[-1].radius})"
+        history = [{"radius": fr.radius, **_report_json(fr.report), "method": fr.method} for fr in family]
+    else:  # search
+        sc = GroupSearchConfig(p["radius"], seed=cfg.seed, iterations=p["iters"])
+        res = local_search_min_ratio(descriptor, gens, sc)
+        # vars(): each move's own field dict; asdict() would copy every field of thousands of moves
+        report, best_set, history = res.report, _element_set_json(res.best_set), [vars(m) for m in res.history]
+    results = {
         "group": descriptor.spec(),
         "generators": [format_word(g) for g in gens.generators],
-        "mode": mode,
+        "mode": p["mode"],
+        "best_set": best_set,
+        **_report_json(report),
+        "history": history,
     }
-    if mode == "exhaustive":
-        best, report = exhaustive_min_ratio(descriptor, gens, p["radius"])
-        results = dict(
-            base,
-            best_set=_element_set_json(best),
-            set_size=report.set_size,
-            boundary_size=report.boundary_size,
-            ratio_rational=_fraction_str(report.ratio),
-            ratio_float=report.ratio_float,
-            history=[],
-        )
-    elif mode == "balls":
-        fam = ball_family_ratios(descriptor, gens, p["radius"])
-        last = fam[-1]
-        results = dict(
-            base,
-            best_set=f"ball(radius={last.radius})",
-            set_size=last.report.set_size,
-            boundary_size=last.report.boundary_size,
-            ratio_rational=_fraction_str(last.report.ratio),
-            ratio_float=last.report.ratio_float,
-            history=[
-                {
-                    "radius": fr.radius,
-                    "set_size": fr.report.set_size,
-                    "boundary_size": fr.report.boundary_size,
-                    "ratio_rational": _fraction_str(fr.report.ratio),
-                    "ratio_float": fr.report.ratio_float,
-                    "method": fr.method,
-                }
-                for fr in fam
-            ],
-        )
-    else:  # search
-        sc = GroupSearchConfig(
-            radius=p["radius"], mode="search", seed=cfg.seed, iterations=p["iters"]
-        )
-        res = local_search_min_ratio(descriptor, gens, sc)
-        results = dict(
-            base,
-            best_set=_element_set_json(res.best_set),
-            set_size=res.report.set_size,
-            boundary_size=res.report.boundary_size,
-            ratio_rational=_fraction_str(res.report.ratio),
-            ratio_float=res.report.ratio_float,
-            history=[
-                {"iteration": m.iteration, "move": m.move, "boundary_size": m.boundary_size, "set_size": m.set_size}
-                for m in res.history
-            ],
-        )
     return results, []
 
 

@@ -75,31 +75,14 @@ class UnitaryRecord:
         return max(self.ratio, self.defect)
 
 
-@dataclass(frozen=True)
-class QReport:
-    """Per-unitary commutator ratios and trace defects against a threshold."""
-
-    epsilon: float
-    records: tuple[UnitaryRecord, ...]
-    verdict: bool
-
-
 def q_objective(unitaries: Sequence[GroupAlgebraElement], frame: Frame) -> tuple[UnitaryRecord, ...]:
-    records = []
-    for op in unitaries:
-        ratio = commutator_ratio(op, frame).closed_form
-        defect = trace_defect(op, frame)
-        records.append(UnitaryRecord(op.label(), ratio, defect))
-    return tuple(records)
-
-
-def evaluate_Q(unitaries: Sequence[GroupAlgebraElement], frame: Frame, epsilon: float) -> QReport:
-    """Does this frame witness Q(X, eps)?  Both Connes conditions are checked."""
+    """The closed-form commutator ratio and the trace defect of each unitary on
+    the frame; Q(X, eps) holds on it when every record's worst is <= eps."""
     if not unitaries:
         raise PreconditionError("empty unitary list")
-    records = q_objective(unitaries, frame)
-    verdict = max(r.worst for r in records) <= epsilon
-    return QReport(epsilon, records, verdict)
+    return tuple(
+        UnitaryRecord(op.label(), commutator_ratio(op, frame).closed_form, trace_defect(op, frame)) for op in unitaries
+    )
 
 
 # ---------------------------------------------------------------------------
@@ -213,9 +196,6 @@ def frame_fingerprint(frame: Frame) -> str:
 
 @dataclass(frozen=True)
 class UpperBoundCertificate:
-    n: int
-    k: int
-    T: int
     certified_epsilon: float
     formula_epsilon: float
     frame_fingerprint: str
@@ -239,16 +219,11 @@ def witness_certificate(n: int, k: int, T: int) -> UpperBoundCertificate:
     unitaries = standard_unitaries(frame.descriptor)
     records = q_objective(unitaries, frame)
     certified = max(r.worst for r in records)
-    return UpperBoundCertificate(
-        n, k, T, certified, certificate_formula(n, k), frame_fingerprint(frame), records
-    )
+    return UpperBoundCertificate(certified, certificate_formula(n, k), frame_fingerprint(frame), records)
 
 
 @dataclass(frozen=True)
 class UpperEstimate:
-    n: int
-    k_max: int
-    mode: str  # "frame" or "formula"
     best_k: int
     best_epsilon: float
     limit_epsilon: float
@@ -274,7 +249,7 @@ def foelner_upper_estimate(n: int, k_max: int, T: int = 6, mode: str = "frame") 
             raise SearchSpaceTooLarge(f"k_max = {k_max} exceeds the formula sweep cap of {FORMULA_K_MAX_CAP}")
         sweep = [(k, certificate_formula(n, k)) for k in range(1, k_max + 1)]
     best_k, best_eps = min(sweep, key=lambda kv: (kv[1], kv[0]))
-    return UpperEstimate(n, k_max, mode, best_k, best_eps, limit_formula(n), tuple(sweep))
+    return UpperEstimate(best_k, best_eps, limit_formula(n), tuple(sweep))
 
 
 # ---------------------------------------------------------------------------
@@ -294,7 +269,7 @@ def random_frame(
     """
     if rank < 1:
         raise PreconditionError("frame rank must be >= 1")
-    pool = ball(descriptor, ambient_radius - 1).elements
+    pool = ball(descriptor, ambient_radius - 1)
     if rank > len(pool):
         raise PreconditionError(
             f"rank {rank} exceeds |ball({ambient_radius - 1})| = {len(pool)}, the dimension frames can span"
@@ -363,7 +338,7 @@ def anneal_projection(cfg: ProjectionSearchConfig) -> AnnealResult:
     op_radius = max(w.length() for w in cfg.unitaries)
     if cfg.ambient_radius - op_radius < 0:
         raise PreconditionError("ambient radius too small for the unitary list")
-    rows = ball(cfg.descriptor, cfg.ambient_radius - max(op_radius, 1)).elements
+    rows = ball(cfg.descriptor, cfg.ambient_radius - max(op_radius, 1))
     n_sup, k = len(rows), cfg.rank
     if k > n_sup:
         raise PreconditionError(f"rank {k} exceeds the support dimension {n_sup}")

@@ -243,18 +243,6 @@ def displacement_bound(frame: Frame, op: GroupAlgebraElement, s: PrefixSet) -> D
 
 
 @dataclass(frozen=True)
-class ChainVariant:
-    """One symmetric instance of the pincer argument."""
-
-    anchor: str            # label of the base set S
-    cover_bound: float     # B of the generator driving the cover pair
-    disjoint_bound: float  # B of the generator driving the disjoint triple
-    lower: float           # 1/2 - cover_bound
-    upper: float           # 1/3 + disjoint_bound
-    satisfiable: bool      # lower <= upper, i.e. B_cover + B_disjoint >= 1/6
-
-
-@dataclass(frozen=True)
 class PaperTrace:
     """Replay of the literal constant regime (provenance only, never a verdict)."""
 
@@ -273,10 +261,8 @@ class PaperTrace:
 class ParadoxReport:
     c_values: dict
     displacements: dict
-    variants: tuple[ChainVariant, ...]
     verdict: str  # contradiction | consistent | inconclusive
     partition_sum: float
-    constants: dict
 
 
 def make_paper_trace() -> PaperTrace:
@@ -302,7 +288,8 @@ def chain_audit(frame: Frame) -> ParadoxReport:
     Masses are computed over the first-letter partition and the translates the
     argument uses; the certified displacement bounds B per generator are set
     independent, and the abstract chain is unsatisfiable (verdict
-    'contradiction') precisely when B_a + B_b < 1/6 in any symmetric variant.
+    'contradiction') precisely when 1/2 - B_a > 1/3 + B_b or 1/2 - B_b > 1/3 + B_a,
+    i.e. B_a + B_b < 1/6.  A partition that does not sum to 1 is 'inconclusive'.
     """
     descriptor = frame.descriptor
     if not descriptor.is_free or descriptor.rank < 2:
@@ -329,47 +316,11 @@ def chain_audit(frame: Frame) -> ParadoxReport:
     displacements = {
         d.unitary_label: {name: v for name, v in asdict(d).items() if not name.endswith("_label")} for d in (d_a, d_b)
     }
-    bounds = {1: d_a.certified, 2: d_b.certified}
-
-    variants = []
-    for cover_gen, disjoint_gen in ((1, 2), (2, 1)):
-        for sign in (-1, 1):
-            b_cover = bounds[cover_gen]
-            b_disjoint = bounds[disjoint_gen]
-            lower = 0.5 - b_cover
-            upper = 1.0 / 3.0 + b_disjoint
-            variants.append(
-                ChainVariant(
-                    anchor=prefix_set(descriptor, sign * cover_gen, radius).label(),
-                    cover_bound=b_cover,
-                    disjoint_bound=b_disjoint,
-                    lower=lower,
-                    upper=upper,
-                    satisfiable=lower <= upper,
-                )
-            )
-
+    b_a, b_b = d_a.certified, d_b.certified
     if abs(partition_sum - 1.0) > 1e-9:
         verdict = "inconclusive"
-    elif any(not v.satisfiable for v in variants):
+    elif not (0.5 - b_a <= 1.0 / 3.0 + b_b and 0.5 - b_b <= 1.0 / 3.0 + b_a):  # a NaN bound fails both
         verdict = "contradiction"
     else:
         verdict = "consistent"
-
-    constants = {
-        "derived_threshold": DERIVED_THRESHOLD,
-        "paper_epsilon": float(PAPER_EPSILON),
-        "paper_displacement": float(PAPER_DISPLACEMENT),
-        "pincer": float(PAPER_PINCER),
-        "honest_B_a": d_a.certified,
-        "honest_B_b": d_b.certified,
-        "chain_requires": "B_a + B_b < 1/6",
-    }
-    return ParadoxReport(
-        c_values=c_values,
-        displacements=displacements,
-        variants=tuple(variants),
-        verdict=verdict,
-        partition_sum=partition_sum,
-        constants=constants,
-    )
+    return ParadoxReport(c_values, displacements, verdict, partition_sum)

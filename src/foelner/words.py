@@ -181,21 +181,6 @@ def letters_in_order(rank: int) -> tuple[int, ...]:
     return tuple(l for i in range(1, rank + 1) for l in (i, -i))
 
 
-@dataclass(frozen=True)
-class Ball:
-    """All words of length <= radius, shortlex-sorted and duplicate-free."""
-
-    descriptor: GroupDescriptor
-    radius: int
-    elements: tuple[Word, ...]
-
-    def __len__(self) -> int:
-        return len(self.elements)
-
-    def __iter__(self) -> Iterator[Word]:
-        return iter(self.elements)
-
-
 def translation_indices(words: Sequence[Word], g: Word, right: bool = False) -> np.ndarray:
     """idx[i] = position in `words` of g * words[i] (of words[i] * g when
     `right`), or -1 where that product is not in `words`."""
@@ -249,8 +234,9 @@ def _abelian_elements(descriptor: GroupDescriptor, radius: int) -> list[Word]:
 # radii); an unbounded cache would pin every ball a long-lived caller ever
 # built, each of up to ENUMERATION_CAP words (about 45 MB at 199,081 words).
 @lru_cache(maxsize=4)
-def ball(descriptor: GroupDescriptor, radius: int) -> Ball:
-    """The radius-`radius` Cayley ball with respect to the standard generators.
+def ball(descriptor: GroupDescriptor, radius: int) -> tuple[Word, ...]:
+    """The Cayley ball for the standard generators: its words of length <= radius,
+    shortlex-sorted and duplicate-free.
 
     Refuses, before building anything, when the ball has more than
     ENUMERATION_CAP elements or, for Z^d, stores more than INTEGER_CAP integers.
@@ -263,10 +249,8 @@ def ball(descriptor: GroupDescriptor, radius: int) -> Ball:
             f"ball({descriptor.spec()}, {radius}) exceeds the caps of {ENUMERATION_CAP} elements and {INTEGER_CAP} integers"
         )
     if descriptor.is_free:
-        elems = [w for sphere in _free_spheres(descriptor, radius) for w in sphere]
-    else:
-        elems = _abelian_elements(descriptor, radius)
-    return Ball(descriptor, radius, tuple(elems))
+        return tuple(w for sphere in _free_spheres(descriptor, radius) for w in sphere)
+    return tuple(_abelian_elements(descriptor, radius))
 
 
 def ball_size(descriptor: GroupDescriptor, radius: int) -> int:

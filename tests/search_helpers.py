@@ -41,9 +41,9 @@ def rescan_local_search(descriptor, X, config):
     same start {e}, rng draws, accept rule and best tracking."""
     b = ball(descriptor, config.radius)
     n = len(b)
-    nbr = np.stack([translation_indices(b.elements, x, right=True) for x in X.closure()])
+    nbr = np.stack([translation_indices(b, x, right=True) for x in X.closure()])
     mask = np.zeros(n, dtype=bool)
-    mask[b.elements.index(Word.identity(descriptor))] = True
+    mask[b.index(Word.identity(descriptor))] = True
 
     rng = np.random.default_rng(config.seed)
     bcnt, size = mask_ratio(mask, nbr)
@@ -63,7 +63,7 @@ def rescan_local_search(descriptor, X, config):
         cand = nb / ns
         if cand <= current or (temp > 0 and rng.random() < math.exp((current - cand) / temp)):
             current, bcnt, size = cand, nb, ns
-            history.append(AcceptedMove(it, ("-" if removing else "+") + format_word(b.elements[i]), nb, ns))
+            history.append(AcceptedMove(it, ("-" if removing else "+") + format_word(b[i]), nb, ns))
             frac = Fraction(nb, ns)
             if (frac, ns) < (best[0], best[1]):
                 best = (frac, ns, mask.copy())
@@ -71,7 +71,7 @@ def rescan_local_search(descriptor, X, config):
             mask[i] = not mask[i]
         temp *= TEMP_DECAY
 
-    members = ElementSet.of(descriptor, (b.elements[i] for i in np.flatnonzero(best[2])))
+    members = ElementSet.of(descriptor, (b[i] for i in np.flatnonzero(best[2])))
     return LocalSearchResult(members, boundary_ratio(members, X), history, initial_report)
 
 
@@ -91,7 +91,7 @@ def frame_per_trial_anneal(cfg):
     op_radius = max(w.length() for w in cfg.unitaries)
     if cfg.ambient_radius - op_radius < 0:
         raise PreconditionError("ambient radius too small for the unitary list")
-    rows = ball(cfg.descriptor, cfg.ambient_radius - max(op_radius, 1)).elements
+    rows = ball(cfg.descriptor, cfg.ambient_radius - max(op_radius, 1))
     n_sup, k = len(rows), cfg.rank
     if k > n_sup:
         raise PreconditionError(f"rank {k} exceeds the support dimension {n_sup}")

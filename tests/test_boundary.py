@@ -50,7 +50,7 @@ def oracle_boundary(members, closure):
 
 
 def oracle_exhaustive(descriptor, X, radius):
-    elems = ball(descriptor, radius).elements
+    elems = ball(descriptor, radius)
     closure = X.closure()
     best = None
     for k in range(1, len(elems) + 1):
@@ -67,7 +67,7 @@ def oracle_exhaustive(descriptor, X, radius):
 
 
 def test_interior_boundary_ball_f2():
-    A = ElementSet.of(F2, ball(F2, 2).elements)
+    A = ElementSet.of(F2, ball(F2, 2))
     bd = interior_boundary(A, XF2)
     assert len(bd) == 12
     assert all(w.length() == 2 for w in bd.members)  # exactly the radius-2 sphere
@@ -87,7 +87,7 @@ def test_interior_boundary_singleton():
 
 def test_interior_boundary_matches_oracle_on_random_subsets():
     rng = np.random.default_rng(5)
-    elems = ball(F2, 2).elements
+    elems = ball(F2, 2)
     closure = XF2.closure()
     for _ in range(50):
         take = rng.random(len(elems)) < 0.4
@@ -99,7 +99,7 @@ def test_interior_boundary_matches_oracle_on_random_subsets():
 
 
 def test_boundary_ratio_examples():
-    assert boundary_ratio(ElementSet.of(F2, ball(F2, 2).elements), XF2).ratio == Fraction(12, 17)
+    assert boundary_ratio(ElementSet.of(F2, ball(F2, 2)), XF2).ratio == Fraction(12, 17)
     assert boundary_ratio(interval(0, 9), XZ1).ratio == Fraction(1, 5)
     rep = boundary_ratio(box(5), XZ2)
     assert rep.ratio == Fraction(16, 25)
@@ -108,7 +108,7 @@ def test_boundary_ratio_examples():
 
 def test_boundary_ratio_range():
     for r in (1, 2):
-        rep = boundary_ratio(ElementSet.of(F2, ball(F2, r).elements), XF2)
+        rep = boundary_ratio(ElementSet.of(F2, ball(F2, r)), XF2)
         assert 0 <= rep.ratio <= 1
 
 
@@ -122,7 +122,7 @@ def test_empty_set_rejected():
 def test_monotone_generator_property():
     Xa = GeneratingSet.of(F2, [Word(F2, (1,))])
     rng = np.random.default_rng(11)
-    elems = ball(F2, 2).elements
+    elems = ball(F2, 2)
     for _ in range(30):
         take = rng.random(len(elems)) < 0.5
         members = [w for w, t in zip(elems, take) if t]
@@ -140,7 +140,7 @@ def test_exhaustive_radius1_matches_bruteforce_oracle():
     ratio, size, combo = oracle_exhaustive(F2, XF2, 1)
     assert report.ratio == ratio == Fraction(4, 5)
     assert report.set_size == size == 5
-    assert best_set.members == set(ball(F2, 1).elements)
+    assert best_set.members == set(ball(F2, 1))
 
 
 def test_exhaustive_interval_matches_oracle():
@@ -148,14 +148,14 @@ def test_exhaustive_interval_matches_oracle():
     ratio, size, combo = oracle_exhaustive(Z1, XZ1, 3)
     assert report.ratio == ratio == Fraction(2, 7)
     assert size == 7
-    assert best_set.members == set(ball(Z1, 3).elements)
+    assert best_set.members == set(ball(Z1, 3))
 
 
 def test_exhaustive_f2_radius2():
     best_set, report = exhaustive_min_ratio(F2, XF2, 2)
     assert report.ratio == Fraction(12, 17)
     assert report.ratio >= Fraction(2, 3)
-    assert best_set.members == set(ball(F2, 2).elements)
+    assert best_set.members == set(ball(F2, 2))
 
 
 def test_exhaustive_cap():
@@ -175,7 +175,7 @@ def test_boundary_never_empty_at_small_radius():
     # every non-empty subset of ball(2) has a non-empty interior boundary
     for descriptor, X in ((F2, XF2), (Z2, XZ2)):
         b = ball(descriptor, 2)
-        nbr = np.stack([translation_indices(b.elements, x, right=True) for x in X.closure()])
+        nbr = np.stack([translation_indices(b, x, right=True) for x in X.closure()])
         masks = np.arange(1, 1 << len(b), dtype=np.uint64)
         bcnt, _ = _subset_boundary_counts(masks, nbr)
         assert int(bcnt.min()) >= 1
@@ -284,6 +284,15 @@ def test_incremental_search_matches_rescan(descriptor, gens, radius, iterations,
 def test_local_search_requires_seed():
     with pytest.raises(SeedRequired):
         GroupSearchConfig(radius=3, mode="search", seed=None, iterations=10)
+    with pytest.raises(SeedRequired):
+        GroupSearchConfig(radius=3)
+
+
+@pytest.mark.parametrize("mode", ["balls", "exhaustive", "annealing"])
+def test_local_search_config_refuses_other_modes(mode):
+    # the ball family and the exhaustive minimum have their own functions
+    with pytest.raises(PreconditionError, match="mode 'search'"):
+        GroupSearchConfig(radius=3, mode=mode, seed=1, iterations=10)
 
 
 def test_report_exactness():

@@ -354,6 +354,22 @@ def test_unwritable_out_maps_to_exit_2(tmp_path, capsys):
             ["identity-check", "--trials", "8", "--seed", "13"],
             "7eecab7a3d61a0baa0ee66c6241cd1d1cb9607a37c648d3b131f7426c182a98e",
         ),
+        (
+            ["group", "--group", "abelian:2", "--radius", "6", "--mode", "balls"],  # enumerated family
+            "03d2674fae82eadaeaad0f56d4f6f67ca2f02261448770134b886e576133cb5f",
+        ),
+        (
+            ["group", "--group", "free:2", "--radius", "8", "--mode", "balls"],  # closed-form family
+            "f3c7c995d685f1cdd2f720cf7b1c5fa4f4c9501eab5f164e8903cc757b61299e",
+        ),
+        (
+            ["group", "--group", "abelian:2", "--radius", "10", "--mode", "search", "--iters", "500", "--seed", "6"],
+            "60e4123def239d64f239b34639d4df45ac067d15a589c128d789a7fd5e2ee9fe",
+        ),
+        (
+            ["group", "--group", "free:2", "--radius", "2", "--mode", "exhaustive"],
+            "5c03a1d29da89a5d83304e863e6241ddc246ab33af9412ad78942760430dd5dc",
+        ),
     ],
 )
 def test_payload_pinned(argv, sha256, tmp_path):

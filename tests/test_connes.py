@@ -13,7 +13,6 @@ from foelner.connes import (
     anneal_projection,
     build_witness_frame,
     certificate_formula,
-    evaluate_Q,
     foelner_upper_estimate,
     frame_fingerprint,
     limit_formula,
@@ -165,34 +164,43 @@ def test_certificate_independent_of_tail_enumeration():
 # Q evaluation.
 
 
+def q_holds(unitaries, frame, eps):
+    # Q(X, eps) on one frame: both Connes conditions within eps for every unitary
+    return max(r.worst for r in q_objective(unitaries, frame)) <= eps
+
+
 def test_evaluate_q_examples():
     rng = np.random.default_rng(0)
     frame = random_frame(F2, 3, 4, rng)
-    assert evaluate_Q([L_e], frame, 0.1).verdict is True
+    assert q_holds([L_e], frame, 0.1)
     f_e = frame_of(F2, 2, [{Word.identity(F2): 1.0}])
-    rep = evaluate_Q([L_a], f_e, 1.0)
-    assert rep.verdict is False
-    assert abs(rep.records[0].ratio - math.sqrt(2)) < 1e-12
+    records = q_objective([L_a], f_e)
+    assert not q_holds([L_a], f_e, 1.0)
+    assert abs(records[0].ratio - math.sqrt(2)) < 1e-12
     witness = build_witness_frame(WitnessConfig(2, 8, 6))
-    assert evaluate_Q([L_a, L_b], witness, 1.25 + 1e-9).verdict is True
+    assert q_holds([L_a, L_b], witness, 1.25 + 1e-9)
 
 
 def test_evaluate_q_monotone_in_epsilon_antitone_in_x():
     witness = build_witness_frame(WitnessConfig(2, 4, 3))
     eps0 = certificate_formula(2, 4)
-    assert evaluate_Q([L_a], witness, eps0 + 1e-9).verdict
-    assert not evaluate_Q([L_a], witness, eps0 - 1e-3).verdict
+    assert q_holds([L_a], witness, eps0 + 1e-9)
+    assert not q_holds([L_a], witness, eps0 - 1e-3)
     # superset of unitaries can only lower the verdict
     for eps in (0.5, eps0 + 1e-9, 2.0):
-        v1 = evaluate_Q([L_a], witness, eps).verdict
-        v2 = evaluate_Q([L_a, L_b], witness, eps).verdict
+        v1 = q_holds([L_a], witness, eps)
+        v2 = q_holds([L_a, L_b], witness, eps)
         assert (not v2) or v1
 
 
 def test_evaluate_q_rejects_non_unitaries():
+    # an empty unitary list is refused, also inside pool_objective (where
+    # max() over no records would otherwise fail on its own)
     witness = build_witness_frame(WitnessConfig(2, 2, 2))
-    with pytest.raises(PreconditionError):
-        evaluate_Q([], witness, 1.0)
+    with pytest.raises(PreconditionError, match="empty unitary list"):
+        q_objective([], witness)
+    with pytest.raises(PreconditionError, match="empty unitary list"):
+        pool_objective([], [witness])
 
 
 # ---------------------------------------------------------------------------

@@ -41,7 +41,7 @@ def delta_frame(*words, ambient=3):
 
 
 def random_columns(rng, rank, radius=3):
-    pool = ball(F2, radius).elements
+    pool = ball(F2, radius)
     cols = []
     for _ in range(rank):
         idx = rng.choice(len(pool), size=int(rng.integers(3, 10)), replace=False)
@@ -58,7 +58,7 @@ def random_frame(rng, rank=4, ambient=5):
 
 
 def test_inner_product_group_basis_orthonormal():
-    words = ball(F2, 2).elements
+    words = ball(F2, 2)
     frame = delta_frame(*words)
     assert np.array_equal(frame.C.conj().T @ frame.C, np.eye(len(words)))
     assert np.array_equal(compress(L_e, frame), np.eye(len(words)))
@@ -119,7 +119,7 @@ def test_apply_headroom_refusal():
 
 
 def test_apply_isometry_and_composition():
-    words = ball(F2, 4).elements
+    words = ball(F2, 4)
     for g in (A, B, A.inverse(), multiply(A, B)):
         idx = translation_indices(words, g)
         hit = idx[idx >= 0]

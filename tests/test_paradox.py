@@ -6,6 +6,7 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
+from foelner import paradox
 from foelner.connes import WitnessConfig, build_witness_frame
 from foelner.errors import PreconditionError
 from foelner.l2ops import GroupAlgebraElement
@@ -52,7 +53,7 @@ def test_restriction_norm_examples():
 
 def test_restriction_norm_complement_additivity():
     rng = np.random.default_rng(0)
-    pool = ball(F2, 3).elements
+    pool = ball(F2, 3)
     s = prefix_set(F2, 1, 4)
     for _ in range(20):
         idx = rng.choice(len(pool), size=6, replace=False)
@@ -107,7 +108,7 @@ def test_row_masks_agree_with_membership():
     # every row of ball(F2, 4): S(l) for each letter and {e}, translated by each
     # word of length <= 2 (which includes every translate chain_audit and
     # displacement_bound build) and by one longer than any row, with complements
-    rows = ball(F2, 4).elements
+    rows = ball(F2, 4)
     frame = frame_of(F2, 5, [{w: len(rows) ** -0.5 for w in rows}])
     assert frame.rows == rows
     bases = [prefix_set(F2, l, 12) for l in (1, -1, 2, -2)] + [identity_set(F2, 12)]
@@ -222,9 +223,42 @@ def test_chain_audit_witness_consistent():
     rep = chain_audit(frame)
     assert rep.verdict == "consistent"
     assert abs(rep.partition_sum - 1.0) < 1e-9
-    assert rep.constants["honest_B_a"] + rep.constants["honest_B_b"] >= 1 / 6
-    assert len(rep.variants) == 4
-    assert all(v.satisfiable for v in rep.variants)
+    assert rep.displacements["L[a1]"]["certified"] + rep.displacements["L[a2]"]["certified"] >= 1 / 6
+
+
+def _fixed_bounds(monkeypatch, b_a, b_b):
+    # displacement_bound with the certified bounds B_a, B_b and no measured displacement
+    bounds = {L_a.label(): b_a, L_b.label(): b_b}
+
+    def fake(frame, op, s):
+        return paradox.DisplacementBound(s.label(), op.label(), 0.0, 0.0, 0.0, bounds[op.label()], 0.0, 0.0)
+
+    monkeypatch.setattr(paradox, "displacement_bound", fake)
+
+
+@pytest.mark.parametrize(
+    "b_a, b_b, verdict",
+    [
+        (0.05 - 1e-9, 1 / 6 - 0.05, "contradiction"),
+        (0.05 + 1e-9, 1 / 6 - 0.05, "consistent"),
+        (1 / 6 - 0.05, 0.05 - 1e-9, "contradiction"),
+        (1 / 6 - 0.05, 0.05 + 1e-9, "consistent"),
+        (math.nan, 0.5, "contradiction"),  # a NaN bound fails both comparisons
+    ],
+)
+def test_chain_audit_verdict_from_the_bounds(monkeypatch, b_a, b_b, verdict):
+    # the chain closes exactly when B_a + B_b < 1/6
+    _fixed_bounds(monkeypatch, b_a, b_b)
+    frame = build_witness_frame(WitnessConfig(2, 8, 6))
+    assert chain_audit(frame).verdict == verdict
+
+
+def test_chain_audit_inconclusive_when_the_partition_leaks(monkeypatch):
+    # five partition sets of mass 0.18 each sum to 0.9, not 1
+    monkeypatch.setattr(paradox, "c_value", lambda frame, s: 0.18)
+    rep = chain_audit(build_witness_frame(WitnessConfig(2, 8, 6)))
+    assert abs(rep.partition_sum - 0.9) < 1e-12
+    assert rep.verdict == "inconclusive"
 
 
 def test_chain_audit_random_frames_never_contradict():

@@ -33,3 +33,42 @@ def test_no_unused_imports_in_package():
         used = {node.id for node in ast.walk(tree) if isinstance(node, ast.Name)}
         found += [f"{path.name}:{line} {name}" for name, line in imported.items() if name not in used]
     assert not found, f"unused imports in src/foelner: {found}"
+
+
+def _named(tree: ast.AST) -> set:
+    """Names read, attributes taken and names imported anywhere in `tree`."""
+    out = set()
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load):
+            out.add(node.id)
+        elif isinstance(node, ast.Attribute):
+            out.add(node.attr)
+        elif isinstance(node, ast.ImportFrom):
+            out.update(alias.name for alias in node.names)
+    return out
+
+
+def test_no_dead_top_level_names_in_package():
+    # every top-level function, class and module constant is named somewhere in
+    # the package besides its own definition, or is API of the acceptance suite
+    acceptance = ast.parse((PACKAGE.parents[1] / "tests" / "test_acceptance.py").read_text())
+    statements = [
+        (path.name, stmt)
+        for path in sorted(PACKAGE.glob("*.py"))
+        for stmt in ast.parse(path.read_text(), filename=str(path)).body
+    ]
+    named_by = [_named(stmt) for _, stmt in statements]
+    named_elsewhere = _named(acceptance)
+    dead = []
+    for i, (filename, stmt) in enumerate(statements):
+        if isinstance(stmt, (ast.FunctionDef, ast.ClassDef)):
+            defined = [stmt.name]
+        elif isinstance(stmt, (ast.Assign, ast.AnnAssign)):
+            targets = stmt.targets if isinstance(stmt, ast.Assign) else [stmt.target]
+            defined = [t.id for t in targets if isinstance(t, ast.Name)]
+        else:
+            continue
+        for name in defined:
+            if name not in named_elsewhere and not any(name in names for j, names in enumerate(named_by) if j != i):
+                dead.append(f"{filename}:{stmt.lineno} {name}")
+    assert not dead, f"top-level names nothing uses in src/foelner: {dead}"
