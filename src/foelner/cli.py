@@ -56,15 +56,6 @@ from .paradox import (
 )
 from .words import GroupDescriptor, Word, capped_ball_size, format_word, free_group, parse_generators, standard_generators
 
-# the parameters of each command, read from the parsed arguments and echoed
-# in every payload's config
-COMMAND_PARAMS = {
-    "group": ("group", "gens", "radius", "mode", "iters"),
-    "witness": ("n", "k", "depth", "k_max", "formula_only"),
-    "scan": ("n", "rank", "radius", "iters", "unitaries"),
-    "audit": ("rank", "radius", "frames", "paper_mode"),
-    "identity-check": ("trials",),
-}
 STOCHASTIC_COMMANDS = {"scan", "audit", "identity-check"}
 COUNT_PARAMS = ("iters", "frames", "trials")  # refused below 0
 
@@ -463,7 +454,8 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def config_from_args(args: argparse.Namespace) -> RunConfig:
-    params = {name: getattr(args, name) for name in COMMAND_PARAMS[args.command]}
+    # every other argument of the subcommand is a parameter, echoed in the payload's config
+    params = {name: value for name, value in vars(args).items() if name not in ("command", "seed", "out", "format")}
     return RunConfig(args.command, params, getattr(args, "seed", None), args.out, args.format)
 
 

@@ -43,8 +43,8 @@ from .words import (
     GroupDescriptor,
     Word,
     ball,
+    extend_free,
     free_group,
-    letters_in_order,
     multiply,
     shortlex_key,
     standard_generators,
@@ -122,7 +122,6 @@ def check_witness_work(n: int, T: int, ks: Iterable[int]) -> None:
 
 def prefixed_words(descriptor: GroupDescriptor, first_letter: int, count: int) -> list[Word]:
     """The first `count` shortlex words beginning with `first_letter`."""
-    order = letters_in_order(descriptor.rank)
     out: list[Word] = []
     level = [Word(descriptor, (first_letter,))]
     while True:
@@ -130,7 +129,7 @@ def prefixed_words(descriptor: GroupDescriptor, first_letter: int, count: int) -
             out.append(w)
             if len(out) == count:
                 return out
-        level = [Word(descriptor, w.data + (l,)) for w in level for l in order if l != -w.data[-1]]
+        level = extend_free(descriptor, level)
 
 
 def _tail_lists(cfg: WitnessConfig) -> list[list[Word]]:
@@ -203,7 +202,7 @@ class UpperBoundCertificate:
 
     def __post_init__(self):
         if abs(self.certified_epsilon - self.formula_epsilon) > 1e-9:
-            raise PreconditionError(
+            raise InvariantViolation(
                 f"certificate {self.certified_epsilon!r} does not match the formula {self.formula_epsilon!r}"
             )
 
@@ -293,8 +292,11 @@ def pool_objective(unitaries: Sequence[GroupAlgebraElement], frames: Sequence[Fr
     """Best (smallest) Q-objective over a fixed candidate pool of frames.
 
     Evaluating both X1 and X2 over one pool makes the monotonicity
-    Q-objective(X1) <= Q-objective(X2) for X1 subset of X2 exact.
+    Q-objective(X1) <= Q-objective(X2) for X1 subset of X2 exact.  An empty
+    pool is refused: its objective would be inf, and every comparison vacuous.
     """
+    if not frames:
+        raise PreconditionError("empty frame pool")
     best_val = math.inf
     best_idx = -1
     for i, f in enumerate(frames):

@@ -30,7 +30,7 @@ from .errors import (
     PreconditionError,
     RankDeficiency,
 )
-from .words import GroupDescriptor, Word, format_word, shortlex_key, translation_indices
+from .words import GroupDescriptor, Word, format_word, letter_array, shortlex_key, translation_indices
 
 PRUNE_TOL = 1e-15   # amplitudes below this are dropped at the JSON edge
 GRAM_TOL = 1e-10    # frame Gram matrix must match the identity entrywise
@@ -124,12 +124,10 @@ class Frame:
 
     @cached_property
     def letters(self) -> np.ndarray:
-        """Read-only N x (support_radius + 1) array: row i holds the letters of
-        rows[i] (Word.letters), zero-padded, so every row ends in a 0."""
-        width = self.support_radius + 1
-        out = np.array([w.letters() + (0,) * (width - w.length()) for w in self.rows], dtype=np.int64)
+        """The rows' words.letter_array, N x (support_radius + 1), read-only."""
+        out = letter_array(self.rows)
         out.flags.writeable = False
-        return out.reshape(len(self.rows), width)
+        return out
 
     def translation(self, g: Word) -> np.ndarray:
         """Position in rows of g * rows[i], or -1 where that word is not a row."""

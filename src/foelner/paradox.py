@@ -15,9 +15,9 @@ from fractions import Fraction
 
 import numpy as np
 
-from .errors import InvariantViolation, PreconditionError
+from .errors import InvalidLetter, InvariantViolation, PreconditionError
 from .l2ops import Frame, GroupAlgebraElement, closed_form_ratio, compress, nearest_unitary
-from .words import GroupDescriptor, Word, ball, begins_with, format_word, free_group, multiply
+from .words import GroupDescriptor, Word, ball, format_word, free_group, letter_array, letters_in_order, multiply
 
 PAPER_EPSILON = Fraction(1, 7)
 PAPER_DISPLACEMENT = Fraction(4, 49)
@@ -34,38 +34,26 @@ THRESHOLD_NOTE = (
 
 @dataclass(frozen=True)
 class PrefixSet:
-    """A first-letter set S_{a_i^eps} (or {e}), optionally translated/complemented.
+    """A first-letter set S_{a_i^eps} (or {e}), optionally translated: t * S.
 
-    Membership is decided symbolically (translate back, inspect the first
-    letter) by contains(), and for all rows of a frame at once by row_mask();
-    the realization radius bounds the vectors it may be applied to.
+    row_mask() decides membership for all rows of a letter array at once.
     """
 
     descriptor: GroupDescriptor
     base_letter: int | None  # None encodes the singleton {e}
-    realization_radius: int
     translate: Word | None = None
-    complement: bool = False
 
     def __post_init__(self):
         if not self.descriptor.is_free:
             raise PreconditionError("prefix sets live in free groups")
-        if self.realization_radius < 0:
-            raise PreconditionError("realization radius must be >= 0")
+        if self.base_letter is not None and not 0 < abs(self.base_letter) <= self.descriptor.rank:
+            raise InvalidLetter(f"letter {self.base_letter} out of range for rank {self.descriptor.rank}")
 
     def _translate_word(self) -> Word:
         return self.translate if self.translate is not None else Word.identity(self.descriptor)
 
-    def contains(self, w: Word) -> bool:
-        u = multiply(self._translate_word().inverse(), w)
-        if self.base_letter is None:
-            inside = u.is_identity
-        else:
-            inside = begins_with(u, self.base_letter)
-        return inside != self.complement
-
     def row_mask(self, letters: np.ndarray) -> np.ndarray:
-        """contains() of every row of a zero-padded letter array (Frame.letters).
+        """Membership of every row of a zero-padded words.letter_array.
 
         t^-1 w begins with l exactly when either w = t u with u beginning with
         l, or w does not begin with t and l inverts t's last letter; {e} is the
@@ -76,54 +64,22 @@ class PrefixSet:
         l = 0 if self.base_letter is None else self.base_letter
         if m < letters.shape[1]:
             after_t = (letters[:, :m] == t).all(axis=1)
-            inside = np.where(after_t, letters[:, m] == l, m > 0 and -t[-1] == l)
-        else:  # no row is as long as t
-            inside = np.full(len(letters), -t[-1] == l)
-        return inside != self.complement
+            return np.where(after_t, letters[:, m] == l, m > 0 and -t[-1] == l)
+        return np.full(len(letters), -t[-1] == l)  # no row is as long as t
 
     def translated(self, g: Word) -> "PrefixSet":
-        return PrefixSet(
-            self.descriptor,
-            self.base_letter,
-            self.realization_radius - g.length(),
-            multiply(g, self._translate_word()),
-            self.complement,
-        )
-    def complemented(self) -> "PrefixSet":
-        return PrefixSet(
-            self.descriptor, self.base_letter, self.realization_radius,
-            self.translate, not self.complement,
-        )
+        return PrefixSet(self.descriptor, self.base_letter, multiply(g, self._translate_word()))
 
     def label(self) -> str:
         core = "{e}" if self.base_letter is None else f"S({format_word(Word(self.descriptor, (self.base_letter,)))})"
         t = self._translate_word()
-        if not t.is_identity:
-            core = f"{format_word(t)}*{core}"
-        if self.complement:
-            core = f"comp({core})"
-        return core
-
-
-def prefix_set(descriptor: GroupDescriptor, letter: int, realization_radius: int) -> PrefixSet:
-    return PrefixSet(descriptor, letter, realization_radius)
-
-
-def identity_set(descriptor: GroupDescriptor, realization_radius: int) -> PrefixSet:
-    return PrefixSet(descriptor, None, realization_radius)
+        return core if t.is_identity else f"{format_word(t)}*{core}"
 
 
 def c_value(frame: Frame, s: PrefixSet) -> float:
-    """(1/k) sum_i ||xi_i||^2_S: the squared amplitude mass of the frame inside S, in [0, 1].
-
-    Refused when the frame's support escapes the realization radius of S.
-    """
+    """(1/k) sum_i ||xi_i||^2_S: the squared amplitude mass of the frame inside S, in [0, 1]."""
     if frame.descriptor != s.descriptor:
         raise PreconditionError("frame and prefix set from different groups")
-    if frame.support_radius > s.realization_radius:
-        raise PreconditionError(
-            f"support radius {frame.support_radius} escapes the realization radius {s.realization_radius}"
-        )
     inside = frame.C[s.row_mask(frame.letters)]
     return float(np.sum(inside.real**2 + inside.imag**2)) / frame.rank
 
@@ -149,46 +105,31 @@ def verify_set_identities(radius: int) -> SetIdentityReport:
 
     (i) S, bS, b^-1 S are pairwise disjoint; (ii) the corrected cover: S_a and
     aS partition everything; (iii) the literal union S + aS, reporting the
-    words it leaves uncovered (exactly those beginning with a).
+    words it leaves uncovered (exactly those beginning with a).  Each set is
+    one row mask over the ball's letter array.
     """
     if radius < 2:
         raise PreconditionError("radius must be >= 2")
     descriptor = free_group(2)
     a = Word(descriptor, (1,))
     b = Word(descriptor, (2,))
-    s = prefix_set(descriptor, -1, radius)
-    s_a = prefix_set(descriptor, 1, radius)
-    a_s = s.translated(a)
-    b_s = s.translated(b)
-    binv_s = s.translated(b.inverse())
-
     check_ball = ball(descriptor, radius - 1)
-    disjoint_ok = True
-    corrected_ok = True
-    uncovered: list[Word] = []
-    mismatch = False
-    for w in check_ball:
-        hits = sum((s.contains(w), b_s.contains(w), binv_s.contains(w)))
-        if hits > 1:
-            disjoint_ok = False
-        if s_a.contains(w) + a_s.contains(w) != 1:
-            corrected_ok = False
-        literal = s.contains(w) or a_s.contains(w)
-        if not literal:
-            uncovered.append(w)
-            if not s_a.contains(w):
-                mismatch = True
-        elif s_a.contains(w):
-            mismatch = True  # covered although it begins with a
+    letters = letter_array(check_ball)
+    s, s_a, a_s, b_s, binv_s = (
+        PrefixSet(descriptor, l, t).row_mask(letters)
+        for l, t in ((-1, None), (1, None), (-1, a), (-1, b), (-1, b.inverse()))
+    )
+    literal = s | a_s
+    uncovered = np.flatnonzero(~literal)
     return SetIdentityReport(
         radius=radius,
         checked_words=len(check_ball),
-        disjoint_ok=disjoint_ok,
-        corrected_cover_ok=corrected_ok,
-        literal_cover_holds=not uncovered,
+        disjoint_ok=bool((s.astype(int) + b_s + binv_s <= 1).all()),
+        corrected_cover_ok=bool((s_a != a_s).all()),
+        literal_cover_holds=len(uncovered) == 0,
         uncovered_count=len(uncovered),
-        uncovered_examples=tuple(format_word(w) for w in uncovered[:5]),
-        uncovered_equals_first_letter_set=not mismatch,
+        uncovered_examples=tuple(format_word(check_ball[i]) for i in uncovered[:5]),
+        uncovered_equals_first_letter_set=bool((literal != s_a).all()),
     )
 
 
@@ -294,19 +235,16 @@ def chain_audit(frame: Frame) -> ParadoxReport:
     descriptor = frame.descriptor
     if not descriptor.is_free or descriptor.rank < 2:
         raise PreconditionError("the chain audit targets free groups of rank >= 2")
-    radius = frame.ambient_radius
     a_w = Word(descriptor, (1,))
     b_w = Word(descriptor, (2,))
     l_a = GroupAlgebraElement.left_translation(a_w)
     l_b = GroupAlgebraElement.left_translation(b_w)
 
-    partition = [identity_set(descriptor, radius)] + [
-        prefix_set(descriptor, l, radius) for i in range(1, descriptor.rank + 1) for l in (i, -i)
-    ]
+    partition = [PrefixSet(descriptor, l) for l in (None, *letters_in_order(descriptor.rank))]
     c_values = {s.label(): c_value(frame, s) for s in partition}
     partition_sum = float(sum(c_values.values()))
 
-    base = prefix_set(descriptor, -1, radius)
+    base = PrefixSet(descriptor, -1)
     translate_sets = [base.translated(a_w), base.translated(b_w), base.translated(b_w.inverse())]
     for s in translate_sets:
         c_values[s.label()] = c_value(frame, s)

@@ -159,14 +159,6 @@ def multiply(u: Word, v: Word) -> Word:
     return Word(u.descriptor, tuple(x + y for x, y in zip(u.data, v.data)))
 
 
-def begins_with(w: Word, l: int) -> bool:
-    """True iff the reduced word starts with letter `l`; false for the identity."""
-    if not w.descriptor.is_free:
-        raise InvalidLetter("begins_with is only defined on free-group words")
-    _check_letters(w.descriptor, (l,))
-    return bool(w.data) and w.data[0] == l
-
-
 def letter_order_index(l: int) -> int:
     """Position of a letter in the canonical order a1 < a1^-1 < a2 < a2^-1 < ..."""
     return 2 * (abs(l) - 1) + (0 if l > 0 else 1)
@@ -189,18 +181,29 @@ def translation_indices(words: Sequence[Word], g: Word, right: bool = False) -> 
     return np.array([where.get(p.data, -1) for p in products], dtype=np.int64)
 
 
-def _free_spheres(descriptor: GroupDescriptor, radius: int) -> list[list[Word]]:
-    """Spheres 0..radius, each shortlex-sorted (non-backtracking extension)."""
+def letter_array(words: Sequence[Word]) -> np.ndarray:
+    """N x (longest length + 1) array for N >= 1 words: row i holds words[i].letters(),
+    zero-padded, so every row ends in a 0 (the layout PrefixSet.row_mask reads)."""
+    width = max(w.length() for w in words) + 1
+    return np.array([w.letters() + (0,) * (width - w.length()) for w in words], dtype=np.int64)
+
+
+def extend_free(descriptor: GroupDescriptor, level: Sequence[Word]) -> list[Word]:
+    """Every reduced word w.l of F_n with w in `level`: shortlex-sorted when
+    `level` is a shortlex-sorted list of words of one length."""
     order = letters_in_order(descriptor.rank)
+    out: list[Word] = []
+    for w in level:
+        last = w.data[-1] if w.data else 0
+        out += [Word(descriptor, w.data + (l,)) for l in order if l != -last]
+    return out
+
+
+def _free_spheres(descriptor: GroupDescriptor, radius: int) -> list[list[Word]]:
+    """Spheres 0..radius, each shortlex-sorted."""
     spheres = [[Word.identity(descriptor)]]
     for _ in range(radius):
-        nxt = []
-        for w in spheres[-1]:
-            last = w.data[-1] if w.data else 0
-            for l in order:
-                if l != -last:
-                    nxt.append(Word(descriptor, w.data + (l,)))
-        spheres.append(nxt)
+        spheres.append(extend_free(descriptor, spheres[-1]))
     return spheres
 
 

@@ -13,6 +13,7 @@ import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
+import foelner.connes
 from foelner.cli import _HANDLERS, RunConfig, _check_counts, build_parser, config_from_args, main, run
 from foelner.errors import ConvergenceError, InvariantViolation
 
@@ -283,6 +284,14 @@ def test_invariant_violation_maps_to_exit_4(monkeypatch, capsys):
     code = main(["witness", "--n", "2", "--k", "2", "--depth", "2"])
     assert code == 4
     assert "invariant violated" in capsys.readouterr().err
+
+
+def test_witness_formula_mismatch_maps_to_exit_4(monkeypatch, capsys):
+    # a frame-certified epsilon off the closed form is a failed theorem check, not a bad input
+    monkeypatch.setattr(foelner.connes, "certificate_formula", lambda n, k: 1.0)
+    code = main(["witness", "--n", "2", "--k", "3", "--depth", "2"])
+    assert code == 4
+    assert "does not match the formula" in capsys.readouterr().err
 
 
 def test_run_config_echo_includes_everything():

@@ -25,7 +25,7 @@ from foelner.connes import (
 )
 from foelner.errors import PreconditionError, RankDeficiency
 from foelner.l2ops import GroupAlgebraElement, compress
-from foelner.words import Word, begins_with, free_group, multiply, parse_generators, standard_generators
+from foelner.words import Word, free_group, multiply, parse_generators, standard_generators
 from frame_helpers import columns_of, frame_of, frame_pool, inner, translate
 from search_helpers import frame_per_trial_anneal
 
@@ -42,7 +42,7 @@ L_e = GroupAlgebraElement.left_translation(Word.identity(F2))
 def test_prefixed_words_are_shortlex_and_prefixed():
     words = prefixed_words(F2, -1, 10)
     assert len(words) == 10
-    assert all(begins_with(w, -1) for w in words)
+    assert all(w.data[0] == -1 for w in words)
     lengths = [w.length() for w in words]
     assert lengths == sorted(lengths)
     assert words[0] == Word(F2, (-1,))
@@ -231,6 +231,12 @@ def test_random_frame_deterministic():
     a = frame_pool(F2, 4, 4, seed=21, count=3)
     b = frame_pool(F2, 4, 4, seed=21, count=3)
     assert [frame_fingerprint(f) for f in a] == [frame_fingerprint(f) for f in b]
+
+
+def test_pool_objective_refuses_an_empty_pool():
+    # an objective of inf over no frames would make every monotonicity check vacuous
+    with pytest.raises(PreconditionError, match="empty frame pool"):
+        pool_objective([L_a], [])
 
 
 def test_pool_objective_monotone():

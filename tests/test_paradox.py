@@ -3,27 +3,26 @@
 import math
 from fractions import Fraction
 
-import numpy as np
 import pytest
 
 from foelner import paradox
 from foelner.connes import WitnessConfig, build_witness_frame
-from foelner.errors import PreconditionError
+from foelner.errors import InvalidLetter, PreconditionError
 from foelner.l2ops import GroupAlgebraElement
 from foelner.paradox import (
     DERIVED_THRESHOLD,
     PAPER_EPSILON,
     THRESHOLD_NOTE,
+    PrefixSet,
     chain_audit,
     c_value,
     displacement_bound,
-    identity_set,
     make_paper_trace,
-    prefix_set,
     verify_set_identities,
 )
-from foelner.words import Word, ball, free_group
+from foelner.words import Word, ball, free_abelian, free_group
 from frame_helpers import frame_of, frame_pool
+from prefix_helpers import contains, reference_set_identities
 
 F2 = free_group(2)
 E = Word.identity(F2)
@@ -44,33 +43,16 @@ def delta_frame(*words, ambient=3):
 
 
 def test_restriction_norm_examples():
-    s = prefix_set(F2, -1, 4)
+    s = PrefixSet(F2, -1)
     assert c_value(delta_frame(A_INV), s) == 1.0
     assert c_value(delta_frame(E), s) == 0.0
     v = frame_of(F2, 3, [{A_INV: 1 / math.sqrt(2), B: 1 / math.sqrt(2)}])
     assert abs(c_value(v, s) - 0.5) < 1e-15
 
 
-def test_restriction_norm_complement_additivity():
-    rng = np.random.default_rng(0)
-    pool = ball(F2, 3)
-    s = prefix_set(F2, 1, 4)
-    for _ in range(20):
-        idx = rng.choice(len(pool), size=6, replace=False)
-        v = frame_of(F2, 4, [{pool[int(i)]: complex(rng.normal(), rng.normal()) for i in idx}], orthonormalize=True)
-        total = c_value(v, s) + c_value(v, s.complemented())
-        assert abs(total - 1.0) < 1e-12
-
-
-def test_restriction_norm_radius_contract():
-    s = prefix_set(F2, -1, 2)
-    with pytest.raises(PreconditionError):
-        c_value(delta_frame(Word(F2, (1, 1, 1)), ambient=4), s)
-
-
 def test_c_value_examples():
     f_e = delta_frame(E)
-    s = prefix_set(F2, -1, 3)
+    s = PrefixSet(F2, -1)
     assert c_value(f_e, s) == 0.0
     a_s = s.translated(A)
     assert c_value(f_e, a_s) == 1.0  # e = a * a^-1 lies in the translate
@@ -81,9 +63,7 @@ def test_c_value_examples():
 def test_c_partition_sums_to_one():
     frames = frame_pool(F2, 4, 4, seed=1, count=5)
     for frame in frames:
-        sets = [identity_set(F2, frame.ambient_radius)] + [
-            prefix_set(F2, l, frame.ambient_radius) for l in (1, -1, 2, -2)
-        ]
+        sets = [PrefixSet(F2, l) for l in (None, 1, -1, 2, -2)]
         total = sum(c_value(frame, s) for s in sets)
         assert abs(total - 1.0) < 1e-12
         for s in sets:
@@ -91,35 +71,40 @@ def test_c_partition_sums_to_one():
 
 
 def test_prefix_set_labels():
-    s = prefix_set(F2, -1, 5)
+    s = PrefixSet(F2, -1)
     assert s.label() == "S(A1)"
     assert s.translated(B).label() == "a2*S(A1)"
-    assert s.complemented().label() == "comp(S(A1))"
-    assert identity_set(F2, 5).label() == "{e}"
+    assert PrefixSet(F2, None).label() == "{e}"
 
 
-def test_prefix_set_realization_agrees_with_membership():
-    s = prefix_set(F2, -1, 3)
-    for w in ball(F2, 3):
-        assert s.contains(w) == (bool(w.data) and w.data[0] == -1)
+@pytest.mark.parametrize("letter", [0, 3, -3])
+def test_prefix_set_refuses_letters_outside_the_rank(letter):
+    with pytest.raises(InvalidLetter):
+        PrefixSet(F2, letter)
+
+
+@pytest.mark.parametrize("letter", [None, 1, -2])
+def test_prefix_set_refuses_abelian_groups(letter):
+    with pytest.raises(PreconditionError, match="free groups"):
+        PrefixSet(free_abelian(2), letter)
 
 
 def test_row_masks_agree_with_membership():
     # every row of ball(F2, 4): S(l) for each letter and {e}, translated by each
     # word of length <= 2 (which includes every translate chain_audit and
-    # displacement_bound build) and by one longer than any row, with complements
+    # displacement_bound build) and by one longer than any row
     rows = ball(F2, 4)
     frame = frame_of(F2, 5, [{w: len(rows) ** -0.5 for w in rows}])
     assert frame.rows == rows
-    bases = [prefix_set(F2, l, 12) for l in (1, -1, 2, -2)] + [identity_set(F2, 12)]
+    bases = [PrefixSet(F2, l) for l in (1, -1, 2, -2, None)]
     translates = list(ball(F2, 2)) + [Word.from_letters(F2, [1, 2, 1, 2, -1])]
     checked = 0
     for base in bases:
         for t in translates:
-            for s in (base.translated(t), base.translated(t).complemented()):
-                assert s.row_mask(frame.letters).tolist() == [s.contains(w) for w in rows], s.label()
-                checked += 1
-    assert checked == 5 * 18 * 2
+            s = base.translated(t)
+            assert s.row_mask(frame.letters).tolist() == [contains(s, w) for w in rows], s.label()
+            checked += 1
+    assert checked == 5 * 18
 
 
 def test_frame_letters_pad_rows():
@@ -150,6 +135,11 @@ def test_set_identities_all_radii(radius):
     assert rep.disjoint_ok and rep.corrected_cover_ok and not rep.literal_cover_holds
 
 
+@pytest.mark.parametrize("radius", range(2, 11))
+def test_set_identities_match_word_level_reference(radius):
+    assert verify_set_identities(radius) == reference_set_identities(radius)
+
+
 def test_set_identities_radius_contract():
     with pytest.raises(PreconditionError):
         verify_set_identities(1)
@@ -161,7 +151,7 @@ def test_set_identities_radius_contract():
 
 def test_displacement_identity_unitary():
     frame = delta_frame(E, A, ambient=3)
-    s = prefix_set(F2, -1, 3)
+    s = PrefixSet(F2, -1)
     d = displacement_bound(frame, L_e, s)
     assert d.measured == 0.0
     assert d.certified < 1e-9
@@ -170,7 +160,7 @@ def test_displacement_identity_unitary():
 def test_displacement_delta_e_example():
     # A = [[0]]: polar distance 1, compression gap 1, certified = 2*sqrt(2)
     frame = delta_frame(E, ambient=2)
-    s = prefix_set(F2, -1, 2)
+    s = PrefixSet(F2, -1)
     d = displacement_bound(frame, L_a, s)
     assert abs(d.measured_push - 1.0) < 1e-15  # |c_{aS} - c_S| = 1
     assert d.measured_pull == 0.0
@@ -182,7 +172,7 @@ def test_displacement_delta_e_example():
 
 def test_displacement_witness_frame():
     frame = build_witness_frame(WitnessConfig(2, 8, 6))
-    s = prefix_set(F2, -1, frame.ambient_radius)
+    s = PrefixSet(F2, -1)
     for op in (L_a, L_b):
         d = displacement_bound(frame, op, s)
         assert d.measured <= d.certified + 1e-12
@@ -190,7 +180,7 @@ def test_displacement_witness_frame():
 
 def test_displacement_random_frames():
     for frame in frame_pool(F2, 5, 4, seed=7, count=10):
-        s = prefix_set(F2, -1, frame.ambient_radius)
+        s = PrefixSet(F2, -1)
         for op in (L_a, L_b):
             d = displacement_bound(frame, op, s)
             assert d.measured <= d.certified + 1e-12
@@ -268,8 +258,6 @@ def test_chain_audit_random_frames_never_contradict():
 
 
 def test_chain_audit_rejects_abelian():
-    from foelner.words import free_abelian
-
     d = free_abelian(2)
     frame = frame_of(d, 2, [{Word.identity(d): 1.0}])
     with pytest.raises(PreconditionError):

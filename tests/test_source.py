@@ -72,3 +72,20 @@ def test_no_dead_top_level_names_in_package():
             if name not in named_elsewhere and not any(name in names for j, names in enumerate(named_by) if j != i):
                 dead.append(f"{filename}:{stmt.lineno} {name}")
     assert not dead, f"top-level names nothing uses in src/foelner: {dead}"
+
+
+def test_no_dead_methods_in_package():
+    # every method of a package class, dunders aside, is called or read by name
+    # somewhere in the package or in the acceptance suite
+    trees = [ast.parse(path.read_text(), filename=str(path)) for path in sorted(PACKAGE.glob("*.py"))]
+    acceptance = ast.parse((PACKAGE.parents[1] / "tests" / "test_acceptance.py").read_text())
+    named = set().union(_named(acceptance), *map(_named, trees))
+    dead = [
+        f"{cls.name}.{fn.name}"
+        for tree in trees
+        for cls in tree.body
+        if isinstance(cls, ast.ClassDef)
+        for fn in cls.body
+        if isinstance(fn, ast.FunctionDef) and not fn.name.startswith("__") and fn.name not in named
+    ]
+    assert not dead, f"methods nothing calls or reads in src/foelner: {dead}"

@@ -12,7 +12,6 @@ from foelner.words import (
     Word,
     ball,
     ball_size,
-    begins_with,
     format_word,
     free_abelian,
     free_ball_size,
@@ -184,15 +183,6 @@ def test_ball_serialization_stable():
     second = [format_word(w) for w in ball(F2, 2)]
     assert first == second
     assert first[:5] == ["e", "a1", "A1", "a2", "A2"]
-
-
-def test_begins_with():
-    w = Word.from_letters(F2, [-1, 2])
-    assert begins_with(w, -1)
-    assert not begins_with(Word.identity(F2), 1)
-    assert not begins_with(Word.from_letters(F2, [1, 2]), -1)
-    with pytest.raises(InvalidLetter):
-        begins_with(Word.from_vector(Z2, (1, 0)), 1)
 
 
 def test_word_syntax_roundtrip():
