@@ -174,7 +174,7 @@ def _run_witness(cfg: RunConfig) -> tuple[Any, list]:
         frame = {"frame_fingerprint": cert.frame_fingerprint}
     results = {
         "config": {"n": n, "k": k, "depth": depth, "formula_only": p["formula_only"]},
-        "per_unitary": [{"label": r.label, "ratio": r.ratio, "defect": r.defect} for r in records],
+        "per_unitary": [asdict(r) for r in records],
         "certified_epsilon": certified,
         "formula_epsilon": formula,
         "limit_epsilon": limit_formula(n),
@@ -205,7 +205,7 @@ def _run_scan(cfg: RunConfig) -> tuple[Any, list]:
             "seed": cfg.seed,
             "unitaries": [format_word(w) for w in unitary_words],
         },
-        "per_unitary": [{"label": r.label, "ratio": r.ratio, "defect": r.defect} for r in res.records],
+        "per_unitary": [asdict(r) for r in res.records],
         "best_objective": res.objective,
         "history": [{"iteration": it, "objective": obj} for it, obj in res.history],
         "frame_fingerprint": frame_fingerprint(res.frame),
@@ -236,22 +236,18 @@ def _run_audit(cfg: RunConfig) -> tuple[Any, list]:
     identities = verify_set_identities(max(2, p["radius"] + 1))
     rng = np.random.default_rng(cfg.seed)
     evaluated = [_audit_one_frame(random_frame(descriptor, p["rank"], p["radius"], rng)) for _ in range(p["frames"])]
-    worst = min(range(len(evaluated)), key=lambda i: evaluated[i]["max_commutator_ratio"]) if evaluated else None
+    no_frame = {"c_values": {}, "displacement": {}, "max_commutator_ratio": None}
+    worst = min(evaluated, key=lambda e: e["max_commutator_ratio"], default=no_frame)  # the first on ties
+    verdicts = {e["verdict"] for e in evaluated}
     results = {
         "set_identities": asdict(identities),
         "thresholds": {"paper": float(PAPER_EPSILON), "derived": DERIVED_THRESHOLD},
         "frames_evaluated": len(evaluated),
         "frames": evaluated,
-        "c_values": evaluated[worst]["c_values"] if worst is not None else {},
-        "displacement": evaluated[worst]["displacement"] if worst is not None else {},
-        "verdict": (
-            "contradiction"
-            if any(e["verdict"] == "contradiction" for e in evaluated)
-            else ("consistent" if evaluated else "no-frames")
-        ),
-        "min_max_commutator_ratio": (
-            min(e["max_commutator_ratio"] for e in evaluated) if evaluated else None
-        ),
+        "c_values": worst["c_values"],
+        "displacement": worst["displacement"],
+        "verdict": "contradiction" if "contradiction" in verdicts else ("consistent" if verdicts else "no-frames"),
+        "min_max_commutator_ratio": worst["max_commutator_ratio"],
     }
     warnings = [THRESHOLD_NOTE]
     if p["paper_mode"]:

@@ -29,15 +29,15 @@ from .errors import (
 from .l2ops import (
     Frame,
     GroupAlgebraElement,
-    _adjoint_product,
+    adjoint_product,
     checked_hs_norm_sq,
     closed_form_ratio,
     commutator_ratio,
-    compress,
     frame_to_json,
     gram_schmidt,
     normalized_trace,
     trace_defect,
+    translation_gather,
 )
 from .words import (
     GroupDescriptor,
@@ -361,18 +361,13 @@ def anneal_projection(cfg: ProjectionSearchConfig) -> AnnealResult:
         raise ConvergenceError(f"no rank-{k} starting frame after {MAX_RESTARTS} draws")
     frame = Frame(cfg.descriptor, cfg.ambient_radius, rows, c)
 
-    gathers = []  # (dst, src, tau) per op L_w: compress(op, frame) = C[dst]* C[src]
-    for op in ops:
-        compress(op, frame)  # its descriptor and headroom checks, once
-        idx = frame.translation(op.word)
-        src = np.flatnonzero(idx >= 0)
-        gathers.append((idx[src], src, op.identity_coefficient))
+    gathers = [(*translation_gather(op, frame), op.identity_coefficient) for op in ops]
 
     def objective(c: np.ndarray) -> float:  # max over ops of the closed-form ratio and the trace defect
         hs_norm_sq = checked_hs_norm_sq(c)
         worst = 0.0
         for dst, src, tau in gathers:
-            a = _adjoint_product(c[dst], c[src])
+            a = adjoint_product(c[dst], c[src])
             worst = max(worst, closed_form_ratio(a, hs_norm_sq), abs(tau - normalized_trace(a)))
         return worst
 

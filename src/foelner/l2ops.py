@@ -36,12 +36,13 @@ PRUNE_TOL = 1e-15   # amplitudes below this are dropped at the JSON edge
 GRAM_TOL = 1e-10    # frame Gram matrix must match the identity entrywise
 RANK_TOL = 1e-8     # residual threshold declaring columns dependent
 SVD_MAX_K = 256
-# Most multiply-adds per matrix product.  OpenBLAS, numpy's default BLAS, runs
-# products of up to about 2^16 multiply-adds, and dot products of up to 10^4
-# entries, on the calling thread; larger ones wake its worker threads, which
-# can cost milliseconds per call when the calls are interleaved with Python
-# work, far more than the arithmetic.
+# Most multiply-adds per piece of a matrix product cut into row pieces.  OpenBLAS,
+# numpy's default BLAS, runs products of up to about 2^16 multiply-adds on the
+# calling thread; larger ones wake its worker threads, which costs milliseconds
+# per call amid Python work.  A product whose pieces would be single rows runs
+# whole instead: at that size the threads pay for themselves (see _piece_rows).
 BLAS_CHUNK = 1 << 14
+HS_TILE = 512  # rows of a direct-route tile at such ranks: 4 MB of output each
 
 
 @dataclass(frozen=True)
@@ -137,21 +138,24 @@ class Frame:
         return idx
 
 
-def _adjoint_product(x: np.ndarray, y: np.ndarray) -> np.ndarray:
-    """x* y for arrays with equal row counts, in pieces of at most BLAS_CHUNK multiply-adds."""
+def _piece_rows(k_x: int, k_y: int) -> int:
+    """Rows per piece of x* y for x, y with k_x, k_y columns: as many as fit in BLAS_CHUNK
+    multiply-adds, or 0 when fewer than two fit and the product runs whole."""
+    return BLAS_CHUNK // (k_x * k_y) if 2 * k_x * k_y <= BLAS_CHUNK else 0
+
+
+def adjoint_product(x: np.ndarray, y: np.ndarray) -> np.ndarray:
+    """x* y for arrays with equal row counts, summed over row pieces (see _piece_rows)."""
     out = np.zeros((x.shape[1], y.shape[1]), dtype=complex)
-    cols = max(1, BLAS_CHUNK // x.shape[1])
-    rows = max(1, BLAS_CHUNK // (x.shape[1] * min(cols, y.shape[1])))
+    rows = _piece_rows(x.shape[1], y.shape[1]) or max(len(x), 1)
     for s in range(0, len(x), rows):
-        xs = x[s : s + rows].conj().T
-        for t in range(0, y.shape[1], cols):
-            out[:, t : t + cols] += xs @ y[s : s + rows, t : t + cols]
+        out += x[s : s + rows].conj().T @ y[s : s + rows]
     return out
 
 
 def checked_hs_norm_sq(c: np.ndarray) -> float:
     """||C* C||_F^2, after checking that C* C matches the identity within GRAM_TOL."""
-    gram = _adjoint_product(c, c)
+    gram = adjoint_product(c, c)
     if not np.abs(gram - np.eye(c.shape[1])).max() <= GRAM_TOL:  # also refuses NaN
         raise PreconditionError("frame columns are not orthonormal within the Gram tolerance")
     return float(np.sum(np.abs(gram) ** 2))
@@ -183,22 +187,26 @@ def gram_schmidt(raw: np.ndarray) -> np.ndarray:
     return q
 
 
-def compress(op: GroupAlgebraElement, frame: Frame) -> np.ndarray:
-    """The k x k compression eL_ge: entry [q, p] = <L_g xi_p, xi_q> = (C* L_g C)[q, p].
-
-    Refuses (rather than truncating) when L_g could move the support out of
-    the ambient ball: requires support_radius + operator_radius <= ambient_radius.
-    """
+def translation_gather(op: GroupAlgebraElement, frame: Frame) -> tuple[np.ndarray, np.ndarray]:
+    """(dst, src) with rows[dst[i]] = g * rows[src[i]] over the rows whose translate is a
+    row, so compress(op, frame) = C[dst]* C[src].  Refuses (rather than truncating)
+    when L_g could move the support out of the ambient ball: requires
+    support_radius + operator_radius <= ambient_radius."""
     if op.descriptor != frame.descriptor:
         raise DescriptorMismatch("operator and frame from different groups")
     if frame.support_radius + op.operator_radius > frame.ambient_radius:
         raise HeadroomViolation(
             f"support {frame.support_radius} + operator {op.operator_radius} exceeds ambient {frame.ambient_radius}"
         )
-    c = frame.C
     idx = frame.translation(op.word)
     src = np.flatnonzero(idx >= 0)
-    return _adjoint_product(c[idx[src]], c[src])
+    return idx[src], src
+
+
+def compress(op: GroupAlgebraElement, frame: Frame) -> np.ndarray:
+    """The k x k compression eL_ge: entry [q, p] = <L_g xi_p, xi_q> = (C* L_g C)[q, p]."""
+    dst, src = translation_gather(op, frame)
+    return adjoint_product(frame.C[dst], frame.C[src])
 
 
 def normalized_trace(a: np.ndarray) -> complex:
@@ -227,9 +235,10 @@ def commutator_ratio(op: GroupAlgebraElement, frame: Frame) -> CommutatorRatio:
     """Two evaluations of ||[U,e]||_HS / ||e||_HS for the unitary U = L_g.
 
     The direct route forms ||Ue - eU||_HS = ||UeU* - e||_HS = ||(UC)(UC)* - CC*||_F
-    on the rows and their translates, one tile of at most BLAS_CHUNK
-    multiply-adds at a time, so no whole matrix of that size is formed; the closed
-    form is sqrt(2) * sqrt(1 - tau_k(A* A)) with A the compression (see
+    on the rows and their translates, one square tile at a time, so no whole matrix
+    of that size is formed: BLAS_CHUNK multiply-adds a tile while the frame's
+    products are cut (see _piece_rows), HS_TILE rows once they run whole.  The
+    closed form is sqrt(2) * sqrt(1 - tau_k(A* A)) with A the compression (see
     closed_form_ratio).  Both are exact up to roundoff and must agree within 1e-9.
     """
     closed = closed_form_ratio(compress(op, frame), frame.hs_norm_sq)
@@ -244,11 +253,11 @@ def commutator_ratio(op: GroupAlgebraElement, frame: Frame) -> CommutatorRatio:
     z[:n, k:] = frame.C
     w = z.conj()
     w[:, k:] *= -1  # conj([UC, -C]), so z @ w.T = (UC)(UC)* - CC*
-    tile = max(1, math.isqrt(BLAS_CHUNK // (2 * k)))
+    tile = math.isqrt(BLAS_CHUNK // (2 * k)) if _piece_rows(k, k) else HS_TILE
     hs_sq = 0.0
     for s in range(0, len(z), tile):
         for t in range(0, len(z), tile):
-            d = z[s : s + tile] @ w[t : t + tile].T  # at most BLAS_CHUNK / 2 entries
+            d = z[s : s + tile] @ w[t : t + tile].T
             hs_sq += float(np.vdot(d, d).real)
     direct = math.sqrt(hs_sq / frame.hs_norm_sq)
 

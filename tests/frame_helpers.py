@@ -5,7 +5,7 @@ import numpy as np
 
 from foelner.connes import random_frame
 from foelner.errors import PreconditionError, RankDeficiency
-from foelner.l2ops import RANK_TOL, Frame, gram_schmidt
+from foelner.l2ops import BLAS_CHUNK, RANK_TOL, Frame, gram_schmidt
 from foelner.words import multiply, shortlex_key
 
 
@@ -90,3 +90,16 @@ def reference_gram_schmidt(raw):
             raise RankDeficiency(j)
         q[:, j] = col / nrm
     return q
+
+
+def reference_adjoint_product(x, y):
+    """The former l2ops adjoint product: x* y in 2-D pieces of at most BLAS_CHUNK
+    multiply-adds, whose rows shrink to one once x has 91 or more columns."""
+    out = np.zeros((x.shape[1], y.shape[1]), dtype=complex)
+    cols = max(1, BLAS_CHUNK // x.shape[1])
+    rows = max(1, BLAS_CHUNK // (x.shape[1] * min(cols, y.shape[1])))
+    for s in range(0, len(x), rows):
+        xs = x[s : s + rows].conj().T
+        for t in range(0, y.shape[1], cols):
+            out[:, t : t + cols] += xs @ y[s : s + rows, t : t + cols]
+    return out

@@ -379,6 +379,10 @@ def test_unwritable_out_maps_to_exit_2(tmp_path, capsys):
             ["group", "--group", "free:2", "--radius", "2", "--mode", "exhaustive"],
             "5c03a1d29da89a5d83304e863e6241ddc246ab33af9412ad78942760430dd5dc",
         ),
+        (
+            ["audit", "--rank", "100", "--radius", "5", "--seed", "1", "--frames", "1"],  # products run whole
+            "565357172081d40d6ce7d519d88eff8a7580f375fb77a611ca69c53ee080d9cf",
+        ),
     ],
 )
 def test_payload_pinned(argv, sha256, tmp_path):

@@ -12,8 +12,10 @@ from foelner.errors import (
     RankDeficiency,
 )
 from foelner.l2ops import (
+    HS_TILE,
     Frame,
     GroupAlgebraElement,
+    adjoint_product,
     commutator_ratio,
     compress,
     frame_to_json,
@@ -24,7 +26,15 @@ from foelner.l2ops import (
     trace_defect,
 )
 from foelner.words import Word, ball, free_group, multiply, parse_word, translation_indices
-from frame_helpers import columns_of, frame_of, reference_compression, reference_gram_schmidt, reference_hs_ratio
+from frame_helpers import (
+    columns_of,
+    frame_of,
+    frame_pool,
+    reference_adjoint_product,
+    reference_compression,
+    reference_gram_schmidt,
+    reference_hs_ratio,
+)
 
 F2 = free_group(2)
 E = Word.identity(F2)
@@ -225,6 +235,34 @@ def test_frame_invariants():
 
 
 # ---------------------------------------------------------------------------
+# The adjoint product.
+
+
+def random_gather(rng, n, k):
+    """x = c[dst] and y = c[src] for n-row gathers of an (n + 3) x k array c."""
+    c = rng.normal(size=(n + 3, k)) + 1j * rng.normal(size=(n + 3, k))
+    return c[rng.permutation(n + 3)[:n]], c[rng.permutation(n + 3)[:n]]
+
+
+@pytest.mark.parametrize("n", [0, 1, 17, 161, 1457])  # n = 0: no row's translate is a row
+@pytest.mark.parametrize("k", [1, 2, 8, 30, 60, 90])
+def test_adjoint_product_matches_chunked_reference_bit_for_bit(k, n):
+    # below 91 columns the row pieces are the former ones, summed in the same order
+    x, y = random_gather(np.random.default_rng(k * 10_000 + n), n, k)
+    assert np.array_equal(adjoint_product(x, y), reference_adjoint_product(x, y))
+
+
+@pytest.mark.parametrize("n", [0, 1, 17, 161, 1457])
+@pytest.mark.parametrize("k", [91, 150, 256])
+def test_adjoint_product_whole_at_large_rank(k, n):
+    # from 91 columns on the product runs whole, where the reference summed outer products
+    x, y = random_gather(np.random.default_rng(k * 10_000 + n), n, k)
+    got, ref = adjoint_product(x, y), reference_adjoint_product(x, y)
+    assert got.shape == (k, k)
+    assert np.abs(got - ref).max(initial=0.0) <= 1e-12 * np.abs(ref).max(initial=0.0)
+
+
+# ---------------------------------------------------------------------------
 # Compression, commutator ratio, trace defect.
 
 
@@ -286,6 +324,32 @@ def test_direct_route_matches_word_by_word_reference():
                 continue
             direct = commutator_ratio(GroupAlgebraElement.left_translation(g), frame).direct
             assert abs(direct - reference_hs_ratio(g, frame)) < 1e-12
+
+
+def dense_hs_ratio(g, frame):
+    """||(UC)(UC)* - CC*||_F / ||e||_HS with both matrices formed whole over the
+    rows and their translates by g; also returns the number of those words."""
+    images = [multiply(g, w) for w in frame.rows]
+    words = list(dict.fromkeys([*frame.rows, *images]))
+    pos = {w: i for i, w in enumerate(words)}
+    c = np.zeros((len(words), frame.rank), dtype=complex)
+    c[: len(frame.rows)] = frame.C
+    uc = np.zeros_like(c)
+    uc[[pos[w] for w in images]] = frame.C
+    m = uc @ uc.conj().T - c @ c.conj().T
+    return float(np.linalg.norm(m)) / math.sqrt(frame.hs_norm_sq), len(words)
+
+
+def test_direct_route_across_the_tile_switch():
+    # at rank >= 91 the direct route tiles by HS_TILE rows; this frame's rows
+    # and translates span more than one tile
+    frame = frame_pool(F2, 100, 6, 3, 1)[0]
+    for g in (A, B, A.inverse()):
+        ref, size = dense_hs_ratio(g, frame)
+        assert size > HS_TILE
+        r = commutator_ratio(GroupAlgebraElement.left_translation(g), frame)
+        assert abs(r.direct - ref) <= 1e-12
+        assert abs(r.closed_form - ref) <= 1e-9
 
 
 def test_trace_defect_examples():

@@ -89,3 +89,18 @@ def test_no_dead_methods_in_package():
         if isinstance(fn, ast.FunctionDef) and not fn.name.startswith("__") and fn.name not in named
     ]
     assert not dead, f"methods nothing calls or reads in src/foelner: {dead}"
+
+
+def test_no_private_names_imported_across_package_modules():
+    # a name one package module takes from another is shared, so it is public:
+    # no module imports another's underscore name (dunders such as __version__ aside)
+    found = []
+    for path in sorted(PACKAGE.glob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text(), filename=str(path))):
+            if isinstance(node, ast.ImportFrom) and (node.level or (node.module or "").split(".")[0] == "foelner"):
+                found += [
+                    f"{path.name}:{node.lineno} {alias.name}"
+                    for alias in node.names
+                    if alias.name.startswith("_") and not alias.name.endswith("__")
+                ]
+    assert not found, f"underscore names imported across src/foelner: {found}"
