@@ -27,6 +27,7 @@ from .words import (
     Word,
     ball,
     ball_size,
+    capped_ball_size,
     format_word,
     free_ball_size,
     free_sphere_size,
@@ -162,12 +163,13 @@ def exhaustive_min_ratio(
     """True minimum of the boundary ratio over all non-empty subsets of ball(radius).
 
     Ties are broken by smaller set size, then by shortlex-lexicographic
-    membership.  Refuses when |ball(radius)| exceeds the 2^22 subset cap.
+    membership.  Refuses, before building the ball, when |ball(radius)| exceeds
+    the 2^22 subset cap.
     """
+    if capped_ball_size(descriptor, max(radius, 0)) > EXHAUSTIVE_BALL_CAP:
+        raise SearchSpaceTooLarge(f"|ball({radius})| exceeds the exhaustive cap of {EXHAUSTIVE_BALL_CAP}")
     b = ball(descriptor, radius)
     n = len(b)
-    if n > EXHAUSTIVE_BALL_CAP:
-        raise SearchSpaceTooLarge(f"|ball({radius})| = {n} exceeds the exhaustive cap of {EXHAUSTIVE_BALL_CAP}")
     nbr = np.stack([translation_indices(b, x, right=True) for x in X.closure()])
     total = (1 << n) - 1
 

@@ -1,10 +1,12 @@
 """Command-line entry point: deterministic runs, JSON/CSV reports.
 
-Every stochastic command requires an explicit --seed; identical flags always
-produce byte-identical payloads (wall time goes to stderr, never into the
-report).  Exit codes: 0 success, 2 precondition violation (including an
---out file that cannot be written), 3 numerical non-convergence, 4 a theorem
-or consistency check failed.
+Every stochastic command requires an explicit --seed; identical flags produce
+byte-identical payloads (wall time goes to stderr, never into the report)
+under the same BLAS thread count: at larger frame ranks (ranks >= 91, and some
+smaller ones on larger balls) OpenBLAS sums products in a thread-dependent
+order.  Exit codes: 0 success, 2 precondition violation (including an --out
+file that cannot be written), 3 numerical non-convergence, 4 a theorem or
+consistency check failed.
 """
 
 from __future__ import annotations
@@ -17,7 +19,6 @@ import os
 import sys
 import time
 from dataclasses import asdict, dataclass
-from fractions import Fraction
 from typing import Any
 
 import numpy as np
@@ -41,11 +42,10 @@ from .connes import (
     frame_fingerprint,
     limit_formula,
     random_frame,
-    standard_unitaries,
     witness_certificate,
 )
 from .errors import ConvergenceError, InvariantViolation, PreconditionError, SearchSpaceTooLarge, SeedRequired
-from .l2ops import SVD_MAX_K, GroupAlgebraElement, commutator_ratio, frame_to_json, trace_defect
+from .l2ops import SVD_MAX_K, GroupAlgebraElement, commutator_ratio, frame_to_json
 from .paradox import (
     DERIVED_THRESHOLD,
     PAPER_EPSILON,
@@ -99,10 +99,6 @@ class RunReport:
         }
 
 
-def _fraction_str(f: Fraction) -> str:
-    return f"{f.numerator}/{f.denominator}"
-
-
 def _element_set_json(s: ElementSet) -> list:
     return [format_word(w) for w in s.sorted_members()]
 
@@ -111,7 +107,7 @@ def _report_json(report: BoundaryReport) -> dict:
     return {
         "set_size": report.set_size,
         "boundary_size": report.boundary_size,
-        "ratio_rational": _fraction_str(report.ratio),
+        "ratio_rational": f"{report.ratio.numerator}/{report.ratio.denominator}",
         "ratio_float": report.ratio_float,
     }
 
@@ -216,8 +212,6 @@ def _run_scan(cfg: RunConfig) -> tuple[Any, list]:
 
 def _audit_one_frame(frame) -> dict:
     report = chain_audit(frame)
-    unitaries = standard_unitaries(frame.descriptor)[:2]
-    max_ratio = max(commutator_ratio(op, frame).closed_form for op in unitaries)
     return {
         "c_values": report.c_values,
         "displacement": {
@@ -226,7 +220,7 @@ def _audit_one_frame(frame) -> dict:
             "per_unitary": report.displacements,
         },
         "verdict": report.verdict,
-        "max_commutator_ratio": max_ratio,
+        "max_commutator_ratio": report.max_commutator_ratio,
     }
 
 
@@ -272,11 +266,10 @@ def _run_identity_check(cfg: RunConfig) -> tuple[Any, list]:
         frame = random_frame(descriptor, int(rng.integers(1, 9)), int(rng.integers(3, 6)), rng)
         for op in ops:
             r = commutator_ratio(op, frame)
-            d = trace_defect(op, frame)
             diff = abs(r.direct - r.closed_form)
             max_diff = max(max_diff, diff)
             ratio_max = max(ratio_max, r.direct, r.closed_form)
-            defect_max = max(defect_max, d)
+            defect_max = max(defect_max, r.defect)
             if diff < 1e-9:
                 agreements += 1
     results = {
@@ -371,17 +364,10 @@ def render_csv(report: RunReport) -> str:
     """CSV for the tabular reports: ball families and certificate sweeps (see _check_output)."""
     results = report.results
     buf = io.StringIO()
-    writer = csv.writer(buf, lineterminator="\n")
-    if results.get("mode") == "balls":
-        writer.writerow(["radius", "set_size", "boundary_size", "ratio_rational", "ratio_float", "method"])
-        for row in results["history"]:
-            writer.writerow(
-                [row["radius"], row["set_size"], row["boundary_size"], row["ratio_rational"], row["ratio_float"], row["method"]]
-            )
-    else:
-        writer.writerow(["k", "epsilon"])
-        for row in results["sweep"]:
-            writer.writerow([row["k"], row["epsilon"]])
+    rows = results["history"] if results.get("mode") == "balls" else results["sweep"]  # never empty
+    writer = csv.DictWriter(buf, fieldnames=list(rows[0]), lineterminator="\n")
+    writer.writeheader()
+    writer.writerows(rows)
     return buf.getvalue()
 
 

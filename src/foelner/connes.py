@@ -36,7 +36,6 @@ from .l2ops import (
     frame_to_json,
     gram_schmidt,
     normalized_trace,
-    trace_defect,
     translation_gather,
 )
 from .words import (
@@ -80,9 +79,8 @@ def q_objective(unitaries: Sequence[GroupAlgebraElement], frame: Frame) -> tuple
     the frame; Q(X, eps) holds on it when every record's worst is <= eps."""
     if not unitaries:
         raise PreconditionError("empty unitary list")
-    return tuple(
-        UnitaryRecord(op.label(), commutator_ratio(op, frame).closed_form, trace_defect(op, frame)) for op in unitaries
-    )
+    evaluations = ((op, commutator_ratio(op, frame)) for op in unitaries)
+    return tuple(UnitaryRecord(op.label(), ev.closed_form, ev.defect) for op, ev in evaluations)
 
 
 # ---------------------------------------------------------------------------
@@ -197,7 +195,7 @@ def frame_fingerprint(frame: Frame) -> str:
 class UpperBoundCertificate:
     certified_epsilon: float
     formula_epsilon: float
-    frame_fingerprint: str
+    frame: Frame
     records: tuple[UnitaryRecord, ...]
 
     def __post_init__(self):
@@ -205,6 +203,11 @@ class UpperBoundCertificate:
             raise InvariantViolation(
                 f"certificate {self.certified_epsilon!r} does not match the formula {self.formula_epsilon!r}"
             )
+
+    @property
+    def frame_fingerprint(self) -> str:
+        """Computed on request: a rank sweep keeps only each certificate's epsilon."""
+        return frame_fingerprint(self.frame)
 
 
 def standard_unitaries(descriptor: GroupDescriptor) -> tuple[GroupAlgebraElement, ...]:
@@ -218,7 +221,7 @@ def witness_certificate(n: int, k: int, T: int) -> UpperBoundCertificate:
     unitaries = standard_unitaries(frame.descriptor)
     records = q_objective(unitaries, frame)
     certified = max(r.worst for r in records)
-    return UpperBoundCertificate(certified, certificate_formula(n, k), frame_fingerprint(frame), records)
+    return UpperBoundCertificate(certified, certificate_formula(n, k), frame, records)
 
 
 @dataclass(frozen=True)

@@ -90,7 +90,6 @@ class Frame:
     C: np.ndarray
     support_radius: int = field(init=False)
     hs_norm_sq: float = field(init=False)
-    _translations: dict = field(init=False, repr=False)  # g.data -> translation(g), shared by with_columns
 
     def __post_init__(self):
         if any(w.descriptor != self.descriptor for w in self.rows):
@@ -102,7 +101,6 @@ class Frame:
         if radius > self.ambient_radius - 1:
             raise HeadroomViolation(f"support radius {radius} needs ambient >= {radius + 1}")
         object.__setattr__(self, "support_radius", radius)
-        object.__setattr__(self, "_translations", {})
         self._set_columns(self.C)
 
     def _set_columns(self, c: np.ndarray) -> None:
@@ -129,13 +127,6 @@ class Frame:
         out = letter_array(self.rows)
         out.flags.writeable = False
         return out
-
-    def translation(self, g: Word) -> np.ndarray:
-        """Position in rows of g * rows[i], or -1 where that word is not a row."""
-        idx = self._translations.get(g.data)
-        if idx is None:
-            idx = self._translations[g.data] = translation_indices(self.rows, g)
-        return idx
 
 
 def _piece_rows(k_x: int, k_y: int) -> int:
@@ -198,7 +189,7 @@ def translation_gather(op: GroupAlgebraElement, frame: Frame) -> tuple[np.ndarra
         raise HeadroomViolation(
             f"support {frame.support_radius} + operator {op.operator_radius} exceeds ambient {frame.ambient_radius}"
         )
-    idx = frame.translation(op.word)
+    idx = translation_indices(frame.rows, op.word)
     src = np.flatnonzero(idx >= 0)
     return idx[src], src
 
@@ -225,14 +216,17 @@ def closed_form_ratio(a: np.ndarray, hs_norm_sq: float) -> float:
 
 
 class CommutatorRatio(NamedTuple):
-    """||[U,e]||_HS / ||e||_HS by two independent routes."""
+    """One evaluation of a unitary U = L_g on a frame: ||[U,e]||_HS / ||e||_HS by two
+    independent routes, the compression A = eUe and the trace defect |tau(U) - tau_k(A)|."""
 
     direct: float
     closed_form: float
+    compression: np.ndarray
+    defect: float
 
 
 def commutator_ratio(op: GroupAlgebraElement, frame: Frame) -> CommutatorRatio:
-    """Two evaluations of ||[U,e]||_HS / ||e||_HS for the unitary U = L_g.
+    """The one evaluation of the unitary U = L_g on a frame: one row gather, one compression.
 
     The direct route forms ||Ue - eU||_HS = ||UeU* - e||_HS = ||(UC)(UC)* - CC*||_F
     on the rows and their translates, one square tile at a time, so no whole matrix
@@ -241,11 +235,14 @@ def commutator_ratio(op: GroupAlgebraElement, frame: Frame) -> CommutatorRatio:
     closed form is sqrt(2) * sqrt(1 - tau_k(A* A)) with A the compression (see
     closed_form_ratio).  Both are exact up to roundoff and must agree within 1e-9.
     """
-    closed = closed_form_ratio(compress(op, frame), frame.hs_norm_sq)
+    dst, src = translation_gather(op, frame)
+    a = adjoint_product(frame.C[dst], frame.C[src])
+    closed = closed_form_ratio(a, frame.hs_norm_sq)
 
     # embed C and UC = L_g C over rows + (translates outside the rows)
     k, n = frame.rank, len(frame.rows)
-    pos = frame.translation(op.word).copy()
+    pos = np.full(n, -1, dtype=np.int64)
+    pos[src] = dst
     outside = np.flatnonzero(pos < 0)
     pos[outside] = n + np.arange(len(outside))
     z = np.zeros((n + len(outside), 2 * k), dtype=complex)  # [UC, C]
@@ -263,7 +260,7 @@ def commutator_ratio(op: GroupAlgebraElement, frame: Frame) -> CommutatorRatio:
 
     if abs(direct - closed) > 1e-9:
         raise InvariantViolation(f"HS identity violated: {direct} vs {closed}")
-    return CommutatorRatio(direct, closed)
+    return CommutatorRatio(direct, closed, a, abs(op.identity_coefficient - normalized_trace(a)))
 
 
 def trace_defect(op: GroupAlgebraElement, frame: Frame) -> float:

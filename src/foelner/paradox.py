@@ -16,7 +16,7 @@ from fractions import Fraction
 import numpy as np
 
 from .errors import InvalidLetter, InvariantViolation, PreconditionError
-from .l2ops import Frame, GroupAlgebraElement, closed_form_ratio, compress, nearest_unitary
+from .l2ops import CommutatorRatio, Frame, GroupAlgebraElement, commutator_ratio, nearest_unitary
 from .words import GroupDescriptor, Word, ball, format_word, free_group, letter_array, letters_in_order, multiply
 
 PAPER_EPSILON = Fraction(1, 7)
@@ -149,20 +149,20 @@ class DisplacementBound:
     compression_gap: float  # sqrt(1 - tau_k(A* A)) = ||Ue - eUe||_{tau_k}
 
 
-def displacement_bound(frame: Frame, op: GroupAlgebraElement, s: PrefixSet) -> DisplacementBound:
-    """Measured mass displacement of S under U against its certified bound.
+def displacement_bound(frame: Frame, op: GroupAlgebraElement, s: PrefixSet, ev: CommutatorRatio) -> DisplacementBound:
+    """Measured mass displacement of S under U against its certified bound, from
+    ev = commutator_ratio(op, frame).
 
     certified = 2 ||Ue - W|| with ||Ue - W||^2 = dist^2 + (1 - tau_k(A*A)),
-    an exact identity for the polar factor W; measured <= certified is a
-    theorem, and a violation raises InvariantViolation.
+    an exact identity for the polar factor W of A = ev.compression; measured <=
+    certified is a theorem, and a violation raises InvariantViolation.
     """
     g = op.word
     c_s = c_value(frame, s)
     c_pull = c_value(frame, s.translated(g.inverse()))
     c_push = c_value(frame, s.translated(g))
-    a = compress(op, frame)
-    _, dist = nearest_unitary(a)
-    gap = closed_form_ratio(a, frame.hs_norm_sq) / math.sqrt(2.0)  # sqrt(1 - tau_k(A*A))
+    _, dist = nearest_unitary(ev.compression)
+    gap = ev.closed_form / math.sqrt(2.0)  # sqrt(1 - tau_k(A*A))
     certified = 2.0 * math.sqrt(dist * dist + gap * gap)
     measured = max(abs(c_pull - c_s), abs(c_push - c_s))
     if measured > certified + 1e-9:
@@ -204,6 +204,7 @@ class ParadoxReport:
     displacements: dict
     verdict: str  # contradiction | consistent | inconclusive
     partition_sum: float
+    max_commutator_ratio: float  # the larger closed-form ratio of L_a and L_b
 
 
 def make_paper_trace() -> PaperTrace:
@@ -231,6 +232,8 @@ def chain_audit(frame: Frame) -> ParadoxReport:
     independent, and the abstract chain is unsatisfiable (verdict
     'contradiction') precisely when 1/2 - B_a > 1/3 + B_b or 1/2 - B_b > 1/3 + B_a,
     i.e. B_a + B_b < 1/6.  A partition that does not sum to 1 is 'inconclusive'.
+    L_a and L_b are evaluated once each (commutator_ratio), for their bounds and
+    for the report's larger closed-form commutator ratio.
     """
     descriptor = frame.descriptor
     if not descriptor.is_free or descriptor.rank < 2:
@@ -249,8 +252,9 @@ def chain_audit(frame: Frame) -> ParadoxReport:
     for s in translate_sets:
         c_values[s.label()] = c_value(frame, s)
 
-    d_a = displacement_bound(frame, l_a, base)
-    d_b = displacement_bound(frame, l_b, base)
+    ev_a, ev_b = commutator_ratio(l_a, frame), commutator_ratio(l_b, frame)
+    d_a = displacement_bound(frame, l_a, base, ev_a)
+    d_b = displacement_bound(frame, l_b, base, ev_b)
     displacements = {
         d.unitary_label: {name: v for name, v in asdict(d).items() if not name.endswith("_label")} for d in (d_a, d_b)
     }
@@ -261,4 +265,4 @@ def chain_audit(frame: Frame) -> ParadoxReport:
         verdict = "contradiction"
     else:
         verdict = "consistent"
-    return ParadoxReport(c_values, displacements, verdict, partition_sum)
+    return ParadoxReport(c_values, displacements, verdict, partition_sum, max(ev_a.closed_form, ev_b.closed_form))

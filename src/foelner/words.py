@@ -23,6 +23,7 @@ FREE = "free"
 ABELIAN = "abelian"
 ENUMERATION_CAP = 200_000  # largest Cayley ball that is ever materialized
 INTEGER_CAP = 1_000_000  # most integers a Z^d generator list or ball may store (d^2, or |ball| * d)
+LETTER_CAP = 2_000_000  # most letters an F_n ball may store; ball(F_2, 10), the most for n >= 2, holds 1,121,932
 
 
 @dataclass(frozen=True)
@@ -131,15 +132,6 @@ class Word:
             return Word(self.descriptor, tuple(-l for l in reversed(self.data)))
         return Word(self.descriptor, tuple(-c for c in self.data))
 
-    def letters(self) -> tuple[int, ...]:
-        """Canonical letter spelling (for abelian words: a1-run, then a2-run, ...)."""
-        if self.descriptor.is_free:
-            return self.data
-        out: list[int] = []
-        for i, c in enumerate(self.data, start=1):
-            out.extend([i if c > 0 else -i] * abs(c))
-        return tuple(out)
-
     def __repr__(self) -> str:
         return f"Word({format_word(self)!r})"
 
@@ -165,7 +157,12 @@ def letter_order_index(l: int) -> int:
 
 
 def shortlex_key(w: Word) -> tuple:
-    return (w.length(), tuple(letter_order_index(l) for l in w.letters()))
+    """Sort key for shortlex order.  An abelian word spells as its a1-run, then its a2-run, ...;
+    the entries (0, -c), (1, c) and (2, 0) for a coordinate c > 0, < 0 and = 0 order
+    those spellings at O(d) cost rather than O(|w|)."""
+    if w.descriptor.is_free:
+        return (len(w.data), tuple(letter_order_index(l) for l in w.data))
+    return (w.length(), tuple((0, -c) if c > 0 else (1, c) if c < 0 else (2, 0) for c in w.data))
 
 
 def letters_in_order(rank: int) -> tuple[int, ...]:
@@ -182,10 +179,11 @@ def translation_indices(words: Sequence[Word], g: Word, right: bool = False) -> 
 
 
 def letter_array(words: Sequence[Word]) -> np.ndarray:
-    """N x (longest length + 1) array for N >= 1 words: row i holds words[i].letters(),
-    zero-padded, so every row ends in a 0 (the layout PrefixSet.row_mask reads)."""
-    width = max(w.length() for w in words) + 1
-    return np.array([w.letters() + (0,) * (width - w.length()) for w in words], dtype=np.int64)
+    """N x (longest length + 1) array for N >= 1 free-group words: row i holds the
+    letters of words[i], zero-padded, so every row ends in a 0 (the layout
+    PrefixSet.row_mask reads)."""
+    width = max(len(w.data) for w in words) + 1
+    return np.array([w.data + (0,) * (width - len(w.data)) for w in words], dtype=np.int64)
 
 
 def extend_free(descriptor: GroupDescriptor, level: Sequence[Word]) -> list[Word]:
@@ -242,15 +240,18 @@ def ball(descriptor: GroupDescriptor, radius: int) -> tuple[Word, ...]:
     shortlex-sorted and duplicate-free.
 
     Refuses, before building anything, when the ball has more than
-    ENUMERATION_CAP elements or, for Z^d, stores more than INTEGER_CAP integers.
+    ENUMERATION_CAP elements, or stores more than INTEGER_CAP integers (Z^d) or
+    LETTER_CAP letters (F_n).
     """
     if radius < 0:
         raise InvalidDescriptor(f"radius must be >= 0, got {radius}")
     size = capped_ball_size(descriptor, radius)
-    if size > ENUMERATION_CAP or (not descriptor.is_free and size * descriptor.rank > INTEGER_CAP):
-        raise SearchSpaceTooLarge(
-            f"ball({descriptor.spec()}, {radius}) exceeds the caps of {ENUMERATION_CAP} elements and {INTEGER_CAP} integers"
-        )
+    if size > ENUMERATION_CAP:
+        raise SearchSpaceTooLarge(f"ball({descriptor.spec()}, {radius}) exceeds the cap of {ENUMERATION_CAP} elements")
+    if descriptor.is_free and free_ball_letters(descriptor.rank, radius) > LETTER_CAP:
+        raise SearchSpaceTooLarge(f"ball({descriptor.spec()}, {radius}) stores more than {LETTER_CAP} letters")
+    if not descriptor.is_free and size * descriptor.rank > INTEGER_CAP:
+        raise SearchSpaceTooLarge(f"ball({descriptor.spec()}, {radius}) stores more than {INTEGER_CAP} integers")
     if descriptor.is_free:
         return tuple(w for sphere in _free_spheres(descriptor, radius) for w in sphere)
     return tuple(_abelian_elements(descriptor, radius))
@@ -281,6 +282,11 @@ def free_ball_size(rank: int, radius: int) -> int:
     if n == 1:
         return 2 * radius + 1
     return 1 + 2 * n * ((2 * n - 1) ** radius - 1) // (2 * n - 2)
+
+
+def free_ball_letters(rank: int, radius: int) -> int:
+    """Letters stored by ball(F_n, radius): sum_r r |sphere(r)|, radius (radius + 1) for F_1."""
+    return sum(r * free_sphere_size(rank, r) for r in range(1, radius + 1))
 
 
 def free_sphere_size(rank: int, radius: int) -> int:

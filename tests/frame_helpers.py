@@ -1,5 +1,7 @@
-"""Frames built from sparse columns, and the group-basis references the array
-code is checked against."""
+"""Frames built from sparse columns, the group-basis references the array
+code is checked against, and a call counter for the evaluation-count tests."""
+
+from collections import Counter
 
 import numpy as np
 
@@ -103,3 +105,15 @@ def reference_adjoint_product(x, y):
         for t in range(0, y.shape[1], cols):
             out[:, t : t + cols] += xs @ y[s : s + rows, t : t + cols]
     return out
+
+
+def count_calls(monkeypatch, module, *names):
+    """A Counter of the calls to module.<name>, for each of `names`, from now on."""
+    counts = Counter()
+    for name in names:
+        def counted(*args, _real=getattr(module, name), _name=name):
+            counts[_name] += 1
+            return _real(*args)
+
+        monkeypatch.setattr(module, name, counted)
+    return counts

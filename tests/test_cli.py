@@ -14,8 +14,10 @@ from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
 import foelner.connes
+from foelner import l2ops
 from foelner.cli import _HANDLERS, RunConfig, _check_counts, build_parser, config_from_args, main, run
 from foelner.errors import ConvergenceError, InvariantViolation
+from frame_helpers import count_calls
 
 SRC = Path(__file__).resolve().parents[1] / "src"
 
@@ -245,6 +247,44 @@ def test_unbounded_inputs_refused_with_exit_2(argv, capsys):
 )
 def test_counts_at_their_caps_admitted(argv):
     _check_counts(config_from_args(build_parser().parse_args(argv)))  # checks only; runs nothing
+
+
+@pytest.mark.parametrize(
+    "argv, builder",
+    [
+        # F_1 balls under the element cap that store more than words.LETTER_CAP letters
+        (["group", "--group", "free:1", "--radius", "99999", "--mode", "search", "--seed", "1"], "words._free_spheres"),
+        (["scan", "--n", "1", "--rank", "1", "--radius", "100000", "--iters", "1", "--seed", "1"], "words._free_spheres"),
+        # balls past boundary.EXHAUSTIVE_BALL_CAP
+        (["group", "--group", "free:1", "--radius", "99999", "--mode", "exhaustive"], "boundary.ball"),
+        (["group", "--group", "abelian:1", "--radius", "99999", "--mode", "exhaustive"], "boundary.ball"),
+    ],
+)
+def test_large_balls_refused_before_building(argv, builder, monkeypatch, capsys):
+    def build(*args):
+        raise RuntimeError("the ball was built")
+
+    monkeypatch.setattr("foelner." + builder, build)
+    assert main(argv) == 2
+    assert capsys.readouterr().err.startswith("error: ")
+
+
+@pytest.mark.parametrize(
+    "argv, products, gathers",
+    [
+        (["audit", "--rank", "8", "--radius", "5", "--seed", "1", "--frames", "100", "--paper-mode"], 300, 200),
+        (["witness", "--n", "2", "--k-max", "30", "--depth", "6"], 90, 60),
+        (["identity-check", "--trials", "100", "--seed", "1"], 400, 300),
+    ],
+)
+def test_one_evaluation_per_unitary_and_frame(argv, products, gathers, monkeypatch, tmp_path):
+    # one Gram check per frame, and one row gather and compression per (unitary, frame):
+    # L_a and L_b on each audit frame, the two generators on each witness frame,
+    # and three unitaries on each identity-check frame
+    counts = count_calls(monkeypatch, l2ops, "adjoint_product", "translation_indices")
+    code, _ = run_cli(argv, tmp_path)
+    assert code == 0
+    assert counts == {"adjoint_product": products, "translation_indices": gathers}
 
 
 def test_huge_abelian_rank_refused_before_allocating():

@@ -7,6 +7,7 @@ import pytest
 
 import foelner.connes
 import search_helpers
+from foelner import l2ops
 from foelner.connes import (
     ProjectionSearchConfig,
     WitnessConfig,
@@ -26,7 +27,7 @@ from foelner.connes import (
 from foelner.errors import PreconditionError, RankDeficiency
 from foelner.l2ops import GroupAlgebraElement, compress
 from foelner.words import Word, free_group, multiply, parse_generators, standard_generators
-from frame_helpers import columns_of, frame_of, frame_pool, inner, translate
+from frame_helpers import columns_of, count_calls, frame_of, frame_pool, inner, translate
 from search_helpers import frame_per_trial_anneal
 
 F2 = free_group(2)
@@ -377,3 +378,18 @@ def test_anneal_gram_check_runs_on_every_trial(monkeypatch):
         monkeypatch.setattr(foelner.connes, "gram_schmidt", skewed)
         with pytest.raises(PreconditionError, match="orthonormal"):
             anneal_projection(cfg)
+
+
+def test_q_objective_one_compression_per_unitary(monkeypatch):
+    frame = build_witness_frame(WitnessConfig(3, 4, 3))
+    counts = count_calls(monkeypatch, l2ops, "adjoint_product", "translation_indices")
+    q_objective(standard_unitaries(frame.descriptor), frame)
+    assert counts == {"adjoint_product": 3, "translation_indices": 3}
+
+
+def test_rank_sweep_computes_no_fingerprint(monkeypatch):
+    counts = count_calls(monkeypatch, foelner.connes, "frame_fingerprint")
+    foelner_upper_estimate(2, 6, T=3)
+    assert counts["frame_fingerprint"] == 0
+    cert = witness_certificate(2, 3, 3)
+    assert cert.frame_fingerprint == foelner.connes.frame_fingerprint(cert.frame)

@@ -5,10 +5,10 @@ from fractions import Fraction
 
 import pytest
 
-from foelner import paradox
+from foelner import l2ops, paradox
 from foelner.connes import WitnessConfig, build_witness_frame
 from foelner.errors import InvalidLetter, PreconditionError
-from foelner.l2ops import GroupAlgebraElement
+from foelner.l2ops import GroupAlgebraElement, commutator_ratio
 from foelner.paradox import (
     DERIVED_THRESHOLD,
     PAPER_EPSILON,
@@ -21,7 +21,7 @@ from foelner.paradox import (
     verify_set_identities,
 )
 from foelner.words import Word, ball, free_abelian, free_group
-from frame_helpers import frame_of, frame_pool
+from frame_helpers import count_calls, frame_of, frame_pool
 from prefix_helpers import contains, reference_set_identities
 
 F2 = free_group(2)
@@ -149,10 +149,14 @@ def test_set_identities_radius_contract():
 # Displacement bounds.
 
 
+def bound(frame, op, s):
+    return displacement_bound(frame, op, s, commutator_ratio(op, frame))
+
+
 def test_displacement_identity_unitary():
     frame = delta_frame(E, A, ambient=3)
     s = PrefixSet(F2, -1)
-    d = displacement_bound(frame, L_e, s)
+    d = bound(frame, L_e, s)
     assert d.measured == 0.0
     assert d.certified < 1e-9
 
@@ -161,7 +165,7 @@ def test_displacement_delta_e_example():
     # A = [[0]]: polar distance 1, compression gap 1, certified = 2*sqrt(2)
     frame = delta_frame(E, ambient=2)
     s = PrefixSet(F2, -1)
-    d = displacement_bound(frame, L_a, s)
+    d = bound(frame, L_a, s)
     assert abs(d.measured_push - 1.0) < 1e-15  # |c_{aS} - c_S| = 1
     assert d.measured_pull == 0.0
     assert abs(d.w_distance - 1.0) < 1e-12
@@ -174,7 +178,7 @@ def test_displacement_witness_frame():
     frame = build_witness_frame(WitnessConfig(2, 8, 6))
     s = PrefixSet(F2, -1)
     for op in (L_a, L_b):
-        d = displacement_bound(frame, op, s)
+        d = bound(frame, op, s)
         assert d.measured <= d.certified + 1e-12
 
 
@@ -182,7 +186,7 @@ def test_displacement_random_frames():
     for frame in frame_pool(F2, 5, 4, seed=7, count=10):
         s = PrefixSet(F2, -1)
         for op in (L_a, L_b):
-            d = displacement_bound(frame, op, s)
+            d = bound(frame, op, s)
             assert d.measured <= d.certified + 1e-12
 
 
@@ -216,11 +220,19 @@ def test_chain_audit_witness_consistent():
     assert rep.displacements["L[a1]"]["certified"] + rep.displacements["L[a2]"]["certified"] >= 1 / 6
 
 
+def test_chain_audit_evaluates_each_generator_once(monkeypatch):
+    frame = build_witness_frame(WitnessConfig(2, 8, 6))
+    counts = count_calls(monkeypatch, l2ops, "adjoint_product", "translation_indices")
+    rep = chain_audit(frame)
+    assert counts == {"adjoint_product": 2, "translation_indices": 2}
+    assert rep.max_commutator_ratio == max(commutator_ratio(op, frame).closed_form for op in (L_a, L_b))
+
+
 def _fixed_bounds(monkeypatch, b_a, b_b):
     # displacement_bound with the certified bounds B_a, B_b and no measured displacement
     bounds = {L_a.label(): b_a, L_b.label(): b_b}
 
-    def fake(frame, op, s):
+    def fake(frame, op, s, ev):
         return paradox.DisplacementBound(s.label(), op.label(), 0.0, 0.0, 0.0, bounds[op.label()], 0.0, 0.0)
 
     monkeypatch.setattr(paradox, "displacement_bound", fake)

@@ -1,21 +1,26 @@
 """Word arithmetic and ball enumeration."""
 
 import itertools
+import random
 
 import pytest
 
+from foelner import words
 from foelner.errors import DescriptorMismatch, InvalidDescriptor, InvalidLetter, SearchSpaceTooLarge
 from foelner.words import (
     ENUMERATION_CAP,
     INTEGER_CAP,
+    LETTER_CAP,
     GroupDescriptor,
     Word,
     ball,
     ball_size,
     format_word,
     free_abelian,
+    free_ball_letters,
     free_ball_size,
     free_group,
+    letter_order_index,
     multiply,
     parse_generators,
     parse_word,
@@ -175,6 +180,60 @@ def test_ball_no_duplicates_and_sorted():
         keys = [shortlex_key(w) for w in b]
         assert keys == sorted(keys)
         assert all(k1 < k2 for k1, k2 in zip(keys, keys[1:]))  # total order
+
+
+def spelled_shortlex_key(w):
+    # the key spelled letter by letter, an abelian word as its a1-run, then its
+    # a2-run, ...: O(|w|) per word, the oracle for words.shortlex_key
+    if w.descriptor.is_free:
+        letters = w.data
+    else:
+        letters = [i if c > 0 else -i for i, c in enumerate(w.data, start=1) for _ in range(abs(c))]
+    return (w.length(), tuple(letter_order_index(l) for l in letters))
+
+
+@pytest.mark.parametrize("d, radius", [(1, 12), (2, 6), (3, 4), (4, 3), (9, 2)])
+def test_shortlex_key_orders_like_the_spelled_key(d, radius):
+    desc = free_abelian(d)
+    b = list(ball(desc, radius))
+    assert b == sorted(b, key=spelled_shortlex_key)
+    rng = random.Random(d)
+    sample = [Word(desc, tuple(rng.randint(-6, 6) for _ in range(d))) for _ in range(80)] + b[::7]
+    for u, v in itertools.combinations(sample, 2):
+        assert (shortlex_key(u) < shortlex_key(v)) == (spelled_shortlex_key(u) < spelled_shortlex_key(v))
+    for w in ball(F2, 3):
+        assert shortlex_key(w) == spelled_shortlex_key(w)
+
+
+def test_shortlex_key_of_an_abelian_word_has_one_entry_per_coordinate():
+    assert len(shortlex_key(Word(free_abelian(1), (10**6,)))[1]) == 1
+
+
+def test_free_ball_letters_and_the_letter_cap():
+    for n in (1, 2, 3):
+        for r in range(6):
+            assert free_ball_letters(n, r) == sum(len(w.data) for w in ball(free_group(n), r))
+    # every F_n ball with n >= 2 under ENUMERATION_CAP is admitted; past rank 223
+    # only radius 1, of 2n letters, stays under it
+    worst = (0, 0, 0)
+    for n in range(2, 224):
+        r = 1
+        while free_ball_size(n, r + 1) <= ENUMERATION_CAP:
+            r += 1
+        worst = max(worst, (free_ball_letters(n, r), n, r))
+    assert free_ball_size(224, 2) > ENUMERATION_CAP
+    assert worst == (1_121_932, 2, 10) and worst[0] <= LETTER_CAP
+    assert free_ball_letters(1, 1413) <= LETTER_CAP < free_ball_letters(1, 1414)
+
+
+def test_free_ball_letter_cap_refuses_before_building(monkeypatch):
+    def build(descriptor, radius):
+        raise RuntimeError(f"built ball({descriptor.spec()}, {radius})")
+
+    monkeypatch.setattr(words, "_free_spheres", build)
+    for r in (1414, 99_999):  # under ENUMERATION_CAP, past LETTER_CAP
+        with pytest.raises(SearchSpaceTooLarge):
+            ball(free_group(1), r)
 
 
 def test_ball_serialization_stable():
