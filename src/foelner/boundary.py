@@ -28,6 +28,7 @@ from .words import (
     ball,
     ball_size,
     capped_ball_size,
+    check_translation_cost,
     format_word,
     free_ball_size,
     free_sphere_size,
@@ -39,6 +40,8 @@ from .words import (
 
 EXHAUSTIVE_BALL_CAP = 22  # |ball| cap: at most 2^22 candidate subsets
 EXHAUSTIVE_CHUNK = 1 << 20  # subset bitmasks evaluated per vectorized pass
+EXHAUSTIVE_WORK_CAP = 1 << 30  # most mask entries the pass over all subsets visits, 2|X| * |ball| * 2^|ball|
+SEARCH_WORK_CAP = 1 << 24  # most rows the toggles of a local search visit, iterations * 2|X|
 FAMILY_RADIUS_CAP = 2_000  # largest r_max of a ball family; its exact big-integer closed forms cost ~r_max^2.2
 TEMP_INITIAL = 0.25  # local-search temperature at the first iteration
 TEMP_DECAY = 0.999  # its factor per iteration
@@ -85,7 +88,7 @@ class GeneratingSet:
 
     @staticmethod
     def standard(descriptor: GroupDescriptor) -> "GeneratingSet":
-        return GeneratingSet.of(descriptor, standard_generators(descriptor))
+        return GeneratingSet(descriptor, standard_generators(descriptor))  # distinct and shortlex-sorted already
 
     def closure(self) -> tuple[Word, ...]:
         """X union X^-1, deduplicated, shortlex-sorted."""
@@ -164,10 +167,13 @@ def exhaustive_min_ratio(
 
     Ties are broken by smaller set size, then by shortlex-lexicographic
     membership.  Refuses, before building the ball, when |ball(radius)| exceeds
-    the 2^22 subset cap.
+    the 2^22 subset cap, or the subset pass or the table its own cap.
     """
-    if capped_ball_size(descriptor, max(radius, 0)) > EXHAUSTIVE_BALL_CAP:
+    if (size := capped_ball_size(descriptor, max(radius, 0))) > EXHAUSTIVE_BALL_CAP:
         raise SearchSpaceTooLarge(f"|ball({radius})| exceeds the exhaustive cap of {EXHAUSTIVE_BALL_CAP}")
+    if (work := 2 * len(X.generators) * size << size) > EXHAUSTIVE_WORK_CAP:
+        raise SearchSpaceTooLarge(f"the subset pass visits {work} mask entries > the cap of {EXHAUSTIVE_WORK_CAP}")
+    check_translation_cost(descriptor, X.generators * 2, [radius])  # X u X^-1: 2|X| words at most
     b = ball(descriptor, radius)
     n = len(b)
     nbr = np.stack([translation_indices(b, x, right=True) for x in X.closure()])
@@ -179,16 +185,20 @@ def exhaustive_min_ratio(
         masks = np.arange(start, stop, dtype=np.uint64)
         bcnt, scnt = _subset_boundary_counts(masks, nbr)
         ratios = bcnt / scnt
-        m = ratios.min()
         # distinct rationals with denominators <= 22 are separated far beyond
-        # float error, so a float window isolates the exact minimizers
-        cand = np.where(ratios <= m + 1e-9)[0]
-        for ci in cand:
-            frac = Fraction(int(bcnt[ci]), int(scnt[ci]))
-            mask = int(masks[ci])
-            key = (frac, int(scnt[ci]), tuple(i for i in range(n) if (mask >> i) & 1))
-            if best is None or key < best:
-                best = key
+        # float error, so a float window isolates the exact minimizers; of those,
+        # the smallest sets share one boundary count too
+        cand = np.flatnonzero(ratios <= ratios.min() + 1e-9)
+        cand = cand[scnt[cand] == scnt[cand].min()]
+        winners = masks[cand]
+        for bit in range(n):  # the lexicographically first member tuple: keep the holders of each lowest bit
+            held = (winners >> np.uint64(bit)) & np.uint64(1) == 1
+            if held.any():
+                winners = winners[held]
+        mask, ci = int(winners[0]), cand[0]
+        key = (Fraction(int(bcnt[ci]), int(scnt[ci])), int(scnt[ci]), tuple(i for i in range(n) if (mask >> i) & 1))
+        if best is None or key < best:
+            best = key
     if best is None:
         raise InvariantViolation("no subset was evaluated")
     frac, size, indices = best
@@ -237,6 +247,8 @@ def ball_family_ratios(
         or sum(ball_size(descriptor, r) for r in range(1, r_max + 1)) > ENUMERATION_CAP
     ):
         raise SearchSpaceTooLarge(f"the balls of radius <= {r_max} hold more than {ENUMERATION_CAP} words in all")
+    if not use_closed:
+        check_translation_cost(descriptor, X.generators * 2, range(1, r_max + 1))  # X u X^-1: 2|X| words at most
     out: list[BallRatio] = []
     for r in range(1, r_max + 1):
         if use_closed:
@@ -295,22 +307,23 @@ def local_search_min_ratio(
     Deterministic for a fixed seed.  The reported ratio is an achieved value,
     hence an upper bound for the infimum; it never exceeds the initial ratio.
     A toggle costs O(|X u X^-1|): it updates the boundary count through the
-    elements whose neighbour it is, without rescanning the ball.
+    elements whose neighbour it is, without rescanning the ball.  Refuses,
+    before building the ball, tables of translates and toggles past their caps.
     """
+    check_translation_cost(descriptor, X.generators * 2, [config.radius])  # X u X^-1: 2|X| words at most
+    if (work := config.iterations * 2 * len(X.generators)) > SEARCH_WORK_CAP:
+        raise SearchSpaceTooLarge(f"{config.iterations} toggles visit up to {work} rows > the cap of {SEARCH_WORK_CAP}")
     b = ball(descriptor, config.radius)
     n = len(b)
     start = np.arange(n) == b.index(Word.identity(descriptor))  # the set {e}
 
     # The identity never moves a member off the set, and its self-loop p * e = p
-    # would make p its own predecessor, so it is left out.  Right multiplication
-    # by x is a bijection, so each i has at most one predecessor p * x = i per x.
+    # would make p its own predecessor, so it is left out.  A toggle of i moves
+    # bad[p] for the p with p * x = i, that is p = i * x^-1; gens is closed under
+    # inverses, so those p are the entries nbr[x, i] = i * x of column i.
     gens = [x for x in X.closure() if not x.is_identity]
     nbr = np.array([translation_indices(b, x, right=True) for x in gens], dtype=np.int64).reshape(-1, n)
-    pred = np.full_like(nbr, -1)  # pred[x, i] = p with p * x = i, or -1
-    for row, prow in zip(nbr, pred):
-        inside = row >= 0
-        prow[row[inside]] = np.flatnonzero(inside)
-    preds = [memoryview(prow) for prow in pred]  # flat rows whose items index as Python ints
+    preds = [memoryview(row) for row in nbr]  # flat rows whose items index as Python ints
     # bad[p]: the x in gens with p * x outside the ball or outside the set;
     # p is on the boundary iff it is a member and bad[p] > 0
     bad = ((nbr < 0) | ~start[nbr]).sum(axis=0).tolist()

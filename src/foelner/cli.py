@@ -18,8 +18,7 @@ import json
 import os
 import sys
 import time
-from dataclasses import asdict, dataclass
-from typing import Any
+from dataclasses import asdict
 
 import numpy as np
 
@@ -60,43 +59,17 @@ STOCHASTIC_COMMANDS = {"scan", "audit", "identity-check"}
 COUNT_PARAMS = ("iters", "frames", "trials")  # refused below 0
 
 # Caps on the counts, checked by run() before any work.  A count cap bounds the
-# fixed cost of each unit (interpreter and numpy-call overhead); scan and audit
-# also cap count * rank^2 * |ball(radius - 1)|, which bounds the arithmetic on
-# frames of at most |ball(radius - 1)| rows.  README states the worst-case times.
+# fixed cost of each unit (interpreter and numpy-call overhead); audit also caps
+# frames * rank^2 * |ball(radius - 1)| and scan iters * rank * (rank + 8) *
+# |ball(radius - 1)| * unitaries, which bound the arithmetic on frames of at most
+# |ball(radius - 1)| rows.  README states the worst-case times.
 SEARCH_ITERS_CAP = 100_000  # group --mode search, O(|X u X^-1|) per iteration
 TRIALS_CAP = 20_000  # identity-check, frames of rank <= 8 and ambient radius <= 5
 SCAN_ITERS_CAP = 200_000
-SCAN_WORK_CAP = 1 << 30
+SCAN_WORK_CAP = 1 << 32
+SCAN_CHECK_CAP = 1 << 30  # unitaries * rank * |ball(radius - 1)|^2: the direct route of the final check
 AUDIT_FRAMES_CAP = 2_000
 AUDIT_WORK_CAP = 1 << 28
-
-
-@dataclass
-class RunConfig:
-    command: str
-    params: dict
-    seed: int | None
-    out: str | None
-    fmt: str  # json | csv
-
-
-@dataclass
-class RunReport:
-    config: dict
-    version: str
-    results: Any
-    warnings: list
-    wall_ms: float
-
-    def payload(self) -> dict:
-        # wall time deliberately excluded: identical configs must produce
-        # byte-identical payloads
-        return {
-            "config": self.config,
-            "version": self.version,
-            "results": self.results,
-            "warnings": self.warnings,
-        }
 
 
 def _element_set_json(s: ElementSet) -> list:
@@ -116,29 +89,28 @@ def _report_json(report: BoundaryReport) -> dict:
 # Command handlers.
 
 
-def _run_group(cfg: RunConfig) -> tuple[Any, list]:
-    p = cfg.params
-    descriptor = GroupDescriptor.parse(p["group"])
-    if p.get("gens"):
-        gens = GeneratingSet.of(descriptor, parse_generators(descriptor, p["gens"]))
+def _run_group(args: argparse.Namespace) -> tuple[dict, list]:
+    descriptor = GroupDescriptor.parse(args.group)
+    if args.gens:
+        gens = GeneratingSet.of(descriptor, parse_generators(descriptor, args.gens))
     else:
         gens = GeneratingSet.standard(descriptor)
-    if p["mode"] == "exhaustive":
-        best, report = exhaustive_min_ratio(descriptor, gens, p["radius"])
+    if args.mode == "exhaustive":
+        best, report = exhaustive_min_ratio(descriptor, gens, args.radius)
         best_set, history = _element_set_json(best), []
-    elif p["mode"] == "balls":
-        family = ball_family_ratios(descriptor, gens, p["radius"])
+    elif args.mode == "balls":
+        family = ball_family_ratios(descriptor, gens, args.radius)
         report, best_set = family[-1].report, f"ball(radius={family[-1].radius})"
         history = [{"radius": fr.radius, **_report_json(fr.report), "method": fr.method} for fr in family]
     else:  # search
-        sc = GroupSearchConfig(p["radius"], seed=cfg.seed, iterations=p["iters"])
+        sc = GroupSearchConfig(args.radius, seed=args.seed, iterations=args.iters)
         res = local_search_min_ratio(descriptor, gens, sc)
         # vars(): each move's own field dict; asdict() would copy every field of thousands of moves
         report, best_set, history = res.report, _element_set_json(res.best_set), [vars(m) for m in res.history]
     results = {
         "group": descriptor.spec(),
         "generators": [format_word(g) for g in gens.generators],
-        "mode": p["mode"],
+        "mode": args.mode,
         "best_set": best_set,
         **_report_json(report),
         "history": history,
@@ -146,59 +118,49 @@ def _run_group(cfg: RunConfig) -> tuple[Any, list]:
     return results, []
 
 
-def _run_witness(cfg: RunConfig) -> tuple[Any, list]:
-    p = cfg.params
-    n, k, depth = p["n"], p["k"], p["depth"]
-    if p["k_max"] is not None:
-        mode = "formula" if p["formula_only"] else "frame"
-        est = foelner_upper_estimate(n, p["k_max"], T=depth, mode=mode)
+def _run_witness(args: argparse.Namespace) -> tuple[dict, list]:
+    if args.k_max is not None:
+        mode = "formula" if args.formula_only else "frame"
+        est = foelner_upper_estimate(args.n, args.k_max, T=args.depth, mode=mode)
         results = {
-            "config": {"n": n, "k_max": p["k_max"], "depth": depth, "mode": mode},
+            "config": {"n": args.n, "k_max": args.k_max, "depth": args.depth, "mode": mode},
             "sweep": [{"k": kk, "epsilon": eps} for kk, eps in est.sweep],
             "best_k": est.best_k,
             "best_epsilon": est.best_epsilon,
             "limit_epsilon": est.limit_epsilon,
         }
         return results, []
-    if p["formula_only"]:
-        WitnessConfig(n, k, depth)  # the checks a frame build makes, bar its work cap
-        certified = formula = certificate_formula(n, k)
+    if args.formula_only:
+        WitnessConfig(args.n, args.k, args.depth)  # the checks a frame build makes, bar its work cap
+        certified = formula = certificate_formula(args.n, args.k)
         records, frame = (), {}
     else:
-        cert = witness_certificate(n, k, depth)
+        cert = witness_certificate(args.n, args.k, args.depth)
         certified, formula, records = cert.certified_epsilon, cert.formula_epsilon, cert.records
         frame = {"frame_fingerprint": cert.frame_fingerprint}
     results = {
-        "config": {"n": n, "k": k, "depth": depth, "formula_only": p["formula_only"]},
+        "config": {"n": args.n, "k": args.k, "depth": args.depth, "formula_only": args.formula_only},
         "per_unitary": [asdict(r) for r in records],
         "certified_epsilon": certified,
         "formula_epsilon": formula,
-        "limit_epsilon": limit_formula(n),
+        "limit_epsilon": limit_formula(args.n),
         **frame,
     }
     return results, []
 
 
-def _run_scan(cfg: RunConfig) -> tuple[Any, list]:
-    p = cfg.params
-    descriptor = free_group(p["n"])
-    unitary_words = parse_generators(descriptor, p["unitaries"]) if p.get("unitaries") else standard_generators(descriptor)
-    sc = ProjectionSearchConfig(
-        descriptor=descriptor,
-        rank=p["rank"],
-        ambient_radius=p["radius"],
-        seed=cfg.seed,
-        iterations=p["iters"],
-        unitaries=unitary_words,
-    )
+def _run_scan(args: argparse.Namespace) -> tuple[dict, list]:
+    descriptor = free_group(args.n)
+    unitary_words = parse_generators(descriptor, args.unitaries) if args.unitaries else standard_generators(descriptor)
+    sc = ProjectionSearchConfig(descriptor, args.rank, args.radius, args.seed, args.iters, unitary_words)
     res = anneal_projection(sc)
     results = {
         "config": {
             "group": descriptor.spec(),
-            "rank": p["rank"],
-            "radius": p["radius"],
-            "iterations": p["iters"],
-            "seed": cfg.seed,
+            "rank": args.rank,
+            "radius": args.radius,
+            "iterations": args.iters,
+            "seed": args.seed,
             "unitaries": [format_word(w) for w in unitary_words],
         },
         "per_unitary": [asdict(r) for r in res.records],
@@ -224,12 +186,11 @@ def _audit_one_frame(frame) -> dict:
     }
 
 
-def _run_audit(cfg: RunConfig) -> tuple[Any, list]:
-    p = cfg.params
+def _run_audit(args: argparse.Namespace) -> tuple[dict, list]:
     descriptor = free_group(2)
-    identities = verify_set_identities(max(2, p["radius"] + 1))
-    rng = np.random.default_rng(cfg.seed)
-    evaluated = [_audit_one_frame(random_frame(descriptor, p["rank"], p["radius"], rng)) for _ in range(p["frames"])]
+    identities = verify_set_identities(max(2, args.radius + 1))
+    rng = np.random.default_rng(args.seed)
+    evaluated = [_audit_one_frame(random_frame(descriptor, args.rank, args.radius, rng)) for _ in range(args.frames)]
     no_frame = {"c_values": {}, "displacement": {}, "max_commutator_ratio": None}
     worst = min(evaluated, key=lambda e: e["max_commutator_ratio"], default=no_frame)  # the first on ties
     verdicts = {e["verdict"] for e in evaluated}
@@ -244,25 +205,22 @@ def _run_audit(cfg: RunConfig) -> tuple[Any, list]:
         "min_max_commutator_ratio": worst["max_commutator_ratio"],
     }
     warnings = [THRESHOLD_NOTE]
-    if p["paper_mode"]:
+    if args.paper_mode:
         results["paper_trace"] = asdict(make_paper_trace())
-        warnings.append(
-            "paper-mode replays the literal constants; verdicts always use the derived regime"
-        )
+        warnings.append("paper-mode replays the literal constants; verdicts always use the derived regime")
     return results, warnings
 
 
-def _run_identity_check(cfg: RunConfig) -> tuple[Any, list]:
-    p = cfg.params
+def _run_identity_check(args: argparse.Namespace) -> tuple[dict, list]:
     descriptor = free_group(2)
-    rng = np.random.default_rng(cfg.seed)
+    rng = np.random.default_rng(args.seed)
     unitary_words = [Word(descriptor, (1,)), Word(descriptor, (2,)), Word(descriptor, (-1,))]
     ops = [GroupAlgebraElement.left_translation(w) for w in unitary_words]
     max_diff = 0.0
     agreements = 0
     ratio_max = 0.0
     defect_max = 0.0
-    for _ in range(p["trials"]):
+    for _ in range(args.trials):
         frame = random_frame(descriptor, int(rng.integers(1, 9)), int(rng.integers(3, 6)), rng)
         for op in ops:
             r = commutator_ratio(op, frame)
@@ -273,9 +231,9 @@ def _run_identity_check(cfg: RunConfig) -> tuple[Any, list]:
             if diff < 1e-9:
                 agreements += 1
     results = {
-        "trials": p["trials"],
+        "trials": args.trials,
         "unitaries": [format_word(w) for w in unitary_words],
-        "checks": p["trials"] * len(ops),
+        "checks": args.trials * len(ops),
         "agreements_within_1e-9": agreements,
         "max_abs_difference": max_diff,
         "max_ratio": ratio_max,
@@ -294,75 +252,74 @@ _HANDLERS = {
 }
 
 
-def _check_counts(cfg: RunConfig) -> None:
+def _check_counts(args: argparse.Namespace) -> None:
     """Refuse a negative count, and one past its command's caps."""
-    p = cfg.params
     for name in COUNT_PARAMS:
-        if p.get(name, 0) < 0:
-            raise PreconditionError(f"--{name} must be >= 0, got {p[name]}")
-    if cfg.command == "group" and p["mode"] == "search":
+        if getattr(args, name, 0) < 0:
+            raise PreconditionError(f"--{name} must be >= 0, got {getattr(args, name)}")
+    if args.command == "group" and args.mode == "search":
         name, count_cap, work_cap = "iters", SEARCH_ITERS_CAP, None
-    elif cfg.command == "identity-check":
+    elif args.command == "identity-check":
         name, count_cap, work_cap = "trials", TRIALS_CAP, None
-    elif cfg.command == "scan":
+    elif args.command == "scan":
         name, count_cap, work_cap = "iters", SCAN_ITERS_CAP, SCAN_WORK_CAP
-    elif cfg.command == "audit":
-        if p["rank"] > SVD_MAX_K:  # svd_small's own refusal would come after the first frame
-            raise SearchSpaceTooLarge(f"--rank {p['rank']} exceeds the SVD size cap of {SVD_MAX_K}")
+        units = args.unitaries.count(",") + 1 if args.unitaries else args.n  # free words hold no commas
+        per_row = args.rank * (args.rank + 8) * units  # a k^2 compression and ~8k gathered entries per unitary
+    elif args.command == "audit":
+        if args.rank > SVD_MAX_K:  # svd_small's own refusal would come after the first frame
+            raise SearchSpaceTooLarge(f"--rank {args.rank} exceeds the SVD size cap of {SVD_MAX_K}")
         name, count_cap, work_cap = "frames", AUDIT_FRAMES_CAP, AUDIT_WORK_CAP
+        per_row = args.rank**2
     else:
         return
-    if p[name] > count_cap:
-        raise SearchSpaceTooLarge(f"--{name} {p[name]} exceeds the cap of {count_cap}")
+    if (count := getattr(args, name)) > count_cap:
+        raise SearchSpaceTooLarge(f"--{name} {count} exceeds the cap of {count_cap}")
     if work_cap is not None:
         # audit frames live in F_2; no ball past words.ENUMERATION_CAP is ever built
-        rows = capped_ball_size(free_group(p.get("n", 2)), max(p["radius"] - 1, 0))
-        work = p[name] * p["rank"] ** 2 * rows
-        if work > work_cap:
+        rows = capped_ball_size(free_group(getattr(args, "n", 2)), max(args.radius - 1, 0))
+        if (work := count * per_row * rows) > work_cap:
             raise SearchSpaceTooLarge(
-                f"--{name} {p[name]} at rank {p['rank']} on up to {rows} rows costs {work} > the work cap of {work_cap}"
+                f"--{name} {count} at rank {args.rank} on up to {rows} rows costs {work} > the work cap of {work_cap}"
             )
+        if args.command == "scan" and (work := units * args.rank * rows**2) > SCAN_CHECK_CAP:
+            raise SearchSpaceTooLarge(f"the final check on {rows} rows costs {work} > the cap of {SCAN_CHECK_CAP}")
 
 
-def _check_output(cfg: RunConfig) -> None:
+def _check_output(args: argparse.Namespace) -> None:
     """Refuse a csv request for a report with no table, and an --out path whose
     directory does not exist."""
-    p = cfg.params
-    tabular = (cfg.command == "group" and p["mode"] == "balls") or (cfg.command == "witness" and p["k_max"] is not None)
-    if cfg.fmt == "csv" and not tabular:
+    tabular = args.command == "group" and args.mode == "balls" or args.command == "witness" and args.k_max is not None
+    if args.format == "csv" and not tabular:
         raise PreconditionError("csv output is only available for group --mode balls and witness --k-max")
-    if cfg.out and not os.path.isdir(os.path.dirname(os.path.abspath(cfg.out))):
-        raise PreconditionError(f"the directory of --out {cfg.out} does not exist")
+    if args.out and not os.path.isdir(os.path.dirname(os.path.abspath(args.out))):
+        raise PreconditionError(f"the directory of --out {args.out} does not exist")
 
 
-def run(cfg: RunConfig) -> RunReport:
-    """Dispatch a validated RunConfig to its owning module."""
-    t0 = time.perf_counter()
-    if cfg.seed is None:
-        if cfg.command in STOCHASTIC_COMMANDS:
-            raise SeedRequired(f"command {cfg.command!r} requires an explicit --seed")
-        if cfg.command == "group" and cfg.params["mode"] == "search":
+def run(args: argparse.Namespace) -> dict:
+    """The payload of parsed arguments: their echo (all but --out), version, results, warnings."""
+    if args.seed is None:
+        if args.command in STOCHASTIC_COMMANDS:
+            raise SeedRequired(f"command {args.command!r} requires an explicit --seed")
+        if args.command == "group" and args.mode == "search":
             raise SeedRequired("group --mode search requires --seed")
-    _check_output(cfg)
-    _check_counts(cfg)
-    handler = _HANDLERS[cfg.command]
-    results, warnings = handler(cfg)
-    wall_ms = (time.perf_counter() - t0) * 1000.0
-    config_echo = {"command": cfg.command, "seed": cfg.seed, "format": cfg.fmt, **cfg.params}
-    return RunReport(config_echo, __version__, results, warnings, wall_ms)
+    _check_output(args)
+    _check_counts(args)
+    results, warnings = _HANDLERS[args.command](args)
+    config = {name: value for name, value in vars(args).items() if name != "out"}
+    return {"config": config, "version": __version__, "results": results, "warnings": warnings}
 
 
 # ---------------------------------------------------------------------------
 # Output rendering.
 
 
-def render_json(report: RunReport) -> str:
-    return json.dumps(report.payload(), indent=2, sort_keys=True) + "\n"
+def render_json(payload: dict) -> str:
+    return json.dumps(payload, indent=2, sort_keys=True) + "\n"
 
 
-def render_csv(report: RunReport) -> str:
+def render_csv(payload: dict) -> str:
     """CSV for the tabular reports: ball families and certificate sweeps (see _check_output)."""
-    results = report.results
+    results = payload["results"]
     buf = io.StringIO()
     rows = results["history"] if results.get("mode") == "balls" else results["sweep"]  # never empty
     writer = csv.DictWriter(buf, fieldnames=list(rows[0]), lineterminator="\n")
@@ -371,8 +328,8 @@ def render_csv(report: RunReport) -> str:
     return buf.getvalue()
 
 
-def write_report(report: RunReport, out: str | None, fmt: str) -> None:
-    text = render_csv(report) if fmt == "csv" else render_json(report)
+def write_report(payload: dict, out: str | None, fmt: str) -> None:
+    text = render_csv(payload) if fmt == "csv" else render_json(payload)
     if out:
         try:
             with open(out, "w") as fh:
@@ -393,6 +350,7 @@ def build_parser() -> argparse.ArgumentParser:
         description="Folner-type invariants for groups and group von Neumann algebras",
     )
     parser.add_argument("--version", action="version", version=f"%(prog)s {__version__}")
+    parser.set_defaults(seed=None)  # witness takes no seed; its payload echoes "seed": null
     sub = parser.add_subparsers(dest="command", required=True)
 
     g = sub.add_parser("group", help="boundary-ratio estimators for the group invariant")
@@ -435,19 +393,14 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-def config_from_args(args: argparse.Namespace) -> RunConfig:
-    # every other argument of the subcommand is a parameter, echoed in the payload's config
-    params = {name: value for name, value in vars(args).items() if name not in ("command", "seed", "out", "format")}
-    return RunConfig(args.command, params, getattr(args, "seed", None), args.out, args.format)
-
-
 def main(argv: list[str] | None = None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
+    t0 = time.perf_counter()
     try:
-        cfg = config_from_args(args)
-        report = run(cfg)
-        write_report(report, cfg.out, cfg.fmt)
+        payload = run(args)
+        wall_ms = (time.perf_counter() - t0) * 1000.0
+        write_report(payload, args.out, args.format)
     except PreconditionError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
@@ -457,7 +410,7 @@ def main(argv: list[str] | None = None) -> int:
     except InvariantViolation as exc:
         print(f"invariant violated: {exc}", file=sys.stderr)
         return 4
-    print(f"completed in {report.wall_ms:.1f} ms", file=sys.stderr)
+    print(f"completed in {wall_ms:.1f} ms", file=sys.stderr)
     return 0
 
 

@@ -42,6 +42,7 @@ from .words import (
     GroupDescriptor,
     Word,
     ball,
+    check_translation_cost,
     extend_free,
     free_group,
     multiply,
@@ -343,7 +344,9 @@ def anneal_projection(cfg: ProjectionSearchConfig) -> AnnealResult:
     op_radius = max(w.length() for w in cfg.unitaries)
     if cfg.ambient_radius - op_radius < 0:
         raise PreconditionError("ambient radius too small for the unitary list")
-    rows = ball(cfg.descriptor, cfg.ambient_radius - max(op_radius, 1))
+    support_radius = cfg.ambient_radius - max(op_radius, 1)
+    check_translation_cost(cfg.descriptor, cfg.unitaries, [support_radius])
+    rows = ball(cfg.descriptor, support_radius)
     n_sup, k = len(rows), cfg.rank
     if k > n_sup:
         raise PreconditionError(f"rank {k} exceeds the support dimension {n_sup}")

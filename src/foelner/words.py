@@ -24,6 +24,8 @@ ABELIAN = "abelian"
 ENUMERATION_CAP = 200_000  # largest Cayley ball that is ever materialized
 INTEGER_CAP = 1_000_000  # most integers a Z^d generator list or ball may store (d^2, or |ball| * d)
 LETTER_CAP = 2_000_000  # most letters an F_n ball may store; ball(F_2, 10), the most for n >= 2, holds 1,121,932
+TABLE_CAP = 100_000_000  # most operations the tables of translates of one run may cost (check_translation_cost)
+TABLE_ENTRY_COST = 64  # one product and its lookup, counted in integer additions
 
 
 @dataclass(frozen=True)
@@ -176,6 +178,18 @@ def translation_indices(words: Sequence[Word], g: Word, right: bool = False) -> 
     where = {w.data: i for i, w in enumerate(words)}
     products = [multiply(w, g) if right else multiply(g, w) for w in words]
     return np.array([where.get(p.data, -1) for p in products], dtype=np.int64)
+
+
+def check_translation_cost(descriptor: GroupDescriptor, words: Sequence[Word], radii: Iterable[int]) -> None:
+    """Refuse, before any ball is built, to multiply each word of ball(r), r in radii, by each
+    of `words` (translation_indices) past TABLE_CAP operations: TABLE_ENTRY_COST per product
+    plus the integers it reads, those of w (d in Z^d) and, in F_n, up to r of the ball word."""
+    count, stored, cost = len(words), sum(len(w.data) for w in words), 0
+    for r in radii:
+        per_ball_word = count * (TABLE_ENTRY_COST + (r if descriptor.is_free else 0)) + stored
+        cost += capped_ball_size(descriptor, r) * per_ball_word
+    if cost > TABLE_CAP:
+        raise SearchSpaceTooLarge(f"the tables of translates cost {cost} operations > the cap of {TABLE_CAP}")
 
 
 def letter_array(words: Sequence[Word]) -> np.ndarray:

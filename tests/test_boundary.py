@@ -151,6 +151,35 @@ def test_exhaustive_interval_matches_oracle():
     assert best_set.members == set(ball(Z1, 3))
 
 
+@pytest.mark.parametrize(
+    "descriptor, gens, radius",
+    # degenerate generating sets: the identity alone, an axis of Z^2 and one word of F_3
+    [(F2, "e", 1), (Z1, "(0)", 3), (Z2, "(1,0)", 2), (free_group(3), "a1.a2", 1)],
+)
+def test_exhaustive_degenerate_generators_match_oracle(descriptor, gens, radius):
+    X = GeneratingSet.of(descriptor, parse_generators(descriptor, gens))
+    best_set, report = exhaustive_min_ratio(descriptor, X, radius)
+    ratio, size, combo = oracle_exhaustive(descriptor, X, radius)
+    assert (report.ratio, report.set_size) == (ratio, size)
+    assert best_set.members == {ball(descriptor, radius)[i] for i in combo}
+
+
+def test_exhaustive_builds_one_fraction_per_chunk(monkeypatch):
+    # every subset of ball(F_2, 2) ties at ratio 0 under {e}: one chunk, one winner,
+    # plus the report's own check
+    made = []
+
+    def counting_fraction(*args):
+        made.append(args)
+        return Fraction(*args)
+
+    monkeypatch.setattr("foelner.boundary.Fraction", counting_fraction)
+    X = GeneratingSet.of(F2, [Word.identity(F2)])
+    best_set, report = exhaustive_min_ratio(F2, X, 2)
+    assert len(made) <= 1 + 1
+    assert report.ratio == 0 and len(best_set) == 1
+
+
 def test_exhaustive_f2_radius2():
     best_set, report = exhaustive_min_ratio(F2, XF2, 2)
     assert report.ratio == Fraction(12, 17)
@@ -161,6 +190,38 @@ def test_exhaustive_f2_radius2():
 def test_exhaustive_cap():
     with pytest.raises(SearchSpaceTooLarge):
         exhaustive_min_ratio(F2, XF2, 3)  # |ball| = 53 > 22
+
+
+class BallBuilt(Exception):
+    """Raised by a patched ball(): the input passed every check made before the build."""
+
+
+def _refuse_ball(*args):
+    raise BallBuilt
+
+
+def test_exhaustive_subset_pass_cap(monkeypatch):
+    # 2|X| * |ball| * 2^|ball| mask entries on ball(Z, 10), 21 elements: 12 generators
+    # pass the cap of 2^30, 13 do not, refused before the ball is built
+    def gens(count):
+        return GeneratingSet.of(Z1, [Word.from_vector(Z1, (c,)) for c in range(1, count + 1)])
+
+    monkeypatch.setattr("foelner.boundary.ball", _refuse_ball)
+    with pytest.raises(SearchSpaceTooLarge, match="subset pass"):
+        exhaustive_min_ratio(Z1, gens(13), 10)
+    with pytest.raises(BallBuilt):
+        exhaustive_min_ratio(Z1, gens(12), 10)
+
+
+def test_local_search_toggle_cap(monkeypatch):
+    # iterations * 2|X| rows: the 160 words of ball(F_2, 4) other than e give 320 per
+    # toggle, so 52,428 iterations pass the cap of 2^24 and 52,429 do not
+    X = GeneratingSet.of(F2, [w for w in ball(F2, 4) if not w.is_identity])
+    monkeypatch.setattr("foelner.boundary.ball", _refuse_ball)
+    with pytest.raises(SearchSpaceTooLarge, match="toggles"):
+        local_search_min_ratio(F2, X, GroupSearchConfig(radius=1, seed=1, iterations=52_429))
+    with pytest.raises(BallBuilt):
+        local_search_min_ratio(F2, X, GroupSearchConfig(radius=1, seed=1, iterations=52_428))
 
 
 def test_exhaustive_minimum_nonincreasing_in_radius():

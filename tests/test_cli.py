@@ -15,8 +15,9 @@ from hypothesis import strategies as st
 
 import foelner.connes
 from foelner import l2ops
-from foelner.cli import _HANDLERS, RunConfig, _check_counts, build_parser, config_from_args, main, run
+from foelner.cli import _HANDLERS, _check_counts, build_parser, main, run
 from foelner.errors import ConvergenceError, InvariantViolation
+from foelner.words import ball, format_word, free_group
 from frame_helpers import count_calls
 
 SRC = Path(__file__).resolve().parents[1] / "src"
@@ -233,20 +234,80 @@ def test_unbounded_inputs_refused_with_exit_2(argv, capsys):
     assert capsys.readouterr().err.startswith("error: ")
 
 
+AT_THE_CAPS = [
+    ["group", "--group", "abelian:2", "--radius", "3", "--mode", "search", "--iters", "100000", "--seed", "1"],
+    ["identity-check", "--trials", "20000", "--seed", "1"],
+    ["scan", "--n", "1", "--rank", "1", "--radius", "2", "--iters", "200000", "--seed", "1"],
+    ["audit", "--rank", "1", "--radius", "1", "--seed", "1", "--frames", "2000"],
+    ["scan", "--n", "2", "--rank", "8", "--radius", "5", "--iters", "104206", "--seed", "1"],
+    ["audit", "--rank", "200", "--radius", "6", "--seed", "1", "--frames", "13"],
+    ["audit", "--rank", "256", "--radius", "7", "--seed", "1", "--frames", "2"],
+]
+
+
+@pytest.mark.parametrize("argv", AT_THE_CAPS)
+def test_counts_at_their_caps_admitted(argv):
+    _check_counts(build_parser().parse_args(argv))  # checks only; runs nothing
+
+
+class BallBuilt(Exception):
+    """Raised by a patched ball(): the input passed every check made before the build."""
+
+
+def _refuse_balls(monkeypatch):
+    def build(*args):
+        raise BallBuilt
+
+    for module in ("boundary", "connes", "paradox"):
+        monkeypatch.setattr(f"foelner.{module}.ball", build)
+
+
+@pytest.mark.parametrize(
+    "argv",
+    AT_THE_CAPS
+    + [
+        # the slowest admitted inputs of README's caps table
+        ["group", "--group", "abelian:9", "--radius", "6", "--mode", "search", "--iters", "100000", "--seed", "1"],
+        ["group", "--group", "abelian:2", "--radius", "300", "--mode", "search", "--iters", "100000", "--seed", "1"],
+        ["group", "--group", "abelian:1", "--radius", "99999", "--mode", "search", "--iters", "100000", "--seed", "1"],
+        ["group", "--group", "free:1", "--radius", "1413", "--mode", "search", "--iters", "100000", "--seed", "1"],
+        ["scan", "--n", "2", "--rank", "150", "--radius", "7", "--iters", "32", "--seed", "1"],
+        ["scan", "--n", "2", "--rank", "8", "--radius", "5", "--iters", "104", "--seed", "1", "--unitaries",
+         ",".join(["a1"] * 2000)],
+    ],
+)
+def test_inputs_at_the_caps_reach_the_build(argv, monkeypatch):
+    _refuse_balls(monkeypatch)
+    with pytest.raises(BallBuilt):
+        main(argv)
+
+
 @pytest.mark.parametrize(
     "argv",
     [
-        ["group", "--group", "abelian:2", "--radius", "3", "--mode", "search", "--iters", "100000", "--seed", "1"],
-        ["identity-check", "--trials", "20000", "--seed", "1"],
-        ["scan", "--n", "1", "--rank", "1", "--radius", "2", "--iters", "200000", "--seed", "1"],
-        ["audit", "--rank", "1", "--radius", "1", "--seed", "1", "--frames", "2000"],
-        ["scan", "--n", "2", "--rank", "8", "--radius", "5", "--iters", "104206", "--seed", "1"],
-        ["audit", "--rank", "200", "--radius", "6", "--seed", "1", "--frames", "13"],
-        ["audit", "--rank", "256", "--radius", "7", "--seed", "1", "--frames", "2"],
+        # tables of translates past words.TABLE_CAP: 199,998 generators times 199,999 words,
+        # and the 4,372 words of ball(F_2, 7) other than e times that ball
+        ["group", "--group", "free:99999", "--radius", "1", "--mode", "search", "--iters", "1", "--seed", "1"],
+        ["group", "--group", "free:2", "--radius", "7", "--mode", "search", "--iters", "1", "--seed", "1", "--gens",
+         ",".join(format_word(w) for w in ball(free_group(2), 7) if not w.is_identity)],
+        # scan's work cap counts the unitaries: 2,000 of them at rank 8 on 161 rows
+        # admit 104 iterations
+        ["scan", "--n", "2", "--rank", "8", "--radius", "5", "--iters", "100000", "--seed", "1", "--unitaries",
+         ",".join(["a1"] * 2000)],
+        ["scan", "--n", "2", "--rank", "8", "--radius", "5", "--iters", "105", "--seed", "1", "--unitaries",
+         ",".join(["a1"] * 2000)],
+        # the direct route of scan's final check, unitaries * rank * rows^2: 99,999 * 199,999^2
+        # on ball(F_99999, 1) (whose row gathers would also exceed words.TABLE_CAP),
+        # 2 * 118,097^2 on ball(F_2, 10) and 860 * 1,721^2 on ball(F_860, 1)
+        ["scan", "--n", "99999", "--rank", "1", "--radius", "2", "--iters", "0", "--seed", "1"],
+        ["scan", "--n", "2", "--rank", "1", "--radius", "11", "--iters", "1", "--seed", "1"],
+        ["scan", "--n", "860", "--rank", "1", "--radius", "2", "--iters", "0", "--seed", "1"],
     ],
 )
-def test_counts_at_their_caps_admitted(argv):
-    _check_counts(config_from_args(build_parser().parse_args(argv)))  # checks only; runs nothing
+def test_large_tables_and_checks_refused_before_building(argv, monkeypatch, capsys):
+    _refuse_balls(monkeypatch)
+    assert main(argv) == 2
+    assert capsys.readouterr().err.startswith("error: ")
 
 
 @pytest.mark.parametrize(
@@ -335,12 +396,12 @@ def test_witness_formula_mismatch_maps_to_exit_4(monkeypatch, capsys):
 
 
 def test_run_config_echo_includes_everything():
-    cfg = RunConfig("witness", {"n": 2, "k": 2, "depth": 2, "k_max": None, "formula_only": False}, None, None, "json")
-    rep = run(cfg)
-    assert rep.config["command"] == "witness"
-    assert rep.config["n"] == 2
-    assert rep.config["format"] == "json"
-    assert "wall" not in json.dumps(rep.payload())
+    payload = run(build_parser().parse_args(["witness", "--n", "2", "--k", "2", "--depth", "2"]))
+    assert payload["config"]["command"] == "witness"
+    assert payload["config"]["n"] == 2
+    assert payload["config"]["format"] == "json"
+    assert payload["config"]["seed"] is None
+    assert "wall" not in json.dumps(payload)
 
 
 def test_parser_rejects_unknown_mode():

@@ -24,7 +24,7 @@ from foelner.connes import (
     standard_unitaries,
     witness_certificate,
 )
-from foelner.errors import PreconditionError, RankDeficiency
+from foelner.errors import PreconditionError, RankDeficiency, SearchSpaceTooLarge
 from foelner.l2ops import GroupAlgebraElement, compress
 from foelner.words import Word, free_group, multiply, parse_generators, standard_generators
 from frame_helpers import columns_of, count_calls, frame_of, frame_pool, inner, translate
@@ -255,6 +255,15 @@ def test_anneal_identity_unitary_is_trivial():
     assert res.history[0] == (0, res.history[0][1])
     assert res.history[0][1] < 1e-9
     assert res.objective < 1e-9
+
+
+def test_anneal_refuses_large_row_gathers_before_building(monkeypatch):
+    # 99,999 unitaries times the 199,999 rows of ball(F_99999, 1): past words.TABLE_CAP
+    monkeypatch.setattr("foelner.connes.ball", lambda *args: pytest.fail("the ball was built"))
+    descriptor = free_group(99_999)
+    cfg = ProjectionSearchConfig(descriptor, 1, 2, 1, 0, standard_generators(descriptor))
+    with pytest.raises(SearchSpaceTooLarge, match="tables of translates"):
+        anneal_projection(cfg)
 
 
 def test_anneal_deterministic_and_nonincreasing():
