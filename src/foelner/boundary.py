@@ -22,7 +22,6 @@ from .errors import (
     SeedRequired,
 )
 from .words import (
-    ENUMERATION_CAP,
     GroupDescriptor,
     Word,
     ball,
@@ -30,7 +29,6 @@ from .words import (
     capped_ball_size,
     check_translation_cost,
     format_word,
-    free_ball_size,
     free_sphere_size,
     multiply,
     shortlex_key,
@@ -138,6 +136,18 @@ def boundary_ratio(A: ElementSet, X: GeneratingSet) -> BoundaryReport:
     return BoundaryReport.of(len(A.members), len(bd.members))
 
 
+def translation_table(descriptor: GroupDescriptor, X: GeneratingSet, radius: int) -> tuple[tuple[Word, ...], np.ndarray]:
+    """(ball(radius), nbr) with nbr[x, i] the ball index of ball[i] * x, or -1 outside the ball,
+    for x in X u X^-1 but e (which moves no member off a set, so no count changes).  Refuses X
+    from another group, and a table past words.TABLE_CAP before the ball is built."""
+    if X.descriptor != descriptor:
+        raise DescriptorMismatch(f"generating set of {X.descriptor.spec()} for a ball of {descriptor.spec()}")
+    check_translation_cost(descriptor, X.generators * 2, radius)  # X u X^-1: 2|X| words at most
+    b = ball(descriptor, radius)
+    gens = [x for x in X.closure() if not x.is_identity]
+    return b, np.array([translation_indices(b, x, right=True) for x in gens], dtype=np.int64).reshape(-1, len(b))
+
+
 # ---------------------------------------------------------------------------
 # Exhaustive search over all non-empty subsets of a ball (bitmask-vectorized).
 
@@ -173,10 +183,8 @@ def exhaustive_min_ratio(
         raise SearchSpaceTooLarge(f"|ball({radius})| exceeds the exhaustive cap of {EXHAUSTIVE_BALL_CAP}")
     if (work := 2 * len(X.generators) * size << size) > EXHAUSTIVE_WORK_CAP:
         raise SearchSpaceTooLarge(f"the subset pass visits {work} mask entries > the cap of {EXHAUSTIVE_WORK_CAP}")
-    check_translation_cost(descriptor, X.generators * 2, [radius])  # X u X^-1: 2|X| words at most
-    b = ball(descriptor, radius)
+    b, nbr = translation_table(descriptor, X, radius)
     n = len(b)
-    nbr = np.stack([translation_indices(b, x, right=True) for x in X.closure()])
     total = (1 << n) - 1
 
     best: tuple[Fraction, int, tuple[int, ...]] | None = None
@@ -227,8 +235,10 @@ def ball_family_ratios(
 
     method 'auto' uses the closed form for free groups with standard
     generators and enumeration otherwise; 'enumerate' and 'closed_form' force
-    one path.  Refused before any work: radii above FAMILY_RADIUS_CAP, and an
-    enumeration whose balls hold more than words.ENUMERATION_CAP words in all.
+    one path.  Refused before any work: radii above FAMILY_RADIUS_CAP, X from
+    another group, and an enumeration whose table of ball(r_max) is past its cap.
+    Enumeration reads each ball(r), the shortlex prefix of ball(r_max) of length
+    |ball(r)|, off that one table: i is on its boundary iff a translate of i is not.
     """
     if r_max < 1:
         raise PreconditionError("r_max must be >= 1")
@@ -236,28 +246,21 @@ def ball_family_ratios(
         raise SearchSpaceTooLarge(f"r_max = {r_max} exceeds the ball-family radius cap of {FAMILY_RADIUS_CAP}")
     if method not in ("auto", "enumerate", "closed_form"):
         raise PreconditionError(f"unknown method {method!r}")
+    if X.descriptor != descriptor:
+        raise DescriptorMismatch(f"generating set of {X.descriptor.spec()} for balls of {descriptor.spec()}")
     closed_ok = descriptor.is_free and X.is_standard()
     if method == "closed_form" and not closed_ok:
         raise PreconditionError("closed form only applies to free groups with standard generators")
 
     use_closed = method == "closed_form" or (method == "auto" and closed_ok)
-    # |ball(r)| >= 1 + 2 * rank * r, so the first test bounds the sum's length
-    if not use_closed and (
-        descriptor.rank * r_max**2 > ENUMERATION_CAP
-        or sum(ball_size(descriptor, r) for r in range(1, r_max + 1)) > ENUMERATION_CAP
-    ):
-        raise SearchSpaceTooLarge(f"the balls of radius <= {r_max} hold more than {ENUMERATION_CAP} words in all")
     if not use_closed:
-        check_translation_cost(descriptor, X.generators * 2, range(1, r_max + 1))  # X u X^-1: 2|X| words at most
+        b, nbr = translation_table(descriptor, X, r_max)
+        far = np.where(nbr < 0, len(b), nbr).max(axis=0, initial=-1)  # each member's farthest translate
     out: list[BallRatio] = []
     for r in range(1, r_max + 1):
-        if use_closed:
-            size = free_ball_size(descriptor.rank, r)
-            bd = free_sphere_size(descriptor.rank, r)
-            out.append(BallRatio(r, BoundaryReport(size, bd, Fraction(bd, size)), "closed_form"))
-        else:
-            rep = boundary_ratio(ElementSet.of(descriptor, ball(descriptor, r)), X)
-            out.append(BallRatio(r, rep, "enumerated"))
+        size = ball_size(descriptor, r)
+        bd = free_sphere_size(descriptor.rank, r) if use_closed else int((far[:size] >= size).sum())
+        out.append(BallRatio(r, BoundaryReport.of(size, bd), "closed_form" if use_closed else "enumerated"))
     return out
 
 
@@ -307,24 +310,21 @@ def local_search_min_ratio(
     Deterministic for a fixed seed.  The reported ratio is an achieved value,
     hence an upper bound for the infimum; it never exceeds the initial ratio.
     A toggle costs O(|X u X^-1|): it updates the boundary count through the
-    elements whose neighbour it is, without rescanning the ball.  Refuses,
-    before building the ball, tables of translates and toggles past their caps.
+    elements whose neighbour it is, without rescanning the ball.  The best set
+    is rebuilt at the end by replaying the accepted toggles up to it.  Refuses,
+    before building the ball, toggles and tables of translates past their caps.
     """
-    check_translation_cost(descriptor, X.generators * 2, [config.radius])  # X u X^-1: 2|X| words at most
     if (work := config.iterations * 2 * len(X.generators)) > SEARCH_WORK_CAP:
         raise SearchSpaceTooLarge(f"{config.iterations} toggles visit up to {work} rows > the cap of {SEARCH_WORK_CAP}")
-    b = ball(descriptor, config.radius)
+    b, nbr = translation_table(descriptor, X, config.radius)
     n = len(b)
     start = np.arange(n) == b.index(Word.identity(descriptor))  # the set {e}
 
-    # The identity never moves a member off the set, and its self-loop p * e = p
-    # would make p its own predecessor, so it is left out.  A toggle of i moves
-    # bad[p] for the p with p * x = i, that is p = i * x^-1; gens is closed under
-    # inverses, so those p are the entries nbr[x, i] = i * x of column i.
-    gens = [x for x in X.closure() if not x.is_identity]
-    nbr = np.array([translation_indices(b, x, right=True) for x in gens], dtype=np.int64).reshape(-1, n)
+    # A toggle of i moves bad[p] for the p with p * x = i, that is p = i * x^-1; X u X^-1
+    # is closed under inverses, so those p are the entries nbr[x, i] = i * x of column i
+    # (the table leaves out e, whose self-loop p * e = p would make p its own predecessor).
     preds = [memoryview(row) for row in nbr]  # flat rows whose items index as Python ints
-    # bad[p]: the x in gens with p * x outside the ball or outside the set;
+    # bad[p]: the x in the table with p * x outside the ball or outside the set;
     # p is on the boundary iff it is a member and bad[p] > 0
     bad = ((nbr < 0) | ~start[nbr]).sum(axis=0).tolist()
     member = start.tolist()
@@ -350,7 +350,8 @@ def local_search_min_ratio(
 
     rng = np.random.default_rng(config.seed)
     current = bcnt / size
-    best = (Fraction(bcnt, size), size, member.copy())
+    best = (Fraction(bcnt, size), size, 0)  # the best set is start after the first k accepted toggles
+    toggled = np.empty(config.iterations, dtype=np.int64)  # the accepted toggles, one per history entry
     initial_report = BoundaryReport.of(size, bcnt)
     history: list[AcceptedMove] = []
     temp = TEMP_INITIAL
@@ -366,16 +367,18 @@ def local_search_min_ratio(
         accept = cand <= current or (temp > 0 and rng.random() < math.exp((current - cand) / temp))
         if accept:
             current = cand
+            toggled[len(history)] = i
             history.append(AcceptedMove(it, ("-" if removing else "+") + format_word(b[i]), bcnt, size))
             frac = Fraction(bcnt, size)
             if (frac, size) < (best[0], best[1]):
-                best = (frac, size, member.copy())
+                best = (frac, size, len(history))
         else:
             toggle(i)  # undo
         temp *= TEMP_DECAY
 
-    frac, _, bm = best
-    members = ElementSet.of(descriptor, (w for w, m in zip(b, bm) if m))
+    frac, _, k = best
+    bm = start ^ (np.bincount(toggled[:k], minlength=n) % 2 == 1)
+    members = ElementSet.of(descriptor, (b[i] for i in np.flatnonzero(bm)))
     report = boundary_ratio(members, X)
     if report.ratio != frac or report.ratio > initial_report.ratio:
         raise InvariantViolation(

@@ -345,7 +345,7 @@ def anneal_projection(cfg: ProjectionSearchConfig) -> AnnealResult:
     if cfg.ambient_radius - op_radius < 0:
         raise PreconditionError("ambient radius too small for the unitary list")
     support_radius = cfg.ambient_radius - max(op_radius, 1)
-    check_translation_cost(cfg.descriptor, cfg.unitaries, [support_radius])
+    check_translation_cost(cfg.descriptor, cfg.unitaries, support_radius)
     rows = ball(cfg.descriptor, support_radius)
     n_sup, k = len(rows), cfg.rank
     if k > n_sup:

@@ -10,6 +10,7 @@ a1 < a1^-1 < a2 < a2^-1 < ...
 from __future__ import annotations
 
 import math
+import operator
 import re
 from dataclasses import dataclass
 from functools import lru_cache
@@ -138,19 +139,22 @@ class Word:
         return f"Word({format_word(self)!r})"
 
 
+def _product(free: bool, a: tuple[int, ...], b: tuple[int, ...]) -> tuple[int, ...]:
+    """Normal form of the product of the normal forms a and b."""
+    if not free:
+        return tuple(map(operator.add, a, b))
+    # only the seam can cancel; both factors are already reduced
+    i, n = 0, min(len(a), len(b))
+    while i < n and a[-1 - i] == -b[i]:
+        i += 1
+    return a[: len(a) - i] + b[i:]
+
+
 def multiply(u: Word, v: Word) -> Word:
     """Reduced product uv."""
     if u.descriptor != v.descriptor:
         raise DescriptorMismatch(f"{u.descriptor.spec()} vs {v.descriptor.spec()}")
-    if u.descriptor.is_free:
-        # only the seam can cancel; both factors are already reduced
-        a, b = list(u.data), v.data
-        i = 0
-        while a and i < len(b) and a[-1] == -b[i]:
-            a.pop()
-            i += 1
-        return Word(u.descriptor, tuple(a) + b[i:])
-    return Word(u.descriptor, tuple(x + y for x, y in zip(u.data, v.data)))
+    return Word(u.descriptor, _product(u.descriptor.is_free, u.data, v.data))
 
 
 def letter_order_index(l: int) -> int:
@@ -174,20 +178,21 @@ def letters_in_order(rank: int) -> tuple[int, ...]:
 
 def translation_indices(words: Sequence[Word], g: Word, right: bool = False) -> np.ndarray:
     """idx[i] = position in `words` of g * words[i] (of words[i] * g when
-    `right`), or -1 where that product is not in `words`."""
+    `right`), or -1 where that product is not in `words`; all of one group."""
+    if words and words[0].descriptor != g.descriptor:
+        raise DescriptorMismatch(f"{words[0].descriptor.spec()} vs {g.descriptor.spec()}")
     where = {w.data: i for i, w in enumerate(words)}
-    products = [multiply(w, g) if right else multiply(g, w) for w in words]
-    return np.array([where.get(p.data, -1) for p in products], dtype=np.int64)
+    free, gd = g.descriptor.is_free, g.data
+    products = (_product(free, w.data, gd) if right else _product(free, gd, w.data) for w in words)
+    return np.fromiter((where.get(p, -1) for p in products), dtype=np.int64, count=len(words))
 
 
-def check_translation_cost(descriptor: GroupDescriptor, words: Sequence[Word], radii: Iterable[int]) -> None:
-    """Refuse, before any ball is built, to multiply each word of ball(r), r in radii, by each
-    of `words` (translation_indices) past TABLE_CAP operations: TABLE_ENTRY_COST per product
-    plus the integers it reads, those of w (d in Z^d) and, in F_n, up to r of the ball word."""
-    count, stored, cost = len(words), sum(len(w.data) for w in words), 0
-    for r in radii:
-        per_ball_word = count * (TABLE_ENTRY_COST + (r if descriptor.is_free else 0)) + stored
-        cost += capped_ball_size(descriptor, r) * per_ball_word
+def check_translation_cost(descriptor: GroupDescriptor, words: Sequence[Word], radius: int) -> None:
+    """Refuse, before any ball is built, to multiply each word of ball(radius) by each of `words`
+    (translation_indices) past TABLE_CAP operations: TABLE_ENTRY_COST per product plus the
+    integers it reads, those of w (d in Z^d) and, in F_n, up to `radius` of the ball word."""
+    per_ball_word = len(words) * (TABLE_ENTRY_COST + (radius if descriptor.is_free else 0))
+    cost = capped_ball_size(descriptor, radius) * (per_ball_word + sum(len(w.data) for w in words))
     if cost > TABLE_CAP:
         raise SearchSpaceTooLarge(f"the tables of translates cost {cost} operations > the cap of {TABLE_CAP}")
 

@@ -111,9 +111,9 @@ def count_calls(monkeypatch, module, *names):
     """A Counter of the calls to module.<name>, for each of `names`, from now on."""
     counts = Counter()
     for name in names:
-        def counted(*args, _real=getattr(module, name), _name=name):
+        def counted(*args, _real=getattr(module, name), _name=name, **kwargs):
             counts[_name] += 1
-            return _real(*args)
+            return _real(*args, **kwargs)
 
         monkeypatch.setattr(module, name, counted)
     return counts

@@ -6,6 +6,7 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
+from foelner import boundary
 from foelner.boundary import (
     BoundaryReport,
     ElementSet,
@@ -17,10 +18,13 @@ from foelner.boundary import (
     exhaustive_min_ratio,
     interior_boundary,
     local_search_min_ratio,
+    translation_table,
 )
-from foelner.errors import PreconditionError, SearchSpaceTooLarge, SeedRequired
+from foelner.errors import DescriptorMismatch, PreconditionError, SearchSpaceTooLarge, SeedRequired
 from foelner.words import Word, ball, free_abelian, free_group, multiply, parse_generators, translation_indices
+from frame_helpers import count_calls
 from search_helpers import rescan_local_search
+from table_helpers import TABLE_CASES, generating_set, oracle_translation_indices
 
 F2 = free_group(2)
 Z1 = free_abelian(1)
@@ -242,6 +246,45 @@ def test_boundary_never_empty_at_small_radius():
         assert int(bcnt.min()) >= 1
 
 
+@pytest.mark.parametrize("descriptor, gens, radius", TABLE_CASES)
+def test_translation_table_is_the_right_translates_but_e(descriptor, gens, radius):
+    X = generating_set(descriptor, gens)
+    b, nbr = translation_table(descriptor, X, radius)
+    moving = [x for x in X.closure() if not x.is_identity]
+    assert b == ball(descriptor, radius) and nbr.shape == (len(moving), len(b))
+    for x, row in zip(moving, nbr):
+        assert row.tolist() == oracle_translation_indices(b, x, right=True).tolist()
+
+
+@pytest.mark.parametrize("descriptor, gens, radius", TABLE_CASES)
+def test_enumerated_family_matches_each_ball_scanned_alone(descriptor, gens, radius):
+    X = generating_set(descriptor, gens)
+    fam = ball_family_ratios(descriptor, X, radius, method="enumerate")
+    assert [fr.radius for fr in fam] == list(range(1, radius + 1))
+    for fr in fam:
+        assert fr.report == boundary_ratio(ElementSet.of(descriptor, ball(descriptor, fr.radius)), X)
+
+
+def test_enumerated_family_builds_one_ball_and_one_table(monkeypatch):
+    # the radii 1..20 of Z^2 are prefixes of ball(20); one translation per x in X u X^-1 but e
+    counts = count_calls(monkeypatch, boundary, "ball", "translation_indices")
+    ball_family_ratios(Z2, XZ2, 20)
+    assert counts == {"ball": 1, "translation_indices": 4}
+
+
+@pytest.mark.parametrize("descriptor, other", [(F2, free_group(3)), (free_group(3), F2), (Z2, free_abelian(3)),
+                                               (free_abelian(3), Z2)])
+def test_estimators_refuse_a_generating_set_of_another_group(descriptor, other):
+    X = GeneratingSet.standard(other)
+    for method in ("auto", "enumerate"):
+        with pytest.raises(DescriptorMismatch):
+            ball_family_ratios(descriptor, X, 3, method=method)
+    with pytest.raises(DescriptorMismatch):
+        exhaustive_min_ratio(descriptor, X, 1)
+    with pytest.raises(DescriptorMismatch):
+        local_search_min_ratio(descriptor, X, GroupSearchConfig(radius=2, seed=1, iterations=10))
+
+
 def test_ball_family_f2():
     fam = ball_family_ratios(F2, XF2, 2)
     assert fam[-1].report.ratio == Fraction(12, 17)
@@ -326,20 +369,19 @@ SEARCH_CASES = [
 ]
 
 
-def _generating_set(descriptor, gens):
-    if gens is None:
-        return GeneratingSet.standard(descriptor)
-    return GeneratingSet.of(descriptor, parse_generators(descriptor, gens))
-
-
 @pytest.mark.parametrize("seed", [1, 2, 3])
 @pytest.mark.parametrize("descriptor, gens, radius, iterations", SEARCH_CASES)
 def test_incremental_search_matches_rescan(descriptor, gens, radius, iterations, seed):
-    X = _generating_set(descriptor, gens)
+    X = generating_set(descriptor, gens)
     cfg = GroupSearchConfig(radius=radius, mode="search", seed=seed, iterations=iterations)
     got = local_search_min_ratio(descriptor, X, cfg)
     assert got == rescan_local_search(descriptor, X, cfg)
     assert 10 < len(got.history) <= iterations
+    # the best set comes before the last accepted move, so it is rebuilt from a
+    # proper prefix of the accepted toggles
+    reached = [(got.initial_report.ratio, got.initial_report.set_size)]
+    reached += [(Fraction(m.boundary_size, m.set_size), m.set_size) for m in got.history]
+    assert reached.index(min(reached)) < len(got.history)
 
 
 def test_local_search_requires_seed():

@@ -196,9 +196,9 @@ def test_identity_check_payload_independent_of_hash_seed():
         ["audit", "--rank", "6", "--radius", "2", "--seed", "1", "--frames", "1"],
         ["group", "--group", "abelian:30", "--radius", "40", "--mode", "search", "--seed", "1"],
         # ball families past boundary.FAMILY_RADIUS_CAP, and enumerated ones whose
-        # balls hold more than words.ENUMERATION_CAP words in all
+        # ball(radius) exceeds words.ENUMERATION_CAP: ball(Z^2, 316) has 200,345 elements
         ["group", "--group", "free:2", "--radius", "2001", "--mode", "balls"],
-        ["group", "--group", "abelian:2", "--radius", "66", "--mode", "balls"],
+        ["group", "--group", "abelian:2", "--radius", "316", "--mode", "balls"],
         # witness inputs: the same n >= 2, k >= 1, depth >= 1 checks in every mode
         ["witness", "--n", "0", "--k", "2", "--formula-only"],
         ["witness", "--n", "1", "--k", "2", "--formula-only"],
@@ -274,6 +274,11 @@ def _refuse_balls(monkeypatch):
         ["scan", "--n", "2", "--rank", "150", "--radius", "7", "--iters", "32", "--seed", "1"],
         ["scan", "--n", "2", "--rank", "8", "--radius", "5", "--iters", "104", "--seed", "1", "--unitaries",
          ",".join(["a1"] * 2000)],
+        # enumerated ball families read every radius off the one table of ball(radius)
+        ["group", "--group", "abelian:2", "--radius", "66", "--mode", "balls"],
+        ["group", "--group", "abelian:2", "--radius", "315", "--mode", "balls"],
+        ["group", "--group", "abelian:4", "--radius", "22", "--mode", "balls"],
+        ["group", "--group", "abelian:9", "--radius", "6", "--mode", "balls"],
     ],
 )
 def test_inputs_at_the_caps_reach_the_build(argv, monkeypatch):
@@ -302,6 +307,11 @@ def test_inputs_at_the_caps_reach_the_build(argv, monkeypatch):
         ["scan", "--n", "99999", "--rank", "1", "--radius", "2", "--iters", "0", "--seed", "1"],
         ["scan", "--n", "2", "--rank", "1", "--radius", "11", "--iters", "1", "--seed", "1"],
         ["scan", "--n", "860", "--rank", "1", "--radius", "2", "--iters", "0", "--seed", "1"],
+        # tables of translates of ball families past words.TABLE_CAP: 18 translations of the
+        # 224,143 words of ball(Z^9, 7), and the 4,372 words of ball(F_2, 7) other than e
+        ["group", "--group", "abelian:9", "--radius", "7", "--mode", "balls"],
+        ["group", "--group", "free:2", "--radius", "7", "--mode", "balls", "--gens",
+         ",".join(format_word(w) for w in ball(free_group(2), 7) if not w.is_identity)],
     ],
 )
 def test_large_tables_and_checks_refused_before_building(argv, monkeypatch, capsys):

@@ -26,7 +26,9 @@ from foelner.words import (
     parse_word,
     shortlex_key,
     standard_generators,
+    translation_indices,
 )
+from table_helpers import TABLE_CASES, generating_set, oracle_translation_indices
 
 F2 = free_group(2)
 Z2 = free_abelian(2)
@@ -96,6 +98,22 @@ def test_multiply_examples():
 def test_multiply_descriptor_mismatch():
     with pytest.raises(DescriptorMismatch):
         multiply(Word.identity(F2), Word.identity(Z2))
+
+
+@pytest.mark.parametrize("descriptor, gens, radius", TABLE_CASES)
+def test_translation_indices_match_the_word_oracle(descriptor, gens, radius):
+    # left and right translates of the ball by every word of X u X^-1, e included
+    b = ball(descriptor, radius)
+    for g in generating_set(descriptor, gens).closure():
+        for right in (False, True):
+            assert translation_indices(b, g, right=right).tolist() == oracle_translation_indices(b, g, right).tolist()
+
+
+def test_translation_indices_descriptor_mismatch():
+    with pytest.raises(DescriptorMismatch):
+        translation_indices(ball(F2, 1), Word.identity(free_group(3)))
+    with pytest.raises(DescriptorMismatch):
+        translation_indices(ball(Z2, 1), Word.identity(F2), right=True)
 
 
 def test_group_axioms_exhaustive_on_ball3():
