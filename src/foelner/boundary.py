@@ -34,6 +34,7 @@ from .words import (
     shortlex_key,
     standard_generators,
     translation_indices,
+    word_positions,
 )
 
 EXHAUSTIVE_BALL_CAP = 22  # |ball| cap: at most 2^22 candidate subsets
@@ -145,7 +146,9 @@ def translation_table(descriptor: GroupDescriptor, X: GeneratingSet, radius: int
     check_translation_cost(descriptor, X.generators * 2, radius)  # X u X^-1: 2|X| words at most
     b = ball(descriptor, radius)
     gens = [x for x in X.closure() if not x.is_identity]
-    return b, np.array([translation_indices(b, x, right=True) for x in gens], dtype=np.int64).reshape(-1, len(b))
+    where = word_positions(b)
+    rows = [translation_indices(b, x, right=True, where=where) for x in gens]
+    return b, np.array(rows, dtype=np.int64).reshape(-1, len(b))
 
 
 # ---------------------------------------------------------------------------

@@ -12,13 +12,15 @@ consistency check failed.
 from __future__ import annotations
 
 import argparse
+import contextlib
 import csv
-import io
-import json
+import math
 import os
 import sys
 import time
 from dataclasses import asdict
+from json.encoder import encode_basestring_ascii
+from typing import Iterator
 
 import numpy as np
 
@@ -154,6 +156,7 @@ def _run_scan(args: argparse.Namespace) -> tuple[dict, list]:
     unitary_words = parse_generators(descriptor, args.unitaries) if args.unitaries else standard_generators(descriptor)
     sc = ProjectionSearchConfig(descriptor, args.rank, args.radius, args.seed, args.iters, unitary_words)
     res = anneal_projection(sc)
+    columns = frame_to_json(res.frame)
     results = {
         "config": {
             "group": descriptor.spec(),
@@ -166,8 +169,8 @@ def _run_scan(args: argparse.Namespace) -> tuple[dict, list]:
         "per_unitary": [asdict(r) for r in res.records],
         "best_objective": res.objective,
         "history": [{"iteration": it, "objective": obj} for it, obj in res.history],
-        "frame_fingerprint": frame_fingerprint(res.frame),
-        "frame": frame_to_json(res.frame),
+        "frame_fingerprint": frame_fingerprint(res.frame, columns),
+        "frame": columns,
     }
     return results, []
 
@@ -313,31 +316,103 @@ def run(args: argparse.Namespace) -> dict:
 # Output rendering.
 
 
-def render_json(payload: dict) -> str:
-    return json.dumps(payload, indent=2, sort_keys=True) + "\n"
+def _float(value: float) -> str:
+    if value != value:
+        return "NaN"
+    return "Infinity" if value == math.inf else "-Infinity" if value == -math.inf else float.__repr__(value)
 
 
-def render_csv(payload: dict) -> str:
-    """CSV for the tabular reports: ball families and certificate sweeps (see _check_output)."""
-    results = payload["results"]
-    buf = io.StringIO()
-    rows = results["history"] if results.get("mode") == "balls" else results["sweep"]  # never empty
-    writer = csv.DictWriter(buf, fieldnames=list(rows[0]), lineterminator="\n")
-    writer.writeheader()
-    writer.writerows(rows)
-    return buf.getvalue()
+# json.dumps's spelling of each scalar type, all C calls but _float; bool comes before int
+_SPELL = {
+    str: encode_basestring_ascii,
+    bool: {True: "true", False: "false"}.__getitem__,
+    int: int.__repr__,
+    float: _float,
+    type(None): lambda _: "null",
+}
+
+
+def _leaf(value) -> str:
+    """json.dumps's spelling of a scalar, of a subclass too."""
+    for kind, spell in _SPELL.items():
+        if isinstance(value, kind):
+            return spell(value)
+    raise TypeError(f"Object of type {type(value).__name__} is not JSON serializable")
+
+
+def _key(key) -> str:
+    if not isinstance(key, str):
+        if not isinstance(key, (int, float)) and key is not None:
+            raise TypeError(f"keys must be str, int, float, bool or None, not {type(key).__name__}")
+        key = _leaf(key)
+    return encode_basestring_ascii(key) + ": "
+
+
+def _flat(value, newline: str) -> str | None:
+    """json.dumps's spelling of `value` at the indentation `newline` (a newline and the
+    indent of its line) if `value` is a scalar, an empty container or a container of
+    scalars; None if it holds a container."""
+    if isinstance(value, dict):
+        if value and {type(v) for v in value.values()} <= _SPELL.keys():
+            inner = newline + "  "
+            body = [_key(k) + _SPELL[type(v)](v) for k, v in sorted(value.items())]
+            return "{" + inner + f",{inner}".join(body) + newline + "}"
+        return None if value else "{}"
+    if isinstance(value, (list, tuple)):
+        if value and set(map(type, value)) <= _SPELL.keys():
+            inner = newline + "  "
+            return "[" + inner + f",{inner}".join([_SPELL[type(v)](v) for v in value]) + newline + "]"
+        return None if value else "[]"
+    return _leaf(value)
+
+
+def _pieces(value, newline: str, head: str) -> Iterator[str]:
+    """`head`, then `value`, a container that holds a container, at the indentation
+    `newline`: one piece per item and one for the closing bracket."""
+    inner = newline + "  "
+    if isinstance(value, dict):
+        brackets, items = "{}", ((_key(k), v) for k, v in sorted(value.items()))
+    else:
+        brackets, items = "[]", (("", v) for v in value)
+    head += brackets[0] + inner
+    for k, v in items:
+        piece = _flat(v, inner)
+        if piece is None:
+            yield from _pieces(v, inner, head + k)
+        else:
+            yield head + k + piece
+        head = "," + inner
+    yield newline + brackets[1]
+
+
+def render_json(payload: dict) -> Iterator[str]:
+    """json.dumps(payload, indent=2, sort_keys=True) + "\n", in pieces of at most one item
+    of a container that holds containers (a flat container is one piece)."""
+    piece = _flat(payload, "\n")
+    if piece is None:
+        yield from _pieces(payload, "\n", "")
+    else:
+        yield piece
+    yield "\n"
 
 
 def write_report(payload: dict, out: str | None, fmt: str) -> None:
-    text = render_csv(payload) if fmt == "csv" else render_json(payload)
-    if out:
-        try:
-            with open(out, "w") as fh:
-                fh.write(text)
-        except OSError as exc:
-            raise PreconditionError(f"cannot write --out {out}: {exc.strerror or exc}") from exc
-    else:
-        sys.stdout.write(text)
+    """Write the report to `out` (or stdout) piece by piece: JSON as render_json yields it,
+    CSV row by row for the tabular reports (ball families and certificate sweeps)."""
+    try:
+        with open(out, "w") if out else contextlib.nullcontext(sys.stdout) as fh:
+            if fmt == "csv":
+                results = payload["results"]
+                rows = results["history"] if results.get("mode") == "balls" else results["sweep"]  # never empty
+                writer = csv.DictWriter(fh, fieldnames=list(rows[0]), lineterminator="\n")
+                writer.writeheader()
+                writer.writerows(rows)
+            else:
+                fh.writelines(render_json(payload))
+    except OSError as exc:
+        if not out:
+            raise
+        raise PreconditionError(f"cannot write --out {out}: {exc.strerror or exc}") from exc
 
 
 # ---------------------------------------------------------------------------

@@ -10,7 +10,6 @@ nothing below is ever presented as the true infimum over all projections.
 
 from __future__ import annotations
 
-import hashlib
 import json
 import math
 from dataclasses import dataclass
@@ -183,11 +182,15 @@ def limit_formula(n: int) -> float:
     return math.sqrt(2.0 - 2.0 / (n * n))
 
 
-def frame_fingerprint(frame: Frame) -> str:
+def frame_fingerprint(frame: Frame, columns: list[dict] | None = None) -> str:
+    """sha256 of the frame's group, ambient radius and `columns`, frame_to_json(frame),
+    which a caller that reports them has built already."""
+    import hashlib  # here, not at module level: loading OpenSSL costs runs that take no fingerprint
+
     payload = {
         "descriptor": frame.descriptor.spec(),
         "ambient_radius": frame.ambient_radius,
-        "columns": frame_to_json(frame),
+        "columns": frame_to_json(frame) if columns is None else columns,
     }
     return hashlib.sha256(json.dumps(payload, sort_keys=True).encode()).hexdigest()
 

@@ -176,12 +176,19 @@ def letters_in_order(rank: int) -> tuple[int, ...]:
     return tuple(l for i in range(1, rank + 1) for l in (i, -i))
 
 
-def translation_indices(words: Sequence[Word], g: Word, right: bool = False) -> np.ndarray:
+def word_positions(words: Sequence[Word]) -> dict:
+    """The position in `words` of each word's normal form, for translation_indices."""
+    return {w.data: i for i, w in enumerate(words)}
+
+
+def translation_indices(words: Sequence[Word], g: Word, right: bool = False, where: dict | None = None) -> np.ndarray:
     """idx[i] = position in `words` of g * words[i] (of words[i] * g when
-    `right`), or -1 where that product is not in `words`; all of one group."""
+    `right`), or -1 where that product is not in `words`; all of one group.
+    A caller translating `words` by several g builds `where`, word_positions(words), once."""
     if words and words[0].descriptor != g.descriptor:
         raise DescriptorMismatch(f"{words[0].descriptor.spec()} vs {g.descriptor.spec()}")
-    where = {w.data: i for i, w in enumerate(words)}
+    if where is None:
+        where = word_positions(words)
     free, gd = g.descriptor.is_free, g.data
     products = (_product(free, w.data, gd) if right else _product(free, gd, w.data) for w in words)
     return np.fromiter((where.get(p, -1) for p in products), dtype=np.int64, count=len(words))

@@ -1,7 +1,9 @@
 """CLI behavior: schemas, determinism, exit codes."""
 
 import hashlib
+import io
 import json
+import math
 import os
 import subprocess
 import sys
@@ -10,14 +12,16 @@ from datetime import timedelta
 from pathlib import Path
 
 import pytest
-from hypothesis import HealthCheck, given, settings
+from hypothesis import HealthCheck, example, given, settings
 from hypothesis import strategies as st
 
+import foelner.cli
 import foelner.connes
 from foelner import l2ops
-from foelner.cli import _HANDLERS, _check_counts, build_parser, main, run
+from foelner.cli import _HANDLERS, _check_counts, build_parser, main, render_json, run
+from foelner.connes import ProjectionSearchConfig, anneal_projection
 from foelner.errors import ConvergenceError, InvariantViolation
-from foelner.words import ball, format_word, free_group
+from foelner.words import ball, format_word, free_group, standard_generators
 from frame_helpers import count_calls
 
 SRC = Path(__file__).resolve().parents[1] / "src"
@@ -461,6 +465,85 @@ def test_unwritable_out_maps_to_exit_2(tmp_path, capsys):
     assert code == 2
     err = capsys.readouterr().err
     assert err.startswith("error: cannot write --out") and err.count("\n") == 1
+
+
+@pytest.mark.skipif(not os.path.exists("/dev/full"), reason="no /dev/full on this system")
+def test_out_on_a_full_device_maps_to_exit_2(capsys):
+    # every write to /dev/full fails, so the report fails once its first buffer is flushed,
+    # well before its last piece
+    argv = ["group", "--group", "abelian:2", "--radius", "10", "--mode", "search", "--iters", "2000", "--seed", "1"]
+    assert main(argv + ["--out", "/dev/full"]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: cannot write --out /dev/full") and err.count("\n") == 1
+
+
+class _WriteRecorder(io.StringIO):
+    """A text stream that keeps the length of each write."""
+
+    def __init__(self):
+        super().__init__()
+        self.writes = []
+
+    def write(self, text):
+        self.writes.append(len(text))
+        return super().write(text)
+
+
+def test_report_is_written_in_pieces(monkeypatch):
+    # the benchmark's search job: about 734 KB of JSON, none of it held whole
+    argv = ["group", "--group", "abelian:2", "--radius", "20", "--mode", "search", "--iters", "20000", "--seed", "1"]
+    recorder = _WriteRecorder()
+    monkeypatch.setattr(sys, "stdout", recorder)
+    assert main(argv) == 0
+    text = recorder.getvalue()
+    assert len(text) > 700_000 and max(recorder.writes) <= 64 * 1024
+    assert text == json.dumps(run(build_parser().parse_args(argv)), indent=2, sort_keys=True) + "\n"
+
+
+def test_scan_serializes_its_frame_once(monkeypatch, tmp_path):
+    # the payload's "frame" and its fingerprint hash the same columns
+    in_cli = count_calls(monkeypatch, foelner.cli, "frame_to_json")
+    in_connes = count_calls(monkeypatch, foelner.connes, "frame_to_json")
+    code, raw = run_cli(["scan", "--n", "2", "--rank", "3", "--radius", "3", "--iters", "50", "--seed", "5"], tmp_path)
+    assert code == 0
+    assert in_cli["frame_to_json"] + in_connes["frame_to_json"] == 1
+    # and the fingerprint is the one frame_fingerprint builds its own columns for
+    F2 = free_group(2)
+    frame = anneal_projection(ProjectionSearchConfig(F2, 3, 3, 5, 50, standard_generators(F2))).frame
+    assert json.loads(raw)["results"]["frame_fingerprint"] == foelner.connes.frame_fingerprint(frame)
+
+
+# JSON values as the payloads hold them, and the corners of json.dumps's spelling
+TEXT = st.one_of(st.text(), st.sampled_from(['say "hi"', "back\\slash", "\x00\x1f\n\t\x7f", "é ☃ 𝄞", ""]))
+SCALARS = st.one_of(
+    st.none(),
+    st.booleans(),
+    st.integers(),
+    st.integers(min_value=2**64, max_value=10**60).flatmap(lambda n: st.sampled_from([n, -n])),
+    st.floats(),
+    st.sampled_from([-0.0, 0.0, 1e-05, 1e16, 1e-300, 2.5e300, math.nan, math.inf, -math.inf, True, 1, 0, False]),
+    TEXT,
+)
+JSON_VALUES = st.recursive(
+    SCALARS,
+    lambda inner: st.one_of(st.lists(inner, max_size=5), st.lists(inner, max_size=5).map(tuple),
+                            st.dictionaries(TEXT, inner, max_size=5)),
+    max_leaves=30,
+)
+DEEP = st.builds(lambda x: {"a": [[{"b": ({"c": [x]},)}]]}, JSON_VALUES)  # nesting of depth 6 and more
+
+
+@settings(derandomize=True, database=None, max_examples=400)
+@given(st.one_of(JSON_VALUES, DEEP))
+@example({})
+@example([])
+@example({"t": True, "o": 1, "l": [True, 1, {}, [], ()], "e": {"": {}}})
+@example([[[[[[[0.1]]]]]]])
+@example({1: "int keys", 2: [0]})
+@example({2.5: True, 1e16: [None], -math.inf: {}})
+@example({None: ["null key"]})
+def test_render_json_pieces_join_to_json_dumps(value):
+    assert "".join(render_json(value)) == json.dumps(value, indent=2, sort_keys=True) + "\n"
 
 
 @pytest.mark.parametrize(

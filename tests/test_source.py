@@ -104,3 +104,29 @@ def test_no_private_names_imported_across_package_modules():
                     if alias.name.startswith("_") and not alias.name.endswith("__")
                 ]
     assert not found, f"underscore names imported across src/foelner: {found}"
+
+
+def _module_level(tree: ast.AST):
+    """The nodes of `tree` that run on import: all but function bodies."""
+    stack = [tree]
+    while stack:
+        node = stack.pop()
+        yield node
+        if not isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.Lambda)):
+            stack.extend(ast.iter_child_nodes(node))
+
+
+def test_no_module_level_hashlib_import_in_package():
+    # hashlib loads OpenSSL, about 3.5 MB resident; only frame_fingerprint needs it,
+    # so it imports hashlib itself and start-up and the runs that take no fingerprint skip it
+    found = []
+    for path in sorted(PACKAGE.glob("*.py")):
+        for node in _module_level(ast.parse(path.read_text(), filename=str(path))):
+            if isinstance(node, ast.Import):
+                modules = [alias.name for alias in node.names]
+            elif isinstance(node, ast.ImportFrom):
+                modules = [node.module or ""]
+            else:
+                continue
+            found += [f"{path.name}:{node.lineno}" for m in modules if m.split(".")[0] == "hashlib"]
+    assert not found, f"module-level hashlib imports in src/foelner: {found}"
