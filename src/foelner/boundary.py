@@ -31,10 +31,10 @@ from .words import (
     format_word,
     free_sphere_size,
     multiply,
-    shortlex_key,
+    shortlex_sorted,
     standard_generators,
     translation_indices,
-    word_positions,
+    words_of,
 )
 
 EXHAUSTIVE_BALL_CAP = 22  # |ball| cap: at most 2^22 candidate subsets
@@ -62,7 +62,7 @@ class ElementSet:
         return ElementSet(descriptor, ws)
 
     def sorted_members(self) -> list[Word]:
-        return sorted(self.members, key=shortlex_key)
+        return shortlex_sorted(self.descriptor, self.members)
 
     def __len__(self) -> int:
         return len(self.members)
@@ -77,13 +77,13 @@ class GeneratingSet:
 
     @staticmethod
     def of(descriptor: GroupDescriptor, words: Iterable[Word]) -> "GeneratingSet":
-        ws = sorted(set(words), key=shortlex_key)
+        ws = set(words)
         if not ws:
             raise PreconditionError("generating set must be non-empty")
         for w in ws:
             if w.descriptor != descriptor:
                 raise DescriptorMismatch(f"generator {format_word(w)} has descriptor {w.descriptor.spec()}")
-        return GeneratingSet(descriptor, tuple(ws))
+        return GeneratingSet(descriptor, tuple(shortlex_sorted(descriptor, ws)))
 
     @staticmethod
     def standard(descriptor: GroupDescriptor) -> "GeneratingSet":
@@ -92,7 +92,7 @@ class GeneratingSet:
     def closure(self) -> tuple[Word, ...]:
         """X union X^-1, deduplicated, shortlex-sorted."""
         both = set(self.generators) | {g.inverse() for g in self.generators}
-        return tuple(sorted(both, key=shortlex_key))
+        return tuple(shortlex_sorted(self.descriptor, both))
 
     def is_standard(self) -> bool:
         return self.generators == standard_generators(self.descriptor)
@@ -137,7 +137,7 @@ def boundary_ratio(A: ElementSet, X: GeneratingSet) -> BoundaryReport:
     return BoundaryReport.of(len(A.members), len(bd.members))
 
 
-def translation_table(descriptor: GroupDescriptor, X: GeneratingSet, radius: int) -> tuple[tuple[Word, ...], np.ndarray]:
+def translation_table(descriptor: GroupDescriptor, X: GeneratingSet, radius: int) -> tuple[np.ndarray, np.ndarray]:
     """(ball(radius), nbr) with nbr[x, i] the ball index of ball[i] * x, or -1 outside the ball,
     for x in X u X^-1 but e (which moves no member off a set, so no count changes).  Refuses X
     from another group, and a table past words.TABLE_CAP before the ball is built."""
@@ -146,8 +146,7 @@ def translation_table(descriptor: GroupDescriptor, X: GeneratingSet, radius: int
     check_translation_cost(descriptor, X.generators * 2, radius)  # X u X^-1: 2|X| words at most
     b = ball(descriptor, radius)
     gens = [x for x in X.closure() if not x.is_identity]
-    where = word_positions(b)
-    rows = [translation_indices(b, x, right=True, where=where) for x in gens]
+    rows = [translation_indices(descriptor, b, x, right=True) for x in gens]
     return b, np.array(rows, dtype=np.int64).reshape(-1, len(b))
 
 
@@ -213,7 +212,7 @@ def exhaustive_min_ratio(
     if best is None:
         raise InvariantViolation("no subset was evaluated")
     frac, size, indices = best
-    members = ElementSet.of(descriptor, (b[i] for i in indices))
+    members = ElementSet.of(descriptor, words_of(descriptor, b[list(indices)]))
     return members, BoundaryReport(size, int(frac * size), frac)
 
 
@@ -321,7 +320,7 @@ def local_search_min_ratio(
         raise SearchSpaceTooLarge(f"{config.iterations} toggles visit up to {work} rows > the cap of {SEARCH_WORK_CAP}")
     b, nbr = translation_table(descriptor, X, config.radius)
     n = len(b)
-    start = np.arange(n) == b.index(Word.identity(descriptor))  # the set {e}
+    start = np.arange(n) == 0  # the set {e}: e is row 0 of the ball
 
     # A toggle of i moves bad[p] for the p with p * x = i, that is p = i * x^-1; X u X^-1
     # is closed under inverses, so those p are the entries nbr[x, i] = i * x of column i
@@ -371,7 +370,7 @@ def local_search_min_ratio(
         if accept:
             current = cand
             toggled[len(history)] = i
-            history.append(AcceptedMove(it, ("-" if removing else "+") + format_word(b[i]), bcnt, size))
+            history.append(AcceptedMove(it, "-" if removing else "+", bcnt, size))  # named below
             frac = Fraction(bcnt, size)
             if (frac, size) < (best[0], best[1]):
                 best = (frac, size, len(history))
@@ -379,9 +378,14 @@ def local_search_min_ratio(
             toggle(i)  # undo
         temp *= TEMP_DECAY
 
+    # each accepted move names its word, made once per distinct ball row
+    rows, which = np.unique(toggled[: len(history)], return_inverse=True)
+    names = [format_word(w) for w in words_of(descriptor, b[rows])]
+    for move, j in zip(history, which.tolist()):
+        move.move += names[j]
     frac, _, k = best
     bm = start ^ (np.bincount(toggled[:k], minlength=n) % 2 == 1)
-    members = ElementSet.of(descriptor, (b[i] for i in np.flatnonzero(bm)))
+    members = ElementSet.of(descriptor, words_of(descriptor, b[bm]))
     report = boundary_ratio(members, X)
     if report.ratio != frac or report.ratio > initial_report.ratio:
         raise InvariantViolation(

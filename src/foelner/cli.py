@@ -269,6 +269,8 @@ def _check_counts(args: argparse.Namespace) -> None:
         units = args.unitaries.count(",") + 1 if args.unitaries else args.n  # free words hold no commas
         per_row = args.rank * (args.rank + 8) * units  # a k^2 compression and ~8k gathered entries per unitary
     elif args.command == "audit":
+        if args.rank < 1 or args.radius < 1:  # frames need rank >= 1 and rows in ball(radius - 1)
+            raise PreconditionError(f"audit needs --rank >= 1 and --radius >= 1, got {args.rank} and {args.radius}")
         if args.rank > SVD_MAX_K:  # svd_small's own refusal would come after the first frame
             raise SearchSpaceTooLarge(f"--rank {args.rank} exceeds the SVD size cap of {SVD_MAX_K}")
         name, count_cap, work_cap = "frames", AUDIT_FRAMES_CAP, AUDIT_WORK_CAP
@@ -398,9 +400,14 @@ def render_json(payload: dict) -> Iterator[str]:
 
 def write_report(payload: dict, out: str | None, fmt: str) -> None:
     """Write the report to `out` (or stdout) piece by piece: JSON as render_json yields it,
-    CSV row by row for the tabular reports (ball families and certificate sweeps)."""
+    CSV row by row for the tabular reports (ball families and certificate sweeps).  A report
+    that fails part-way leaves no cut file: it goes to a temporary file beside the regular
+    file `out` names (or will name), which replaces that file once the report is whole and is
+    removed otherwise.  A device or a pipe is written in place."""
+    path = os.path.realpath(out) if out else None
+    tmp = f"{path}.{os.getpid()}.tmp" if out and (os.path.isfile(path) or not os.path.exists(path)) else None
     try:
-        with open(out, "w") if out else contextlib.nullcontext(sys.stdout) as fh:
+        with open(tmp, "x") if tmp else open(out, "w") if out else contextlib.nullcontext(sys.stdout) as fh:
             if fmt == "csv":
                 results = payload["results"]
                 rows = results["history"] if results.get("mode") == "balls" else results["sweep"]  # never empty
@@ -409,10 +416,15 @@ def write_report(payload: dict, out: str | None, fmt: str) -> None:
                 writer.writerows(rows)
             else:
                 fh.writelines(render_json(payload))
+        if tmp:
+            os.replace(tmp, path)
     except OSError as exc:
         if not out:
             raise
         raise PreconditionError(f"cannot write --out {out}: {exc.strerror or exc}") from exc
+    finally:
+        if tmp and os.path.exists(tmp):  # the report did not replace `out`
+            os.unlink(tmp)
 
 
 # ---------------------------------------------------------------------------

@@ -42,10 +42,9 @@ from .words import (
     Word,
     ball,
     check_translation_cost,
-    extend_free,
     free_group,
-    multiply,
-    shortlex_key,
+    prefixed_words,
+    shortlex_order,
     standard_generators,
 )
 
@@ -118,28 +117,6 @@ def check_witness_work(n: int, T: int, ks: Iterable[int]) -> None:
             )
 
 
-def prefixed_words(descriptor: GroupDescriptor, first_letter: int, count: int) -> list[Word]:
-    """The first `count` shortlex words beginning with `first_letter`."""
-    out: list[Word] = []
-    level = [Word(descriptor, (first_letter,))]
-    while True:
-        for w in level:
-            out.append(w)
-            if len(out) == count:
-                return out
-        level = extend_free(descriptor, level)
-
-
-def _tail_lists(cfg: WitnessConfig) -> list[list[Word]]:
-    """For generator i, the first T words beginning with a_w^-1, w = (i-1 mod n) or n."""
-    descriptor = free_group(cfg.n)
-    lists = []
-    for i in range(1, cfg.n + 1):
-        w = cfg.n if i == 1 else i - 1
-        lists.append(prefixed_words(descriptor, -w, cfg.T))
-    return lists
-
-
 def build_witness_frame(cfg: WitnessConfig) -> Frame:
     """The k orthonormal columns whose generator compressions have constant
     subdiagonal 1/n.
@@ -151,25 +128,27 @@ def build_witness_frame(cfg: WitnessConfig) -> Frame:
     """
     check_witness_work(cfg.n, cfg.T, [cfg.k])
     descriptor = free_group(cfg.n)
-    lists = _tail_lists(cfg)
-    tail_len = max(lst[-1].length() for lst in lists)
+    # for generator i, the first T words beginning with a_w^-1, w = (i-1 mod n) or n
+    tails = [prefixed_words(descriptor, -(cfg.n if i == 1 else i - 1), cfg.T) for i in range(1, cfg.n + 1)]
+    tail_len = max(t.shape[1] for t in tails) - 1
     ambient = cfg.k + tail_len + 2
     weights = [(cfg.n + 1) ** (-t / 2.0) for t in range(1, cfg.T + 1)]
     scale = 1.0 / math.sqrt(sum(w * w for _ in range(cfg.n) for w in weights))
-    entries: dict[Word, tuple[int, float]] = {}  # word -> (column, amplitude)
+    # word (m, i, t) is a_i^m times the t-th tail of a_i, which begins with a_w^-1, w != i: nothing cancels
+    rows = np.zeros((cfg.k, cfg.n, cfg.T, cfg.k + tail_len + 1), dtype=tails[0].dtype)
     for m in range(1, cfg.k + 1):
-        for i in range(1, cfg.n + 1):
-            head = Word(descriptor, (i,) * m)
-            for t in range(1, cfg.T + 1):
-                entries[multiply(head, lists[i - 1][t - 1])] = (m - 1, scale * weights[t - 1])
-    if len(entries) != cfg.n * cfg.k * cfg.T:
+        for i, tail in enumerate(tails, start=1):
+            rows[m - 1, i - 1, :, :m] = i
+            rows[m - 1, i - 1, :, m : m + tail.shape[1]] = tail
+    rows = rows.reshape(-1, rows.shape[-1])
+    order = shortlex_order(descriptor, rows)
+    rows = rows[order]
+    if not (rows[1:] != rows[:-1]).any(axis=1).all():
         raise InvariantViolation("witness words must all be distinct")
-    rows = sorted(entries, key=shortlex_key)
+    column = np.repeat(np.arange(cfg.k), cfg.n * cfg.T)[order]
     c = np.zeros((len(rows), cfg.k))
-    for r, w in enumerate(rows):
-        m, amp = entries[w]
-        c[r, m] = amp
-    return Frame(descriptor, ambient, tuple(rows), c)
+    c[np.arange(len(rows)), column] = np.tile(scale * np.array(weights), cfg.k * cfg.n)[order]
+    return Frame(descriptor, ambient, rows, c)
 
 
 def certificate_formula(n: int, k: int) -> float:
@@ -291,7 +270,7 @@ def random_frame(
             c = gram_schmidt(raw[used])
         except RankDeficiency:
             continue
-        return Frame(descriptor, ambient_radius, tuple(pool[i] for i in used), c)
+        return Frame(descriptor, ambient_radius, pool[used], c)
     raise ConvergenceError(f"no rank-{rank} random frame after {MAX_RESTARTS} draws")
 
 

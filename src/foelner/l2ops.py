@@ -1,7 +1,7 @@
 """Truncated l2(G) linear algebra.
 
 A frame is the one representation of a finite-rank projection: the shortlex
-tuple of its support words (the rows) and an N x k complex coefficient array
+array of its support words' normal forms (the rows) and an N x k complex coefficient array
 whose orthonormal columns span the range.  Left translations act on frames as
 index gathers over the rows, so compressions, Hilbert-Schmidt quantities and
 trace defects are array work; nearest-unitary approximation uses a small
@@ -17,7 +17,6 @@ from __future__ import annotations
 import copy
 import math
 from dataclasses import dataclass, field
-from functools import cached_property
 from typing import NamedTuple
 
 import numpy as np
@@ -30,7 +29,7 @@ from .errors import (
     PreconditionError,
     RankDeficiency,
 )
-from .words import GroupDescriptor, Word, format_word, letter_array, shortlex_key, translation_indices
+from .words import GroupDescriptor, Word, format_word, row_lengths, shortlex_order, translation_indices, words_of
 
 PRUNE_TOL = 1e-15   # amplitudes below this are dropped at the JSON edge
 GRAM_TOL = 1e-10    # frame Gram matrix must match the identity entrywise
@@ -77,29 +76,34 @@ class GroupAlgebraElement:
 class Frame:
     """Ordered orthonormal columns spanning the range of a finite-rank projection.
 
-    `rows` are distinct words in strictly increasing shortlex order, none
-    longer than ambient_radius - 1, and C[i, j] is the amplitude of column j
-    on rows[i].  C is stored as a read-only complex copy.  hs_norm_sq is
+    `rows` is an array of distinct normal forms in strictly increasing shortlex
+    order (words.ball's layout), none longer than ambient_radius - 1, and
+    C[i, j] is the amplitude of column j on the word of rows[i].  rows and C
+    are stored as read-only copies, C as complex.  hs_norm_sq is
     ||e||^2_HS = ||C* C||^2_F for the projection e = CC*: the rank k up to
     roundoff, and exact for the stored C.
     """
 
     descriptor: GroupDescriptor
     ambient_radius: int
-    rows: tuple[Word, ...]
+    rows: np.ndarray
     C: np.ndarray
     support_radius: int = field(init=False)
     hs_norm_sq: float = field(init=False)
 
     def __post_init__(self):
-        if any(w.descriptor != self.descriptor for w in self.rows):
-            raise DescriptorMismatch(f"frame rows outside {self.descriptor.spec()}")
-        keys = [shortlex_key(w) for w in self.rows]
-        if any(a >= b for a, b in zip(keys, keys[1:])):
+        rows, d = np.array(self.rows), self.descriptor
+        shaped = rows.ndim == 2 and (rows.shape[1] >= 1 if d.is_free else rows.shape[1] == d.rank)
+        if not shaped or d.is_free and (rows[:, -1].any() or np.abs(rows).max(initial=0) > d.rank):
+            raise DescriptorMismatch(f"frame rows are not an array of normal forms of {d.spec()}")
+        order = shortlex_order(d, rows)
+        if not (np.array_equal(order, np.arange(len(rows))) and (rows[1:] != rows[:-1]).any(axis=1).all()):
             raise PreconditionError("frame rows must be distinct and in increasing shortlex order")
-        radius = keys[-1][0] if keys else 0
+        radius = int(row_lengths(d, rows).max(initial=0))
         if radius > self.ambient_radius - 1:
             raise HeadroomViolation(f"support radius {radius} needs ambient >= {radius + 1}")
+        rows.flags.writeable = False
+        object.__setattr__(self, "rows", rows)
         object.__setattr__(self, "support_radius", radius)
         self._set_columns(self.C)
 
@@ -120,13 +124,6 @@ class Frame:
         frame = copy.copy(self)
         frame._set_columns(c)
         return frame
-
-    @cached_property
-    def letters(self) -> np.ndarray:
-        """The rows' words.letter_array, N x (support_radius + 1), read-only."""
-        out = letter_array(self.rows)
-        out.flags.writeable = False
-        return out
 
 
 def _piece_rows(k_x: int, k_y: int) -> int:
@@ -189,7 +186,7 @@ def translation_gather(op: GroupAlgebraElement, frame: Frame) -> tuple[np.ndarra
         raise HeadroomViolation(
             f"support {frame.support_radius} + operator {op.operator_radius} exceeds ambient {frame.ambient_radius}"
         )
-    idx = translation_indices(frame.rows, op.word)
+    idx = translation_indices(frame.descriptor, frame.rows, op.word)
     src = np.flatnonzero(idx >= 0)
     return idx[src], src
 
@@ -312,7 +309,7 @@ def nearest_unitary(a: np.ndarray) -> tuple[np.ndarray, float]:
 
 def frame_to_json(frame: Frame) -> list[dict]:
     """Each column as {word: [re, im]} over its amplitudes of magnitude >= PRUNE_TOL."""
-    names = [format_word(w) for w in frame.rows]
+    names = [format_word(w) for w in words_of(frame.descriptor, frame.rows)]
     return [
         {names[i]: [a.real, a.imag] for i, a in enumerate(col) if abs(a) >= PRUNE_TOL}
         for col in frame.C.T.tolist()

@@ -17,7 +17,7 @@ import numpy as np
 
 from .errors import InvalidLetter, InvariantViolation, PreconditionError
 from .l2ops import CommutatorRatio, Frame, GroupAlgebraElement, commutator_ratio, nearest_unitary
-from .words import GroupDescriptor, Word, ball, format_word, free_group, letter_array, letters_in_order, multiply
+from .words import GroupDescriptor, Word, ball, format_word, free_group, letters_in_order, multiply, words_of
 
 PAPER_EPSILON = Fraction(1, 7)
 PAPER_DISPLACEMENT = Fraction(4, 49)
@@ -36,7 +36,7 @@ THRESHOLD_NOTE = (
 class PrefixSet:
     """A first-letter set S_{a_i^eps} (or {e}), optionally translated: t * S.
 
-    row_mask() decides membership for all rows of a letter array at once.
+    row_mask() decides membership for all rows of an array of F_n normal forms at once.
     """
 
     descriptor: GroupDescriptor
@@ -53,7 +53,7 @@ class PrefixSet:
         return self.translate if self.translate is not None else Word.identity(self.descriptor)
 
     def row_mask(self, letters: np.ndarray) -> np.ndarray:
-        """Membership of every row of a zero-padded words.letter_array.
+        """Membership of every row of an array of normal forms (words.ball's layout).
 
         t^-1 w begins with l exactly when either w = t u with u beginning with
         l, or w does not begin with t and l inverts t's last letter; {e} is the
@@ -80,7 +80,7 @@ def c_value(frame: Frame, s: PrefixSet) -> float:
     """(1/k) sum_i ||xi_i||^2_S: the squared amplitude mass of the frame inside S, in [0, 1]."""
     if frame.descriptor != s.descriptor:
         raise PreconditionError("frame and prefix set from different groups")
-    inside = frame.C[s.row_mask(frame.letters)]
+    inside = frame.C[s.row_mask(frame.rows)]
     return float(np.sum(inside.real**2 + inside.imag**2)) / frame.rank
 
 
@@ -106,7 +106,7 @@ def verify_set_identities(radius: int) -> SetIdentityReport:
     (i) S, bS, b^-1 S are pairwise disjoint; (ii) the corrected cover: S_a and
     aS partition everything; (iii) the literal union S + aS, reporting the
     words it leaves uncovered (exactly those beginning with a).  Each set is
-    one row mask over the ball's letter array.
+    one row mask over the ball's array.
     """
     if radius < 2:
         raise PreconditionError("radius must be >= 2")
@@ -114,9 +114,8 @@ def verify_set_identities(radius: int) -> SetIdentityReport:
     a = Word(descriptor, (1,))
     b = Word(descriptor, (2,))
     check_ball = ball(descriptor, radius - 1)
-    letters = letter_array(check_ball)
     s, s_a, a_s, b_s, binv_s = (
-        PrefixSet(descriptor, l, t).row_mask(letters)
+        PrefixSet(descriptor, l, t).row_mask(check_ball)
         for l, t in ((-1, None), (1, None), (-1, a), (-1, b), (-1, b.inverse()))
     )
     literal = s | a_s
@@ -128,7 +127,7 @@ def verify_set_identities(radius: int) -> SetIdentityReport:
         corrected_cover_ok=bool((s_a != a_s).all()),
         literal_cover_holds=len(uncovered) == 0,
         uncovered_count=len(uncovered),
-        uncovered_examples=tuple(format_word(check_ball[i]) for i in uncovered[:5]),
+        uncovered_examples=tuple(map(format_word, words_of(descriptor, check_ball[uncovered[:5]]))),
         uncovered_equals_first_letter_set=bool((literal != s_a).all()),
     )
 

@@ -14,7 +14,7 @@ import operator
 import re
 from dataclasses import dataclass
 from functools import lru_cache
-from typing import Iterable, Iterator, Sequence
+from typing import Callable, Iterable, Sequence
 
 import numpy as np
 
@@ -139,36 +139,18 @@ class Word:
         return f"Word({format_word(self)!r})"
 
 
-def _product(free: bool, a: tuple[int, ...], b: tuple[int, ...]) -> tuple[int, ...]:
-    """Normal form of the product of the normal forms a and b."""
-    if not free:
-        return tuple(map(operator.add, a, b))
-    # only the seam can cancel; both factors are already reduced
-    i, n = 0, min(len(a), len(b))
-    while i < n and a[-1 - i] == -b[i]:
-        i += 1
-    return a[: len(a) - i] + b[i:]
-
-
 def multiply(u: Word, v: Word) -> Word:
     """Reduced product uv."""
     if u.descriptor != v.descriptor:
         raise DescriptorMismatch(f"{u.descriptor.spec()} vs {v.descriptor.spec()}")
-    return Word(u.descriptor, _product(u.descriptor.is_free, u.data, v.data))
-
-
-def letter_order_index(l: int) -> int:
-    """Position of a letter in the canonical order a1 < a1^-1 < a2 < a2^-1 < ..."""
-    return 2 * (abs(l) - 1) + (0 if l > 0 else 1)
-
-
-def shortlex_key(w: Word) -> tuple:
-    """Sort key for shortlex order.  An abelian word spells as its a1-run, then its a2-run, ...;
-    the entries (0, -c), (1, c) and (2, 0) for a coordinate c > 0, < 0 and = 0 order
-    those spellings at O(d) cost rather than O(|w|)."""
-    if w.descriptor.is_free:
-        return (len(w.data), tuple(letter_order_index(l) for l in w.data))
-    return (w.length(), tuple((0, -c) if c > 0 else (1, c) if c < 0 else (2, 0) for c in w.data))
+    a, b = u.data, v.data
+    if not u.descriptor.is_free:
+        return Word(u.descriptor, tuple(map(operator.add, a, b)))
+    # only the seam can cancel; both factors are already reduced
+    i, n = 0, min(len(a), len(b))
+    while i < n and a[-1 - i] == -b[i]:
+        i += 1
+    return Word(u.descriptor, a[: len(a) - i] + b[i:])
 
 
 def letters_in_order(rank: int) -> tuple[int, ...]:
@@ -176,22 +158,119 @@ def letters_in_order(rank: int) -> tuple[int, ...]:
     return tuple(l for i in range(1, rank + 1) for l in (i, -i))
 
 
-def word_positions(words: Sequence[Word]) -> dict:
-    """The position in `words` of each word's normal form, for translation_indices."""
-    return {w.data: i for i, w in enumerate(words)}
+# ---------------------------------------------------------------------------
+# Arrays of normal forms, the one form of a set of group elements.  Row i holds
+# element i: its d exponents in Z^d (int64), or its F_n letters zero-padded to at
+# least the longest length + 1, so every row ends in a 0 (the layout
+# paradox.PrefixSet.row_mask reads), in the smallest integer type that holds
+# +-(4n + 1): one byte a letter in F_1, whose balls are the widest arrays.
 
 
-def translation_indices(words: Sequence[Word], g: Word, right: bool = False, where: dict | None = None) -> np.ndarray:
-    """idx[i] = position in `words` of g * words[i] (of words[i] * g when
-    `right`), or -1 where that product is not in `words`; all of one group.
-    A caller translating `words` by several g builds `where`, word_positions(words), once."""
-    if words and words[0].descriptor != g.descriptor:
-        raise DescriptorMismatch(f"{words[0].descriptor.spec()} vs {g.descriptor.spec()}")
-    if where is None:
-        where = word_positions(words)
-    free, gd = g.descriptor.is_free, g.data
-    products = (_product(free, w.data, gd) if right else _product(free, gd, w.data) for w in words)
-    return np.fromiter((where.get(p, -1) for p in products), dtype=np.int64, count=len(words))
+def _letter_type(rank: int) -> np.dtype:
+    return np.min_scalar_type(-4 * rank - 1)
+
+
+def element_array(descriptor: GroupDescriptor, words: Sequence[Word]) -> np.ndarray:
+    """The rows of `words`, all of `descriptor` (a Z^d entry past int64 makes an object array)."""
+    if not descriptor.is_free:
+        return np.array([w.data for w in words]).reshape(len(words), descriptor.rank)
+    out = np.zeros((len(words), max((len(w.data) for w in words), default=0) + 1), _letter_type(descriptor.rank))
+    for row, w in zip(out, words):  # row by row: no padded copy of a long word is made
+        row[: len(w.data)] = w.data
+    return out
+
+
+def words_of(descriptor: GroupDescriptor, a: np.ndarray) -> list[Word]:
+    """The Word of each row of an array of `descriptor`."""
+    if descriptor.is_free:  # a row at a time: the padding of a wide array never makes one big list
+        return [Word(descriptor, tuple(filter(None, row.tolist()))) for row in a]
+    return [Word(descriptor, tuple(row)) for row in a.tolist()]
+
+
+def row_lengths(descriptor: GroupDescriptor, a: np.ndarray) -> np.ndarray:
+    """The word length of each row: its letters in F_n, its l1 norm in Z^d."""
+    return (a != 0).sum(axis=1) if descriptor.is_free else np.abs(a).sum(axis=1)
+
+
+def shortlex_keys(descriptor: GroupDescriptor, a: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """(lengths, codes >= 0): rows compare in shortlex order as their lengths, then their codes,
+    compare lexicographically.  An F_n letter l codes as |4l - 1| (padding 1, then 3, 5, 7, ...
+    for a1 < a1^-1 < a2 < ...).  A Z^d word spells as its a1-run, its a2-run, ...; at length L
+    a coordinate c > 0, < 0, = 0 codes as L - c, 2L + c, 2L, which orders those spellings in
+    O(d).  Codes meet only at equal lengths, so keys of different arrays compare too."""
+    lengths = row_lengths(descriptor, a)
+    if descriptor.is_free:
+        codes = a * 4  # in place from here: an F_1 ball is a wide array
+        codes -= 1
+        return lengths, np.abs(codes, out=codes)
+    n = lengths[:, None]
+    return lengths, np.where(a > 0, n - a, np.where(a < 0, 2 * n + a, 2 * n))
+
+
+def shortlex_order(descriptor: GroupDescriptor, a: np.ndarray) -> np.ndarray:
+    """The stable permutation that sorts the rows of `a` into shortlex order."""
+    lengths, codes = shortlex_keys(descriptor, a)
+    return np.lexsort((*codes.T[::-1], lengths))
+
+
+def shortlex_sorted(descriptor: GroupDescriptor, words: Iterable[Word]) -> list[Word]:
+    """`words`, all of `descriptor`, in shortlex order."""
+    words = list(words)
+    return [words[i] for i in shortlex_order(descriptor, element_array(descriptor, words))]
+
+
+def _packed_keys(descriptor: GroupDescriptor, a: np.ndarray, code_type: np.dtype) -> np.ndarray:
+    """A byte string per row, in shortlex order as bytes: the big-endian length and codes, these
+    in `code_type`, an unsigned type that holds every code of `a`."""
+    lengths, codes = shortlex_keys(descriptor, a)
+    out = np.empty((len(a), 4 + a.shape[1] * code_type.itemsize), dtype=np.uint8)
+    out[:, :4].view(">u4")[:, 0] = lengths
+    out[:, 4:].view(code_type.newbyteorder(">"))[...] = codes
+    return out.view(f"S{out.shape[1]}").ravel()
+
+
+def _times(rows: np.ndarray, lengths: np.ndarray, letters: tuple[int, ...], right: bool) -> np.ndarray:
+    """The F_n rows w.t (t.w unless `right`), |t| columns wider, for t the product of `letters`:
+    each letter in turn cancels the last (first) letter of a row or is written after (before) it."""
+    at, lengths = np.arange(len(rows)), lengths.copy()
+    out = np.zeros((len(rows), rows.shape[1] + len(letters)), dtype=rows.dtype)
+    out[:, : rows.shape[1]] = rows
+    for x in letters if right else letters[::-1]:
+        if right:
+            cancels = out[at, np.maximum(lengths - 1, 0)] == -x  # the identity's column 0 holds no letter
+            lengths -= cancels
+            out[at, lengths] = np.where(cancels, 0, x)
+            lengths += ~cancels
+        else:  # the last column is still 0, so no shift loses a letter
+            cancels = out[:, 0] == -x
+            out[cancels, :-1] = out[cancels, 1:]
+            out[~cancels, 1:] = out[~cancels, :-1]
+            out[~cancels, 0] = x
+    return out
+
+
+def translation_indices(descriptor: GroupDescriptor, rows: np.ndarray, g: Word, right: bool = False) -> np.ndarray:
+    """idx[i] = position in `rows`, a shortlex-sorted array of distinct elements of `descriptor`,
+    of g * rows[i] (of rows[i] * g when `right`), or -1 where that product is not a row."""
+    if g.descriptor != descriptor:
+        raise DescriptorMismatch(f"{descriptor.spec()} vs {g.descriptor.spec()}")
+    lengths = row_lengths(descriptor, rows)
+    longest = int(lengths.max(initial=0))
+    idx = np.full(len(rows), -1, dtype=np.int64)
+    if not len(rows) or g.length() > 2 * longest:
+        return idx  # every product is longer than every row; g's integers need fit no dtype
+    if descriptor.is_free:
+        products = _times(rows, lengths, g.data, right)
+    else:
+        products = rows + np.array(g.data, dtype=np.int64)
+    fit = np.flatnonzero(row_lengths(descriptor, products) <= longest)  # the others are no row
+    products = products[fit, : rows.shape[1]]
+    code_type = np.min_scalar_type(4 * descriptor.rank + 1 if descriptor.is_free else 2 * longest)
+    keys, wanted = _packed_keys(descriptor, rows, code_type), _packed_keys(descriptor, products, code_type)
+    pos = np.minimum(np.searchsorted(keys, wanted), len(keys) - 1)
+    hit = keys[pos] == wanted
+    idx[fit[hit]] = pos[hit]
+    return idx
 
 
 def check_translation_cost(descriptor: GroupDescriptor, words: Sequence[Word], radius: int) -> None:
@@ -204,66 +283,59 @@ def check_translation_cost(descriptor: GroupDescriptor, words: Sequence[Word], r
         raise SearchSpaceTooLarge(f"the tables of translates cost {cost} operations > the cap of {TABLE_CAP}")
 
 
-def letter_array(words: Sequence[Word]) -> np.ndarray:
-    """N x (longest length + 1) array for N >= 1 free-group words: row i holds the
-    letters of words[i], zero-padded, so every row ends in a 0 (the layout
-    PrefixSet.row_mask reads)."""
-    width = max(len(w.data) for w in words) + 1
-    return np.array([w.data + (0,) * (width - len(w.data)) for w in words], dtype=np.int64)
-
-
-def extend_free(descriptor: GroupDescriptor, level: Sequence[Word]) -> list[Word]:
-    """Every reduced word w.l of F_n with w in `level`: shortlex-sorted when
-    `level` is a shortlex-sorted list of words of one length."""
-    order = letters_in_order(descriptor.rank)
-    out: list[Word] = []
-    for w in level:
-        last = w.data[-1] if w.data else 0
-        out += [Word(descriptor, w.data + (l,)) for l in order if l != -last]
+def _free_words(rank: int, first: tuple[int, ...], more: Callable[[list], bool]) -> np.ndarray:
+    """The reduced words first.u of F_n in shortlex order, a sphere at a time while
+    more(spheres so far) holds, zero-padded to the longest length + 1."""
+    letters = np.array(letters_in_order(rank), dtype=_letter_type(rank))
+    spheres = [np.array([first], dtype=letters.dtype).reshape(1, len(first))]
+    while more(spheres):
+        last = spheres[-1][:, -1] if spheres[-1].shape[1] else np.zeros(1, dtype=letters.dtype)
+        parent, j = np.nonzero(letters != -last[:, None])  # each row, then each letter in order
+        spheres.append(np.column_stack([spheres[-1][parent], letters[j]]))
+    out = np.zeros((sum(map(len, spheres)), spheres[-1].shape[1] + 1), dtype=letters.dtype)
+    start = 0
+    for s in spheres:
+        out[start : start + len(s), : s.shape[1]] = s
+        start += len(s)
     return out
 
 
-def _free_spheres(descriptor: GroupDescriptor, radius: int) -> list[list[Word]]:
-    """Spheres 0..radius, each shortlex-sorted."""
-    spheres = [[Word.identity(descriptor)]]
-    for _ in range(radius):
-        spheres.append(extend_free(descriptor, spheres[-1]))
-    return spheres
+def prefixed_words(descriptor: GroupDescriptor, first_letter: int, count: int) -> np.ndarray:
+    """The first `count` >= 1 shortlex words of F_n beginning with `first_letter`."""
+    return _free_words(descriptor.rank, (first_letter,), lambda spheres: sum(map(len, spheres)) < count)[:count]
 
 
-def _l1_supports(dim: int, start: int, budget: int) -> Iterator[tuple[tuple[int, int], ...]]:
-    """The nonzero entries (position, value), at positions >= start, of every
-    integer vector of length `dim` with l1 norm <= budget.  Each recursion
-    level spends at least 1 of the budget, so the depth stays below
-    min(dim, budget) + 2 however large `dim` is."""
-    yield ()
-    if budget == 0:
-        return
-    for p in range(start, dim):
-        for m in range(1, budget + 1):
-            for rest in _l1_supports(dim, p + 1, budget - m):
-                yield ((p, m),) + rest
-                yield ((p, -m),) + rest
-
-
-def _abelian_elements(descriptor: GroupDescriptor, radius: int) -> list[Word]:
-    out = []
-    for support in _l1_supports(descriptor.rank, 0, radius):
-        vec = [0] * descriptor.rank
-        for p, c in support:
-            vec[p] = c
-        out.append(Word(descriptor, tuple(vec)))
-    out.sort(key=shortlex_key)
-    return out
+def _abelian_ball(descriptor: GroupDescriptor, radius: int) -> np.ndarray:
+    """Coordinate by coordinate, each vector of l1 norm u so far takes each next coordinate c with
+    |c| <= radius - u; a level keeps its choices and their parents, read back at the end: O(|ball| d)."""
+    d = descriptor.rank
+    used = np.zeros(1, dtype=np.int64)
+    levels = []
+    for _ in range(d if radius else 0):  # radius 0 leaves every coordinate at 0, for any d
+        room = radius - used
+        count = 2 * room + 1
+        parent = np.repeat(np.arange(len(used)), count)
+        c = np.arange(len(parent)) - np.repeat(np.cumsum(count) - count + room, count)  # -room..room
+        used = used[parent] + np.abs(c)
+        levels.append((parent, c))
+    out = np.zeros((len(used), d), dtype=np.int64)
+    at = np.arange(len(used))
+    for p in range(len(levels) - 1, -1, -1):
+        parent, c = levels[p]
+        out[:, p] = c[at]
+        at = parent[at]
+    return out[shortlex_order(descriptor, out)]
 
 
 # A run reuses at most three balls (identity-check draws frames on three
 # radii); an unbounded cache would pin every ball a long-lived caller ever
-# built, each of up to ENUMERATION_CAP words (about 45 MB at 199,081 words).
+# built, each of up to 8 MB (INTEGER_CAP int64 exponents; the widest F_n ball,
+# F_1 at radius 1,413, holds 4 MB of one-byte letters and padding).
 @lru_cache(maxsize=4)
-def ball(descriptor: GroupDescriptor, radius: int) -> tuple[Word, ...]:
-    """The Cayley ball for the standard generators: its words of length <= radius,
-    shortlex-sorted and duplicate-free.
+def ball(descriptor: GroupDescriptor, radius: int) -> np.ndarray:
+    """The Cayley ball for the standard generators: the read-only array of the normal forms of
+    its words of length <= radius, shortlex-sorted and duplicate-free, so e is row 0 and
+    ball(r) is the first ball_size(r) rows of ball(radius) for every r <= radius.
 
     Refuses, before building anything, when the ball has more than
     ENUMERATION_CAP elements, or stores more than INTEGER_CAP integers (Z^d) or
@@ -279,8 +351,11 @@ def ball(descriptor: GroupDescriptor, radius: int) -> tuple[Word, ...]:
     if not descriptor.is_free and size * descriptor.rank > INTEGER_CAP:
         raise SearchSpaceTooLarge(f"ball({descriptor.spec()}, {radius}) stores more than {INTEGER_CAP} integers")
     if descriptor.is_free:
-        return tuple(w for sphere in _free_spheres(descriptor, radius) for w in sphere)
-    return tuple(_abelian_elements(descriptor, radius))
+        out = _free_words(descriptor.rank, (), lambda spheres: len(spheres) <= radius)
+    else:
+        out = _abelian_ball(descriptor, radius)
+    out.flags.writeable = False
+    return out
 
 
 def ball_size(descriptor: GroupDescriptor, radius: int) -> int:
@@ -362,14 +437,7 @@ def standard_generators(descriptor: GroupDescriptor) -> tuple[Word, ...]:
     n = descriptor.rank
     if n > ENUMERATION_CAP or (not descriptor.is_free and n * n > INTEGER_CAP):
         raise SearchSpaceTooLarge(f"the standard generators of {descriptor.spec()} exceed the word or integer cap")
-    if descriptor.is_free:
-        return tuple(Word(descriptor, (i,)) for i in range(1, n + 1))
-    gens = []
-    for i in range(descriptor.rank):
-        vec = [0] * descriptor.rank
-        vec[i] = 1
-        gens.append(Word(descriptor, tuple(vec)))
-    return tuple(gens)
+    return tuple(words_of(descriptor, np.arange(1, n + 1)[:, None] if descriptor.is_free else np.eye(n, dtype=np.int64)))
 
 
 def parse_generators(descriptor: GroupDescriptor, text: str) -> tuple[Word, ...]:

@@ -8,7 +8,7 @@ import numpy as np
 from foelner.connes import random_frame
 from foelner.errors import PreconditionError, RankDeficiency
 from foelner.l2ops import BLAS_CHUNK, RANK_TOL, Frame, gram_schmidt
-from foelner.words import multiply, shortlex_key
+from foelner.words import element_array, multiply, shortlex_sorted, words_of
 
 
 def frame_of(descriptor, ambient, columns, orthonormalize=False):
@@ -16,10 +16,10 @@ def frame_of(descriptor, ambient, columns, orthonormalize=False):
 
     With `orthonormalize`, the columns go through gram_schmidt first.
     """
-    rows = sorted({w for col in columns for w in col}, key=shortlex_key)
+    rows = shortlex_sorted(descriptor, {w for col in columns for w in col})
     c = np.array([[col.get(w, 0.0) for col in columns] for w in rows], dtype=complex)
     c = c.reshape(len(rows), len(columns))
-    return Frame(descriptor, ambient, tuple(rows), gram_schmidt(c) if orthonormalize else c)
+    return Frame(descriptor, ambient, element_array(descriptor, rows), gram_schmidt(c) if orthonormalize else c)
 
 
 def frame_pool(descriptor, rank, ambient_radius, seed, count):
@@ -28,9 +28,14 @@ def frame_pool(descriptor, rank, ambient_radius, seed, count):
     return [random_frame(descriptor, rank, ambient_radius, rng) for _ in range(count)]
 
 
+def row_words(frame):
+    """The Word of each row of the frame."""
+    return words_of(frame.descriptor, frame.rows)
+
+
 def columns_of(frame):
     """Each column of the frame as {word: amplitude} over its nonzero amplitudes."""
-    return [{w: a for w, a in zip(frame.rows, col) if a != 0} for col in frame.C.T.tolist()]
+    return [{w: a for w, a in zip(row_words(frame), col) if a != 0} for col in frame.C.T.tolist()]
 
 
 def translate(g, col):

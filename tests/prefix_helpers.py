@@ -3,7 +3,7 @@ foelner.paradox are checked against: a word w lies in t * S(l) when the
 reduced product t^-1 w begins with l (in t * {e} when it is the identity)."""
 
 from foelner.paradox import PrefixSet, SetIdentityReport
-from foelner.words import Word, ball, format_word, free_group, multiply
+from foelner.words import Word, ball, format_word, free_group, multiply, words_of
 
 
 def contains(s: PrefixSet, w: Word) -> bool:
@@ -24,7 +24,7 @@ def reference_set_identities(radius: int) -> SetIdentityReport:
     b_s = s.translated(b)
     binv_s = s.translated(b.inverse())
 
-    check_ball = ball(descriptor, radius - 1)
+    check_ball = words_of(descriptor, ball(descriptor, radius - 1))
     disjoint_ok = True
     corrected_ok = True
     uncovered: list[Word] = []

@@ -19,8 +19,9 @@ from foelner.boundary import (
 from foelner.connes import MAX_RESTARTS, STEP_DECAY, STEP_ENTRIES, STEP_SCALE, AnnealResult, q_objective
 from foelner.errors import ConvergenceError, PreconditionError, RankDeficiency
 from foelner.l2ops import Frame, GroupAlgebraElement, closed_form_ratio, compress, normalized_trace
-from foelner.words import Word, ball, format_word, translation_indices
+from foelner.words import Word, ball, format_word, words_of
 from frame_helpers import reference_gram_schmidt
+from table_helpers import oracle_translation_indices
 
 
 def mask_ratio(mask, nbr):
@@ -39,9 +40,9 @@ def mask_ratio(mask, nbr):
 def rescan_local_search(descriptor, X, config):
     """local_search_min_ratio with a full boundary recount per toggle, and the
     same start {e}, rng draws, accept rule and best tracking."""
-    b = ball(descriptor, config.radius)
+    b = words_of(descriptor, ball(descriptor, config.radius))
     n = len(b)
-    nbr = np.stack([translation_indices(b, x, right=True) for x in X.closure()])
+    nbr = np.stack([oracle_translation_indices(b, x, right=True) for x in X.closure()])
     mask = np.zeros(n, dtype=bool)
     mask[b.index(Word.identity(descriptor))] = True
 

@@ -21,7 +21,7 @@ from foelner.boundary import (
     translation_table,
 )
 from foelner.errors import DescriptorMismatch, PreconditionError, SearchSpaceTooLarge, SeedRequired
-from foelner.words import Word, ball, free_abelian, free_group, multiply, parse_generators, translation_indices
+from foelner.words import Word, ball, free_abelian, free_group, multiply, parse_generators, translation_indices, words_of
 from frame_helpers import count_calls
 from search_helpers import rescan_local_search
 from table_helpers import TABLE_CASES, generating_set, oracle_translation_indices
@@ -32,6 +32,10 @@ Z2 = free_abelian(2)
 XF2 = GeneratingSet.standard(F2)
 XZ1 = GeneratingSet.standard(Z1)
 XZ2 = GeneratingSet.standard(Z2)
+
+
+def ball_words(descriptor, radius):
+    return words_of(descriptor, ball(descriptor, radius))
 
 
 def interval(lo, hi):
@@ -54,7 +58,7 @@ def oracle_boundary(members, closure):
 
 
 def oracle_exhaustive(descriptor, X, radius):
-    elems = ball(descriptor, radius)
+    elems = ball_words(descriptor, radius)
     closure = X.closure()
     best = None
     for k in range(1, len(elems) + 1):
@@ -71,7 +75,7 @@ def oracle_exhaustive(descriptor, X, radius):
 
 
 def test_interior_boundary_ball_f2():
-    A = ElementSet.of(F2, ball(F2, 2))
+    A = ElementSet.of(F2, ball_words(F2, 2))
     bd = interior_boundary(A, XF2)
     assert len(bd) == 12
     assert all(w.length() == 2 for w in bd.members)  # exactly the radius-2 sphere
@@ -91,7 +95,7 @@ def test_interior_boundary_singleton():
 
 def test_interior_boundary_matches_oracle_on_random_subsets():
     rng = np.random.default_rng(5)
-    elems = ball(F2, 2)
+    elems = ball_words(F2, 2)
     closure = XF2.closure()
     for _ in range(50):
         take = rng.random(len(elems)) < 0.4
@@ -103,7 +107,7 @@ def test_interior_boundary_matches_oracle_on_random_subsets():
 
 
 def test_boundary_ratio_examples():
-    assert boundary_ratio(ElementSet.of(F2, ball(F2, 2)), XF2).ratio == Fraction(12, 17)
+    assert boundary_ratio(ElementSet.of(F2, ball_words(F2, 2)), XF2).ratio == Fraction(12, 17)
     assert boundary_ratio(interval(0, 9), XZ1).ratio == Fraction(1, 5)
     rep = boundary_ratio(box(5), XZ2)
     assert rep.ratio == Fraction(16, 25)
@@ -112,7 +116,7 @@ def test_boundary_ratio_examples():
 
 def test_boundary_ratio_range():
     for r in (1, 2):
-        rep = boundary_ratio(ElementSet.of(F2, ball(F2, r)), XF2)
+        rep = boundary_ratio(ElementSet.of(F2, ball_words(F2, r)), XF2)
         assert 0 <= rep.ratio <= 1
 
 
@@ -126,7 +130,7 @@ def test_empty_set_rejected():
 def test_monotone_generator_property():
     Xa = GeneratingSet.of(F2, [Word(F2, (1,))])
     rng = np.random.default_rng(11)
-    elems = ball(F2, 2)
+    elems = ball_words(F2, 2)
     for _ in range(30):
         take = rng.random(len(elems)) < 0.5
         members = [w for w, t in zip(elems, take) if t]
@@ -144,7 +148,7 @@ def test_exhaustive_radius1_matches_bruteforce_oracle():
     ratio, size, combo = oracle_exhaustive(F2, XF2, 1)
     assert report.ratio == ratio == Fraction(4, 5)
     assert report.set_size == size == 5
-    assert best_set.members == set(ball(F2, 1))
+    assert best_set.members == set(ball_words(F2, 1))
 
 
 def test_exhaustive_interval_matches_oracle():
@@ -152,7 +156,7 @@ def test_exhaustive_interval_matches_oracle():
     ratio, size, combo = oracle_exhaustive(Z1, XZ1, 3)
     assert report.ratio == ratio == Fraction(2, 7)
     assert size == 7
-    assert best_set.members == set(ball(Z1, 3))
+    assert best_set.members == set(ball_words(Z1, 3))
 
 
 @pytest.mark.parametrize(
@@ -165,7 +169,7 @@ def test_exhaustive_degenerate_generators_match_oracle(descriptor, gens, radius)
     best_set, report = exhaustive_min_ratio(descriptor, X, radius)
     ratio, size, combo = oracle_exhaustive(descriptor, X, radius)
     assert (report.ratio, report.set_size) == (ratio, size)
-    assert best_set.members == {ball(descriptor, radius)[i] for i in combo}
+    assert best_set.members == {ball_words(descriptor, radius)[i] for i in combo}
 
 
 def test_exhaustive_builds_one_fraction_per_chunk(monkeypatch):
@@ -188,7 +192,7 @@ def test_exhaustive_f2_radius2():
     best_set, report = exhaustive_min_ratio(F2, XF2, 2)
     assert report.ratio == Fraction(12, 17)
     assert report.ratio >= Fraction(2, 3)
-    assert best_set.members == set(ball(F2, 2))
+    assert best_set.members == set(ball_words(F2, 2))
 
 
 def test_exhaustive_cap():
@@ -220,7 +224,7 @@ def test_exhaustive_subset_pass_cap(monkeypatch):
 def test_local_search_toggle_cap(monkeypatch):
     # iterations * 2|X| rows: the 160 words of ball(F_2, 4) other than e give 320 per
     # toggle, so 52,428 iterations pass the cap of 2^24 and 52,429 do not
-    X = GeneratingSet.of(F2, [w for w in ball(F2, 4) if not w.is_identity])
+    X = GeneratingSet.of(F2, [w for w in ball_words(F2, 4) if not w.is_identity])
     monkeypatch.setattr("foelner.boundary.ball", _refuse_ball)
     with pytest.raises(SearchSpaceTooLarge, match="toggles"):
         local_search_min_ratio(F2, X, GroupSearchConfig(radius=1, seed=1, iterations=52_429))
@@ -240,7 +244,7 @@ def test_boundary_never_empty_at_small_radius():
     # every non-empty subset of ball(2) has a non-empty interior boundary
     for descriptor, X in ((F2, XF2), (Z2, XZ2)):
         b = ball(descriptor, 2)
-        nbr = np.stack([translation_indices(b, x, right=True) for x in X.closure()])
+        nbr = np.stack([translation_indices(descriptor, b, x, right=True) for x in X.closure()])
         masks = np.arange(1, 1 << len(b), dtype=np.uint64)
         bcnt, _ = _subset_boundary_counts(masks, nbr)
         assert int(bcnt.min()) >= 1
@@ -251,9 +255,10 @@ def test_translation_table_is_the_right_translates_but_e(descriptor, gens, radiu
     X = generating_set(descriptor, gens)
     b, nbr = translation_table(descriptor, X, radius)
     moving = [x for x in X.closure() if not x.is_identity]
-    assert b == ball(descriptor, radius) and nbr.shape == (len(moving), len(b))
+    assert b is ball(descriptor, radius) and nbr.shape == (len(moving), len(b))
+    words = words_of(descriptor, b)
     for x, row in zip(moving, nbr):
-        assert row.tolist() == oracle_translation_indices(b, x, right=True).tolist()
+        assert row.tolist() == oracle_translation_indices(words, x, right=True).tolist()
 
 
 @pytest.mark.parametrize("descriptor, gens, radius", TABLE_CASES)
@@ -262,7 +267,7 @@ def test_enumerated_family_matches_each_ball_scanned_alone(descriptor, gens, rad
     fam = ball_family_ratios(descriptor, X, radius, method="enumerate")
     assert [fr.radius for fr in fam] == list(range(1, radius + 1))
     for fr in fam:
-        assert fr.report == boundary_ratio(ElementSet.of(descriptor, ball(descriptor, fr.radius)), X)
+        assert fr.report == boundary_ratio(ElementSet.of(descriptor, ball_words(descriptor, fr.radius)), X)
 
 
 def test_enumerated_family_builds_one_ball_and_one_table(monkeypatch):

@@ -5,6 +5,7 @@ import io
 import json
 import math
 import os
+import resource
 import subprocess
 import sys
 import textwrap
@@ -21,7 +22,7 @@ from foelner import l2ops
 from foelner.cli import _HANDLERS, _check_counts, build_parser, main, render_json, run
 from foelner.connes import ProjectionSearchConfig, anneal_projection
 from foelner.errors import ConvergenceError, InvariantViolation
-from foelner.words import ball, format_word, free_group, standard_generators
+from foelner.words import ball, format_word, free_group, standard_generators, words_of
 from frame_helpers import count_calls
 
 SRC = Path(__file__).resolve().parents[1] / "src"
@@ -231,6 +232,9 @@ def test_identity_check_payload_independent_of_hash_seed():
         ["audit", "--rank", "200", "--radius", "6", "--seed", "1", "--frames", "14"],
         # an audit rank past l2ops.SVD_MAX_K, refused before any frame is drawn
         ["audit", "--rank", "400", "--radius", "7", "--seed", "1", "--frames", "1"],
+        # audit ranks and radii below 1, refused also when no frame is drawn
+        ["audit", "--rank", "0", "--radius", "3", "--seed", "1", "--frames", "0"],
+        ["audit", "--rank", "2", "--radius", "0", "--seed", "1", "--frames", "0"],
     ],
 )
 def test_unbounded_inputs_refused_with_exit_2(argv, capsys):
@@ -298,7 +302,7 @@ def test_inputs_at_the_caps_reach_the_build(argv, monkeypatch):
         # and the 4,372 words of ball(F_2, 7) other than e times that ball
         ["group", "--group", "free:99999", "--radius", "1", "--mode", "search", "--iters", "1", "--seed", "1"],
         ["group", "--group", "free:2", "--radius", "7", "--mode", "search", "--iters", "1", "--seed", "1", "--gens",
-         ",".join(format_word(w) for w in ball(free_group(2), 7) if not w.is_identity)],
+         ",".join(format_word(w) for w in words_of(free_group(2), ball(free_group(2), 7)) if not w.is_identity)],
         # scan's work cap counts the unitaries: 2,000 of them at rank 8 on 161 rows
         # admit 104 iterations
         ["scan", "--n", "2", "--rank", "8", "--radius", "5", "--iters", "100000", "--seed", "1", "--unitaries",
@@ -315,7 +319,7 @@ def test_inputs_at_the_caps_reach_the_build(argv, monkeypatch):
         # 224,143 words of ball(Z^9, 7), and the 4,372 words of ball(F_2, 7) other than e
         ["group", "--group", "abelian:9", "--radius", "7", "--mode", "balls"],
         ["group", "--group", "free:2", "--radius", "7", "--mode", "balls", "--gens",
-         ",".join(format_word(w) for w in ball(free_group(2), 7) if not w.is_identity)],
+         ",".join(format_word(w) for w in words_of(free_group(2), ball(free_group(2), 7)) if not w.is_identity)],
     ],
 )
 def test_large_tables_and_checks_refused_before_building(argv, monkeypatch, capsys):
@@ -328,8 +332,8 @@ def test_large_tables_and_checks_refused_before_building(argv, monkeypatch, caps
     "argv, builder",
     [
         # F_1 balls under the element cap that store more than words.LETTER_CAP letters
-        (["group", "--group", "free:1", "--radius", "99999", "--mode", "search", "--seed", "1"], "words._free_spheres"),
-        (["scan", "--n", "1", "--rank", "1", "--radius", "100000", "--iters", "1", "--seed", "1"], "words._free_spheres"),
+        (["group", "--group", "free:1", "--radius", "99999", "--mode", "search", "--seed", "1"], "words._free_words"),
+        (["scan", "--n", "1", "--rank", "1", "--radius", "100000", "--iters", "1", "--seed", "1"], "words._free_words"),
         # balls past boundary.EXHAUSTIVE_BALL_CAP
         (["group", "--group", "free:1", "--radius", "99999", "--mode", "exhaustive"], "boundary.ball"),
         (["group", "--group", "abelian:1", "--radius", "99999", "--mode", "exhaustive"], "boundary.ball"),
@@ -477,6 +481,30 @@ def test_out_on_a_full_device_maps_to_exit_2(capsys):
     assert err.startswith("error: cannot write --out /dev/full") and err.count("\n") == 1
 
 
+def test_out_cut_short_leaves_no_file_and_keeps_the_old_one(tmp_path):
+    # a file-size limit of 100 KB in the child cuts the 734 KB report short: the run exits 2,
+    # and --out names no file, or still the one it named before
+    argv = ["group", "--group", "abelian:2", "--radius", "20", "--mode", "search", "--iters", "20000", "--seed", "1"]
+    out = tmp_path / "F"
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [str(SRC), env.get("PYTHONPATH")]))
+
+    def run_limited():
+        limit = (100 * 1024, 100 * 1024)
+        return subprocess.run(
+            [sys.executable, "-m", "foelner.cli", *argv, "--out", str(out)],
+            env=env, capture_output=True, timeout=120, preexec_fn=lambda: resource.setrlimit(resource.RLIMIT_FSIZE, limit),
+        )
+
+    proc = run_limited()
+    assert proc.returncode == 2 and proc.stderr.startswith(b"error: cannot write --out")
+    assert not out.exists()
+    out.write_bytes(b"the report before")
+    assert run_limited().returncode == 2
+    assert out.read_bytes() == b"the report before"
+    assert [p.name for p in tmp_path.iterdir()] == ["F"]  # no temporary file left behind
+
+
 class _WriteRecorder(io.StringIO):
     """A text stream that keeps the length of each write."""
 
@@ -576,6 +604,17 @@ def test_render_json_pieces_join_to_json_dumps(value):
         (
             ["audit", "--rank", "100", "--radius", "5", "--seed", "1", "--frames", "1"],  # products run whole
             "565357172081d40d6ce7d519d88eff8a7580f375fb77a611ca69c53ee080d9cf",
+        ),
+        # Z^d generators whose entries fit no integer dtype: their translates leave every ball
+        (
+            ["group", "--group", "abelian:2", "--radius", "2", "--mode", "search", "--iters", "5", "--seed", "1",
+             "--gens", "(99999999999999999999,0)"],
+            "d8405aa90e563d47c2d525bee16be77021747f27717dfdeacf6edb90e96b954f",
+        ),
+        (
+            ["group", "--group", "abelian:2", "--radius", "3", "--mode", "search", "--iters", "50", "--seed", "1",
+             "--gens", "(99999999999999999999,0),(0,-99999999999999999999),(1,-1),(-3,0)"],
+            "44ef405dca3d99d744550c8cf435c2d078f18350ed3e12e65e1596dbc0f62d94",
         ),
     ],
 )

@@ -18,7 +18,6 @@ from foelner.connes import (
     frame_fingerprint,
     limit_formula,
     pool_objective,
-    prefixed_words,
     q_objective,
     random_frame,
     standard_unitaries,
@@ -26,7 +25,16 @@ from foelner.connes import (
 )
 from foelner.errors import PreconditionError, RankDeficiency, SearchSpaceTooLarge
 from foelner.l2ops import GroupAlgebraElement, compress
-from foelner.words import Word, free_group, multiply, parse_generators, standard_generators
+from foelner.words import (
+    Word,
+    ball,
+    free_group,
+    multiply,
+    parse_generators,
+    prefixed_words,
+    standard_generators,
+    words_of,
+)
 from frame_helpers import columns_of, count_calls, frame_of, frame_pool, inner, translate
 from search_helpers import frame_per_trial_anneal
 
@@ -41,11 +49,10 @@ L_e = GroupAlgebraElement.left_translation(Word.identity(F2))
 
 
 def test_prefixed_words_are_shortlex_and_prefixed():
-    words = prefixed_words(F2, -1, 10)
-    assert len(words) == 10
-    assert all(w.data[0] == -1 for w in words)
-    lengths = [w.length() for w in words]
-    assert lengths == sorted(lengths)
+    rows = prefixed_words(F2, -1, 10)
+    assert rows.shape == (10, 4)  # as wide as the longest word + 1
+    words = words_of(F2, rows)
+    assert words == [w for w in words_of(F2, ball(F2, 3)) if w.data[:1] == (-1,)][:10]
     assert words[0] == Word(F2, (-1,))
 
 
@@ -144,7 +151,7 @@ def test_certificate_independent_of_tail_enumeration():
     lists = []
     for i in (1, 2):
         w = 2 if i == 1 else i - 1
-        lst = prefixed_words(F2, -w, cfg.T)
+        lst = words_of(F2, prefixed_words(F2, -w, cfg.T))
         lists.append([lst[1], lst[2], lst[0]])  # cyclic permutation
     columns = []
     for m in range(1, cfg.k + 1):
@@ -328,7 +335,7 @@ def _assert_same_anneal(new, ref):
     assert new.history == ref.history
     assert new.records == ref.records
     assert new.objective == ref.objective
-    assert new.frame.rows == ref.frame.rows
+    assert np.array_equal(new.frame.rows, ref.frame.rows)
     assert np.array_equal(new.frame.C, ref.frame.C)
     assert frame_fingerprint(new.frame) == frame_fingerprint(ref.frame)
 

@@ -7,6 +7,7 @@ import pytest
 
 from foelner.errors import (
     ConvergenceError,
+    DescriptorMismatch,
     HeadroomViolation,
     PreconditionError,
     RankDeficiency,
@@ -25,7 +26,7 @@ from foelner.l2ops import (
     svd_small,
     trace_defect,
 )
-from foelner.words import Word, ball, free_group, multiply, parse_word, translation_indices
+from foelner.words import Word, ball, element_array, free_abelian, free_group, multiply, parse_word, translation_indices, words_of
 from frame_helpers import (
     columns_of,
     frame_of,
@@ -34,6 +35,7 @@ from frame_helpers import (
     reference_compression,
     reference_gram_schmidt,
     reference_hs_ratio,
+    row_words,
 )
 
 F2 = free_group(2)
@@ -51,7 +53,7 @@ def delta_frame(*words, ambient=3):
 
 
 def random_columns(rng, rank, radius=3):
-    pool = ball(F2, radius)
+    pool = words_of(F2, ball(F2, radius))
     cols = []
     for _ in range(rank):
         idx = rng.choice(len(pool), size=int(rng.integers(3, 10)), replace=False)
@@ -68,7 +70,7 @@ def random_frame(rng, rank=4, ambient=5):
 
 
 def test_inner_product_group_basis_orthonormal():
-    words = ball(F2, 2)
+    words = words_of(F2, ball(F2, 2))
     frame = delta_frame(*words)
     assert np.array_equal(frame.C.conj().T @ frame.C, np.eye(len(words)))
     assert np.array_equal(compress(L_e, frame), np.eye(len(words)))
@@ -108,10 +110,10 @@ def test_amplitude_pruning():
 
 def test_apply_examples():
     # L_a delta_{a^-1 b} = delta_b, L_a delta_e = delta_a; b * a^-1 b is not a row
-    rows = (B, Word.from_letters(F2, [-1, 2]))
-    assert translation_indices(rows, A).tolist() == [-1, 0]
-    assert translation_indices((E, A), A).tolist() == [1, -1]
-    assert translation_indices((E, A), A, right=True).tolist() == [1, -1]
+    rows = element_array(F2, [B, Word.from_letters(F2, [-1, 2])])
+    assert translation_indices(F2, rows, A).tolist() == [-1, 0]
+    assert translation_indices(F2, element_array(F2, [E, A]), A).tolist() == [1, -1]
+    assert translation_indices(F2, element_array(F2, [E, A]), A, right=True).tolist() == [1, -1]
     frame = delta_frame(E, A)
     # the compression of (L_e + L_a) / 2, as the sum of the two single-word ones
     assert np.array_equal(0.5 * compress(L_e, frame) + 0.5 * compress(L_a, frame), [[0.5, 0.0], [0.5, 0.5]])
@@ -129,9 +131,10 @@ def test_apply_headroom_refusal():
 
 
 def test_apply_isometry_and_composition():
-    words = ball(F2, 4)
+    b = ball(F2, 4)
+    words = words_of(F2, b)
     for g in (A, B, A.inverse(), multiply(A, B)):
-        idx = translation_indices(words, g)
+        idx = translation_indices(F2, b, g)
         hit = idx[idx >= 0]
         assert len(set(hit.tolist())) == len(hit)  # injective: L_g is an isometry
         for i, j in enumerate(idx):
@@ -139,7 +142,7 @@ def test_apply_isometry_and_composition():
             if j >= 0:
                 assert words[j] == multiply(g, words[i])
     # L_a L_b = L_ab wherever both sides stay inside the ball
-    via_b, via_a, via_ab = (translation_indices(words, g) for g in (B, A, multiply(A, B)))
+    via_b, via_a, via_ab = (translation_indices(F2, b, g) for g in (B, A, multiply(A, B)))
     for i in range(len(words)):
         if via_b[i] >= 0 and via_a[via_b[i]] >= 0:
             assert via_a[via_b[i]] == via_ab[i]
@@ -225,13 +228,24 @@ def test_frame_invariants():
         assert np.allclose(frame.C.conj().T @ frame.C, np.eye(frame.rank), atol=1e-10)
         assert not frame.C.flags.writeable
     with pytest.raises(PreconditionError):
-        Frame(F2, 2, (E,), np.array([[1.0, 1.0]]))  # not orthonormal
+        Frame(F2, 2, element_array(F2, [E]), np.array([[1.0, 1.0]]))  # not orthonormal
     with pytest.raises(HeadroomViolation):
         delta_frame(Word(F2, (1, 1)), ambient=2)  # support radius 2 > ambient - 1
     with pytest.raises(PreconditionError):
-        Frame(F2, 3, (A, E), np.eye(2))  # rows out of shortlex order
+        Frame(F2, 3, element_array(F2, [A, E]), np.eye(2))  # rows out of shortlex order
     with pytest.raises(PreconditionError):
-        Frame(F2, 3, (E, A), np.eye(3))  # one row per array row
+        Frame(F2, 3, element_array(F2, [A, A]), np.eye(2))  # rows not distinct
+    with pytest.raises(PreconditionError):
+        Frame(F2, 3, element_array(F2, [E, A]), np.eye(3))  # one row per array row
+    f3, z2 = free_group(3), free_abelian(2)
+    for d, rows in (
+        (F2, element_array(f3, [Word(f3, (3,))])),  # a letter past the rank
+        (F2, element_array(z2, [Word(z2, (1, 1))])),  # no padding column
+        (z2, element_array(F2, [E])),
+        (free_abelian(3), element_array(z2, [Word(z2, (1, 1))])),
+    ):
+        with pytest.raises(DescriptorMismatch):
+            Frame(d, 3, rows, np.eye(1))
 
 
 # ---------------------------------------------------------------------------
@@ -329,8 +343,9 @@ def test_direct_route_matches_word_by_word_reference():
 def dense_hs_ratio(g, frame):
     """||(UC)(UC)* - CC*||_F / ||e||_HS with both matrices formed whole over the
     rows and their translates by g; also returns the number of those words."""
-    images = [multiply(g, w) for w in frame.rows]
-    words = list(dict.fromkeys([*frame.rows, *images]))
+    rows = row_words(frame)
+    images = [multiply(g, w) for w in rows]
+    words = list(dict.fromkeys([*rows, *images]))
     pos = {w: i for i, w in enumerate(words)}
     c = np.zeros((len(words), frame.rank), dtype=complex)
     c[: len(frame.rows)] = frame.C

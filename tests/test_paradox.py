@@ -3,6 +3,7 @@
 import math
 from fractions import Fraction
 
+import numpy as np
 import pytest
 
 from foelner import l2ops, paradox
@@ -20,7 +21,7 @@ from foelner.paradox import (
     make_paper_trace,
     verify_set_identities,
 )
-from foelner.words import Word, ball, free_abelian, free_group
+from foelner.words import Word, ball, free_abelian, free_group, words_of
 from frame_helpers import count_calls, frame_of, frame_pool
 from prefix_helpers import contains, reference_set_identities
 
@@ -93,25 +94,25 @@ def test_row_masks_agree_with_membership():
     # every row of ball(F2, 4): S(l) for each letter and {e}, translated by each
     # word of length <= 2 (which includes every translate chain_audit and
     # displacement_bound build) and by one longer than any row
-    rows = ball(F2, 4)
+    rows = words_of(F2, ball(F2, 4))
     frame = frame_of(F2, 5, [{w: len(rows) ** -0.5 for w in rows}])
-    assert frame.rows == rows
+    assert np.array_equal(frame.rows, ball(F2, 4))
     bases = [PrefixSet(F2, l) for l in (1, -1, 2, -2, None)]
-    translates = list(ball(F2, 2)) + [Word.from_letters(F2, [1, 2, 1, 2, -1])]
+    translates = words_of(F2, ball(F2, 2)) + [Word.from_letters(F2, [1, 2, 1, 2, -1])]
     checked = 0
     for base in bases:
         for t in translates:
             s = base.translated(t)
-            assert s.row_mask(frame.letters).tolist() == [contains(s, w) for w in rows], s.label()
+            assert s.row_mask(frame.rows).tolist() == [contains(s, w) for w in rows], s.label()
             checked += 1
     assert checked == 5 * 18
 
 
 def test_frame_letters_pad_rows():
     frame = frame_of(F2, 4, [{E: 0.6, A_INV: 0.8}, {Word.from_letters(F2, [2, 1, 1]): 1.0}])
-    assert frame.letters.tolist() == [[0, 0, 0, 0], [-1, 0, 0, 0], [2, 1, 1, 0]]
-    assert not frame.letters.flags.writeable
-    assert frame.with_columns(frame.C).letters is frame.letters
+    assert frame.rows.tolist() == [[0, 0, 0, 0], [-1, 0, 0, 0], [2, 1, 1, 0]]
+    assert not frame.rows.flags.writeable
+    assert frame.with_columns(frame.C).rows is frame.rows
 
 
 # ---------------------------------------------------------------------------
