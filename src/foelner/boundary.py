@@ -146,8 +146,7 @@ def translation_table(descriptor: GroupDescriptor, X: GeneratingSet, radius: int
     check_translation_cost(descriptor, X.generators * 2, radius)  # X u X^-1: 2|X| words at most
     b = ball(descriptor, radius)
     gens = [x for x in X.closure() if not x.is_identity]
-    rows = [translation_indices(descriptor, b, x, right=True) for x in gens]
-    return b, np.array(rows, dtype=np.int64).reshape(-1, len(b))
+    return b, translation_indices(descriptor, b, gens, right=True)
 
 
 # ---------------------------------------------------------------------------

@@ -186,7 +186,7 @@ def translation_gather(op: GroupAlgebraElement, frame: Frame) -> tuple[np.ndarra
         raise HeadroomViolation(
             f"support {frame.support_radius} + operator {op.operator_radius} exceeds ambient {frame.ambient_radius}"
         )
-    idx = translation_indices(frame.descriptor, frame.rows, op.word)
+    idx = translation_indices(frame.descriptor, frame.rows, [op.word])[0]
     src = np.flatnonzero(idx >= 0)
     return idx[src], src
 

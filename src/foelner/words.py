@@ -249,27 +249,30 @@ def _times(rows: np.ndarray, lengths: np.ndarray, letters: tuple[int, ...], righ
     return out
 
 
-def translation_indices(descriptor: GroupDescriptor, rows: np.ndarray, g: Word, right: bool = False) -> np.ndarray:
-    """idx[i] = position in `rows`, a shortlex-sorted array of distinct elements of `descriptor`,
-    of g * rows[i] (of rows[i] * g when `right`), or -1 where that product is not a row."""
-    if g.descriptor != descriptor:
-        raise DescriptorMismatch(f"{descriptor.spec()} vs {g.descriptor.spec()}")
+def translation_indices(descriptor: GroupDescriptor, rows: np.ndarray, gs: Sequence[Word], right: bool = False) -> np.ndarray:
+    """idx[j, i] = position in `rows`, a shortlex-sorted array of distinct elements of `descriptor`,
+    of gs[j] * rows[i] (of rows[i] * gs[j] when `right`), or -1 where that product is not a row.
+    The byte keys of `rows` are packed once for all of `gs`."""
     lengths = row_lengths(descriptor, rows)
     longest = int(lengths.max(initial=0))
-    idx = np.full(len(rows), -1, dtype=np.int64)
-    if not len(rows) or g.length() > 2 * longest:
-        return idx  # every product is longer than every row; g's integers need fit no dtype
-    if descriptor.is_free:
-        products = _times(rows, lengths, g.data, right)
-    else:
-        products = rows + np.array(g.data, dtype=np.int64)
-    fit = np.flatnonzero(row_lengths(descriptor, products) <= longest)  # the others are no row
-    products = products[fit, : rows.shape[1]]
     code_type = np.min_scalar_type(4 * descriptor.rank + 1 if descriptor.is_free else 2 * longest)
-    keys, wanted = _packed_keys(descriptor, rows, code_type), _packed_keys(descriptor, products, code_type)
-    pos = np.minimum(np.searchsorted(keys, wanted), len(keys) - 1)
-    hit = keys[pos] == wanted
-    idx[fit[hit]] = pos[hit]
+    keys = _packed_keys(descriptor, rows, code_type)
+    idx = np.full((len(gs), len(rows)), -1, dtype=np.int64)
+    for out, g in zip(idx, gs):
+        if g.descriptor != descriptor:
+            raise DescriptorMismatch(f"{descriptor.spec()} vs {g.descriptor.spec()}")
+        if g.length() > 2 * longest:
+            continue  # every product is longer than every row; g's integers need fit no dtype
+        if descriptor.is_free:
+            products = _times(rows, lengths, g.data, right)
+        else:
+            products = rows + np.array(g.data, dtype=np.int64)
+        fit = np.flatnonzero(row_lengths(descriptor, products) <= longest)  # the others are no row
+        products = products[fit, : rows.shape[1]]
+        wanted = _packed_keys(descriptor, products, code_type)
+        pos = np.minimum(np.searchsorted(keys, wanted), len(keys) - 1)
+        hit = keys[pos] == wanted
+        out[fit[hit]] = pos[hit]
     return idx
 
 

@@ -235,6 +235,11 @@ def test_identity_check_payload_independent_of_hash_seed():
         # audit ranks and radii below 1, refused also when no frame is drawn
         ["audit", "--rank", "0", "--radius", "3", "--seed", "1", "--frames", "0"],
         ["audit", "--rank", "2", "--radius", "0", "--seed", "1", "--frames", "0"],
+        # negative seeds, which numpy's generators refuse
+        ["group", "--group", "free:2", "--radius", "3", "--mode", "search", "--iters", "5", "--seed", "-1"],
+        ["scan", "--n", "2", "--rank", "1", "--radius", "3", "--iters", "1", "--seed", "-5"],
+        ["audit", "--rank", "2", "--radius", "3", "--frames", "1", "--seed", "-1"],
+        ["identity-check", "--trials", "1", "--seed", "-1"],
     ],
 )
 def test_unbounded_inputs_refused_with_exit_2(argv, capsys):
@@ -525,6 +530,7 @@ def test_report_is_written_in_pieces(monkeypatch):
     assert main(argv) == 0
     text = recorder.getvalue()
     assert len(text) > 700_000 and max(recorder.writes) <= 64 * 1024
+    assert len(recorder.writes) <= 1_000  # batches of encoder tokens, not one write a token or an item
     assert text == json.dumps(run(build_parser().parse_args(argv)), indent=2, sort_keys=True) + "\n"
 
 

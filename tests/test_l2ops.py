@@ -111,9 +111,9 @@ def test_amplitude_pruning():
 def test_apply_examples():
     # L_a delta_{a^-1 b} = delta_b, L_a delta_e = delta_a; b * a^-1 b is not a row
     rows = element_array(F2, [B, Word.from_letters(F2, [-1, 2])])
-    assert translation_indices(F2, rows, A).tolist() == [-1, 0]
-    assert translation_indices(F2, element_array(F2, [E, A]), A).tolist() == [1, -1]
-    assert translation_indices(F2, element_array(F2, [E, A]), A, right=True).tolist() == [1, -1]
+    assert translation_indices(F2, rows, [A]).tolist() == [[-1, 0]]
+    assert translation_indices(F2, element_array(F2, [E, A]), [A]).tolist() == [[1, -1]]
+    assert translation_indices(F2, element_array(F2, [E, A]), [A], right=True).tolist() == [[1, -1]]
     frame = delta_frame(E, A)
     # the compression of (L_e + L_a) / 2, as the sum of the two single-word ones
     assert np.array_equal(0.5 * compress(L_e, frame) + 0.5 * compress(L_a, frame), [[0.5, 0.0], [0.5, 0.5]])
@@ -133,8 +133,8 @@ def test_apply_headroom_refusal():
 def test_apply_isometry_and_composition():
     b = ball(F2, 4)
     words = words_of(F2, b)
-    for g in (A, B, A.inverse(), multiply(A, B)):
-        idx = translation_indices(F2, b, g)
+    gs = (A, B, A.inverse(), multiply(A, B))
+    for g, idx in zip(gs, translation_indices(F2, b, gs)):
         hit = idx[idx >= 0]
         assert len(set(hit.tolist())) == len(hit)  # injective: L_g is an isometry
         for i, j in enumerate(idx):
@@ -142,7 +142,7 @@ def test_apply_isometry_and_composition():
             if j >= 0:
                 assert words[j] == multiply(g, words[i])
     # L_a L_b = L_ab wherever both sides stay inside the ball
-    via_b, via_a, via_ab = (translation_indices(F2, b, g) for g in (B, A, multiply(A, B)))
+    via_b, via_a, via_ab = translation_indices(F2, b, (B, A, multiply(A, B)))
     for i in range(len(words)):
         if via_b[i] >= 0 and via_a[via_b[i]] >= 0:
             assert via_a[via_b[i]] == via_ab[i]

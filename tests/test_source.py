@@ -134,7 +134,7 @@ def test_no_module_level_hashlib_import_in_package():
 
 # The lines of src/foelner/*.py (as `wc -l` counts them) at the last change that
 # set this limit; a change that raises it says so, and why, in CHANGES.md.
-SOURCE_LINE_LIMIT = 2398
+SOURCE_LINE_LIMIT = 2337
 
 
 def test_package_line_count_does_not_grow():

@@ -109,10 +109,12 @@ def test_translation_indices_match_the_word_oracle(descriptor, gens, radius):
     # left and right translates of the ball by every word of X u X^-1, e included
     b = ball(descriptor, radius)
     words = words_of(descriptor, b)
-    for g in generating_set(descriptor, gens).closure():
-        for right in (False, True):
-            got = translation_indices(descriptor, b, g, right=right)
-            assert got.tolist() == oracle_translation_indices(words, g, right).tolist()
+    gs = generating_set(descriptor, gens).closure()
+    for right in (False, True):
+        got = translation_indices(descriptor, b, gs, right=right)
+        assert got.shape == (len(gs), len(b))
+        for g, row in zip(gs, got):
+            assert row.tolist() == oracle_translation_indices(words, g, right).tolist()
 
 
 def gapped_rows():
@@ -133,28 +135,27 @@ def test_translation_indices_on_rows_with_gaps_match_the_word_oracle(descriptor,
     # by the generators, their inverses, e and some rows themselves, long ones among them
     words = words_of(descriptor, rows)
     gs = [*generating_set(descriptor, None).closure(), Word.identity(descriptor), *words[:: max(1, len(words) // 9)]]
-    for g in gs:
-        for right in (False, True):
-            got = translation_indices(descriptor, rows, g, right=right)
-            assert got.tolist() == oracle_translation_indices(words, g, right).tolist()
+    for right in (False, True):
+        got = translation_indices(descriptor, rows, gs, right=right)
+        for g, row in zip(gs, got, strict=True):
+            assert row.tolist() == oracle_translation_indices(words, g, right).tolist()
 
 
 def test_translation_by_integers_past_every_dtype():
     # a Z^d generator of 10^20 moves every row out of the ball, without any integer overflow
     huge = [Word(Z2, (10**20, 0)), Word(Z2, (-(10**20), 1)), Word(Z2, (3, 2**63))]
     b = ball(Z2, 3)
-    for g in huge:
-        for right in (False, True):
-            assert translation_indices(Z2, b, g, right=right).tolist() == [-1] * len(b)
+    for right in (False, True):
+        assert translation_indices(Z2, b, huge, right=right).tolist() == [[-1] * len(b)] * len(huge)
     X = GeneratingSet.of(Z2, huge + [Word(Z2, (1, 0))])  # sorted by length first
     assert X.generators == (Word(Z2, (1, 0)), huge[2], huge[0], huge[1])
 
 
 def test_translation_indices_descriptor_mismatch():
     with pytest.raises(DescriptorMismatch):
-        translation_indices(F2, ball(F2, 1), Word.identity(free_group(3)))
+        translation_indices(F2, ball(F2, 1), [Word.identity(free_group(3))])
     with pytest.raises(DescriptorMismatch):
-        translation_indices(Z2, ball(Z2, 1), Word.identity(F2), right=True)
+        translation_indices(Z2, ball(Z2, 1), [Word.identity(Z2), Word.identity(F2)], right=True)
 
 
 def test_group_axioms_exhaustive_on_ball3():
