@@ -8,12 +8,14 @@ small balls, the canonical ball family, and seeded local search.
 from __future__ import annotations
 
 import math
+import sys
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Iterable
 
 import numpy as np
 
+from . import budget
 from .errors import (
     DescriptorMismatch,
     InvariantViolation,
@@ -26,8 +28,7 @@ from .words import (
     Word,
     ball,
     ball_size,
-    capped_ball_size,
-    check_translation_cost,
+    ball_units,
     format_word,
     free_sphere_size,
     multiply,
@@ -37,11 +38,7 @@ from .words import (
     words_of,
 )
 
-EXHAUSTIVE_BALL_CAP = 22  # |ball| cap: at most 2^22 candidate subsets
-EXHAUSTIVE_CHUNK = 1 << 20  # subset bitmasks evaluated per vectorized pass
-EXHAUSTIVE_WORK_CAP = 1 << 30  # most mask entries the pass over all subsets visits, 2|X| * |ball| * 2^|ball|
-SEARCH_WORK_CAP = 1 << 24  # most rows the toggles of a local search visit, iterations * 2|X|
-FAMILY_RADIUS_CAP = 2_000  # largest r_max of a ball family; its exact big-integer closed forms cost ~r_max^2.2
+EXHAUSTIVE_CHUNK = 1 << 16  # subset bitmasks evaluated per vectorized pass: 512 KB per mask array
 TEMP_INITIAL = 0.25  # local-search temperature at the first iteration
 TEMP_DECAY = 0.999  # its factor per iteration
 
@@ -140,10 +137,10 @@ def boundary_ratio(A: ElementSet, X: GeneratingSet) -> BoundaryReport:
 def translation_table(descriptor: GroupDescriptor, X: GeneratingSet, radius: int) -> tuple[np.ndarray, np.ndarray]:
     """(ball(radius), nbr) with nbr[x, i] the ball index of ball[i] * x, or -1 outside the ball,
     for x in X u X^-1 but e (which moves no member off a set, so no count changes).  Refuses X
-    from another group, and a table past words.TABLE_CAP before the ball is built."""
+    from another group, and a table past a bound of the budget, before the ball is built."""
     if X.descriptor != descriptor:
         raise DescriptorMismatch(f"generating set of {X.descriptor.spec()} for a ball of {descriptor.spec()}")
-    check_translation_cost(descriptor, X.generators * 2, radius)  # X u X^-1: 2|X| words at most
+    budget.check(f"the table of ball({radius})", ball_units(descriptor, radius, X.generators * 2))  # 2|X| >= |X u X^-1|
     b = ball(descriptor, radius)
     gens = [x for x in X.closure() if not x.is_identity]
     return b, translation_indices(descriptor, b, gens, right=True)
@@ -177,13 +174,13 @@ def exhaustive_min_ratio(
     """True minimum of the boundary ratio over all non-empty subsets of ball(radius).
 
     Ties are broken by smaller set size, then by shortlex-lexicographic
-    membership.  Refuses, before building the ball, when |ball(radius)| exceeds
-    the 2^22 subset cap, or the subset pass or the table its own cap.
+    membership.  Refuses, before building the ball, a pass over all subsets
+    (2|X| * |ball| * 2^|ball| mask entries) or a table past a bound of the budget.
     """
-    if (size := capped_ball_size(descriptor, max(radius, 0))) > EXHAUSTIVE_BALL_CAP:
-        raise SearchSpaceTooLarge(f"|ball({radius})| exceeds the exhaustive cap of {EXHAUSTIVE_BALL_CAP}")
-    if (work := 2 * len(X.generators) * size << size) > EXHAUSTIVE_WORK_CAP:
-        raise SearchSpaceTooLarge(f"the subset pass visits {work} mask entries > the cap of {EXHAUSTIVE_WORK_CAP}")
+    units = ball_units(descriptor, max(radius, 0), X.generators * 2)
+    size = units["rows"]
+    budget.check(f"an exhaustive search over the subsets of ball({radius})", units, members=size,
+                 masks=(2 * len(X.generators) * size + 20) << size, pass_masks=min(1 << size, EXHAUSTIVE_CHUNK))
     b, nbr = translation_table(descriptor, X, radius)
     n = len(b)
     total = (1 << n) - 1
@@ -194,7 +191,7 @@ def exhaustive_min_ratio(
         masks = np.arange(start, stop, dtype=np.uint64)
         bcnt, scnt = _subset_boundary_counts(masks, nbr)
         ratios = bcnt / scnt
-        # distinct rationals with denominators <= 22 are separated far beyond
+        # distinct rationals with denominators <= |ball| (< 30 within the time bound) are separated far beyond
         # float error, so a float window isolates the exact minimizers; of those,
         # the smallest sets share one boundary count too
         cand = np.flatnonzero(ratios <= ratios.min() + 1e-9)
@@ -236,15 +233,13 @@ def ball_family_ratios(
 
     method 'auto' uses the closed form for free groups with standard
     generators and enumeration otherwise; 'enumerate' and 'closed_form' force
-    one path.  Refused before any work: radii above FAMILY_RADIUS_CAP, X from
-    another group, and an enumeration whose table of ball(r_max) is past its cap.
+    one path.  Refused before any work: X from another group, a family past a
+    bound of the budget, and closed forms too long for Python to spell in decimal.
     Enumeration reads each ball(r), the shortlex prefix of ball(r_max) of length
     |ball(r)|, off that one table: i is on its boundary iff a translate of i is not.
     """
     if r_max < 1:
         raise PreconditionError("r_max must be >= 1")
-    if r_max > FAMILY_RADIUS_CAP:
-        raise SearchSpaceTooLarge(f"r_max = {r_max} exceeds the ball-family radius cap of {FAMILY_RADIUS_CAP}")
     if method not in ("auto", "enumerate", "closed_form"):
         raise PreconditionError(f"unknown method {method!r}")
     if X.descriptor != descriptor:
@@ -254,7 +249,14 @@ def ball_family_ratios(
         raise PreconditionError("closed form only applies to free groups with standard generators")
 
     use_closed = method == "closed_form" or (method == "auto" and closed_ok)
-    if not use_closed:
+    what = f"the ball family up to radius {r_max}"
+    if use_closed:
+        if (limit := sys.get_int_max_str_digits()) and r_max * math.log10(2 * descriptor.rank - 1) + 2 > limit:
+            raise SearchSpaceTooLarge(f"{what} has closed forms past Python's {limit} decimal digits")
+        budget.check(what, radii=r_max, digits=r_max * (int(r_max * math.log10(2 * descriptor.rank - 1)) + 2))
+    else:
+        units = ball_units(descriptor, r_max, X.generators * 2)
+        budget.check(what, units, radii=r_max, masks=r_max * units["rows"])
         b, nbr = translation_table(descriptor, X, r_max)
         far = np.where(nbr < 0, len(b), nbr).max(axis=0, initial=-1)  # each member's farthest translate
     out: list[BallRatio] = []
@@ -312,11 +314,18 @@ def local_search_min_ratio(
     hence an upper bound for the infimum; it never exceeds the initial ratio.
     A toggle costs O(|X u X^-1|): it updates the boundary count through the
     elements whose neighbour it is, without rescanning the ball.  The best set
-    is rebuilt at the end by replaying the accepted toggles up to it.  Refuses,
-    before building the ball, toggles and tables of translates past their caps.
+    is rebuilt at the end by replaying the accepted toggles up to it, and checked
+    word by word.  Refuses, before building the ball, a run past a bound of the budget.
     """
-    if (work := config.iterations * 2 * len(X.generators)) > SEARCH_WORK_CAP:
-        raise SearchSpaceTooLarge(f"{config.iterations} toggles visit up to {work} rows > the cap of {SEARCH_WORK_CAP}")
+    steps, closure = config.iterations, 2 * len(X.generators)
+    units = ball_units(descriptor, config.radius, X.generators * 2)
+    members = min(steps + 1, units["rows"])  # also bounds the words moves name
+    width = config.radius + 1 if descriptor.is_free else descriptor.rank  # integers or letters a word holds
+    budget.check(
+        f"a local search of {steps} iterations on ball({config.radius})", units,
+        toggles=steps, toggle_rows=2 * steps * closure, moves=steps, members=members, rows=members,
+        word_entries=2 * members * width, word_products=members * closure, product_entries=members * closure * width,
+    )
     b, nbr = translation_table(descriptor, X, config.radius)
     n = len(b)
     start = np.arange(n) == 0  # the set {e}: e is row 0 of the ball

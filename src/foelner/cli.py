@@ -24,7 +24,7 @@ from typing import Iterator
 
 import numpy as np
 
-from . import __version__
+from . import __version__, budget
 from .boundary import (
     BoundaryReport,
     ElementSet,
@@ -45,8 +45,8 @@ from .connes import (
     random_frame,
     witness_certificate,
 )
-from .errors import ConvergenceError, InvariantViolation, PreconditionError, SearchSpaceTooLarge, SeedRequired
-from .l2ops import SVD_MAX_K, GroupAlgebraElement, commutator_ratio, frame_to_json
+from .errors import ConvergenceError, InvariantViolation, PreconditionError, SeedRequired
+from .l2ops import GroupAlgebraElement, commutator_ratio, direct_route_units, frame_to_json
 from .paradox import (
     DERIVED_THRESHOLD,
     PAPER_EPSILON,
@@ -55,23 +55,12 @@ from .paradox import (
     make_paper_trace,
     verify_set_identities,
 )
-from .words import GroupDescriptor, Word, capped_ball_size, format_word, free_group, parse_generators, standard_generators
+from .words import GroupDescriptor, Word, ball_units, format_word, free_group, parse_generators, standard_generators
 
 STOCHASTIC_COMMANDS = {"scan", "audit", "identity-check"}
 COUNT_PARAMS = ("iters", "frames", "trials")  # refused below 0
-
-# Caps on the counts, checked by run() before any work.  A count cap bounds the
-# fixed cost of each unit (interpreter and numpy-call overhead); audit also caps
-# frames * rank^2 * |ball(radius - 1)| and scan iters * rank * (rank + 8) *
-# |ball(radius - 1)| * unitaries, which bound the arithmetic on frames of at most
-# |ball(radius - 1)| rows.  README states the worst-case times.
-SEARCH_ITERS_CAP = 100_000  # group --mode search, O(|X u X^-1|) per iteration
-TRIALS_CAP = 20_000  # identity-check, frames of rank <= 8 and ambient radius <= 5
-SCAN_ITERS_CAP = 200_000
-SCAN_WORK_CAP = 1 << 32
-SCAN_CHECK_CAP = 1 << 30  # unitaries * rank * |ball(radius - 1)|^2: the direct route of the final check
-AUDIT_FRAMES_CAP = 2_000
-AUDIT_WORK_CAP = 1 << 28
+# run() charges to the budget the loops this module runs itself, audit's frames and
+# identity-check's trials; the library entry points charge every other run.
 
 
 def _element_set_json(s: ElementSet) -> list:
@@ -133,7 +122,7 @@ def _run_witness(args: argparse.Namespace) -> tuple[dict, list]:
         }
         return results, []
     if args.formula_only:
-        WitnessConfig(args.n, args.k, args.depth)  # the checks a frame build makes, bar its work cap
+        WitnessConfig(args.n, args.k, args.depth)  # the checks a frame build makes, bar the budget
         certified = formula = certificate_formula(args.n, args.k)
         records, frame = (), {}
     else:
@@ -256,38 +245,27 @@ _HANDLERS = {
 
 
 def _check_counts(args: argparse.Namespace) -> None:
-    """Refuse a negative count, and one past its command's caps."""
+    """Refuse a negative count, and an audit or identity-check run past a bound of the budget."""
     for name in COUNT_PARAMS:
         if getattr(args, name, 0) < 0:
             raise PreconditionError(f"--{name} must be >= 0, got {getattr(args, name)}")
-    if args.command == "group" and args.mode == "search":
-        name, count_cap, work_cap = "iters", SEARCH_ITERS_CAP, None
-    elif args.command == "identity-check":
-        name, count_cap, work_cap = "trials", TRIALS_CAP, None
-    elif args.command == "scan":
-        name, count_cap, work_cap = "iters", SCAN_ITERS_CAP, SCAN_WORK_CAP
-        units = args.unitaries.count(",") + 1 if args.unitaries else args.n  # free words hold no commas
-        per_row = args.rank * (args.rank + 8) * units  # a k^2 compression and ~8k gathered entries per unitary
+    if args.command == "identity-check":  # frames of rank <= 8 on at most |ball(F_2, 4)| rows
+        budget.check(f"identity-check of {args.trials} trials", frames=args.trials)
     elif args.command == "audit":
-        if args.rank < 1 or args.radius < 1:  # frames need rank >= 1 and rows in ball(radius - 1)
-            raise PreconditionError(f"audit needs --rank >= 1 and --radius >= 1, got {args.rank} and {args.radius}")
-        if args.rank > SVD_MAX_K:  # svd_small's own refusal would come after the first frame
-            raise SearchSpaceTooLarge(f"--rank {args.rank} exceeds the SVD size cap of {SVD_MAX_K}")
-        name, count_cap, work_cap = "frames", AUDIT_FRAMES_CAP, AUDIT_WORK_CAP
-        per_row = args.rank**2
-    else:
-        return
-    if (count := getattr(args, name)) > count_cap:
-        raise SearchSpaceTooLarge(f"--{name} {count} exceeds the cap of {count_cap}")
-    if work_cap is not None:
-        # audit frames live in F_2; no ball past words.ENUMERATION_CAP is ever built
-        rows = capped_ball_size(free_group(getattr(args, "n", 2)), max(args.radius - 1, 0))
-        if (work := count * per_row * rows) > work_cap:
-            raise SearchSpaceTooLarge(
-                f"--{name} {count} at rank {args.rank} on up to {rows} rows costs {work} > the work cap of {work_cap}"
-            )
-        if args.command == "scan" and (work := units * args.rank * rows**2) > SCAN_CHECK_CAP:
-            raise SearchSpaceTooLarge(f"the final check on {rows} rows costs {work} > the cap of {SCAN_CHECK_CAP}")
+        k, f, radius = args.rank, args.frames, args.radius
+        if k < 1 or radius < 1:  # frames need rank >= 1 and rows in ball(radius - 1)
+            raise PreconditionError(f"audit needs --rank >= 1 and --radius >= 1, got {k} and {radius}")
+        # the set identities read ball(F_2, radius); each frame is drawn on ball(F_2, radius - 1)
+        # and lives on the at most 12k rows its columns draw, where L_a and L_b are each checked
+        pool, identities = ball_units(free_group(2), radius - 1), ball_units(free_group(2), radius)
+        rows = min(12 * k, pool["rows"])
+        budget.check(
+            f"audit of {f} frames at rank {k} on ball(F_2, {radius - 1}), set identities on ball(F_2, {radius})",
+            pool, identities, direct_route_units(k, rows, 2 * f), frames=f, svd=f * 2 * k**3,
+            arrays=k * (pool["rows"] + 10 * rows),  # a draw over the whole ball; its columns, [UC, C] and copies
+            amplitudes=f * k * (pool["rows"] + 10 * rows), calls=f * k, mgs_madds=f * 2 * k * k * rows,
+            madds=f * 3 * k * k * rows,  # the Gram check and two compressions
+        )
 
 
 def _check_output(args: argparse.Namespace) -> None:

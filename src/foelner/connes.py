@@ -13,16 +13,16 @@ from __future__ import annotations
 import json
 import math
 from dataclasses import dataclass
-from typing import Iterable, Sequence
+from typing import Sequence
 
 import numpy as np
 
+from . import budget
 from .errors import (
     ConvergenceError,
     InvariantViolation,
     PreconditionError,
     RankDeficiency,
-    SearchSpaceTooLarge,
     SeedRequired,
 )
 from .l2ops import (
@@ -32,6 +32,7 @@ from .l2ops import (
     checked_hs_norm_sq,
     closed_form_ratio,
     commutator_ratio,
+    direct_route_units,
     frame_to_json,
     gram_schmidt,
     normalized_trace,
@@ -41,7 +42,7 @@ from .words import (
     GroupDescriptor,
     Word,
     ball,
-    check_translation_cost,
+    ball_units,
     free_group,
     prefixed_words,
     shortlex_order,
@@ -49,11 +50,6 @@ from .words import (
 )
 
 MAX_RESTARTS = 1000  # rank-deficient random draws tolerated before giving up
-# Certifying a witness frame with R = n * k * T rows costs about n * k * R^2
-# multiply-adds (the direct HS route, per standard generator); one witness run
-# refuses frames whose costs sum past this cap.  It admits (n, k, T) = (5, 32, 8).
-WITNESS_WORK_CAP = 1 << 28
-FORMULA_K_MAX_CAP = 100_000  # longest formula-mode certificate sweep
 FRAME_MAX_SUPPORT = 12  # random_frame draws 2..FRAME_MAX_SUPPORT amplitudes per column
 # the annealer's moves: STEP_ENTRIES amplitudes of one column get complex
 # normal noise of scale STEP_SCALE, which shrinks by STEP_DECAY per iteration
@@ -90,8 +86,8 @@ def q_objective(unitaries: Sequence[GroupAlgebraElement], frame: Frame) -> tuple
 class WitnessConfig:
     """Free rank n >= 2, frame rank k >= 1, enumeration depth T >= 1.
 
-    These checks hold in frame and formula mode alike; building frames is
-    also subject to WITNESS_WORK_CAP (see check_witness_work).
+    These checks hold in frame and formula mode alike; building and certifying
+    frames is also charged to the budget (see check_witness_frames).
     """
 
     n: int
@@ -105,16 +101,16 @@ class WitnessConfig:
             raise PreconditionError("frame rank and depth must be >= 1")
 
 
-def check_witness_work(n: int, T: int, ks: Iterable[int]) -> None:
-    """Refuse, before building anything, witness frames of ranks `ks` whose
-    costs n * k * (n * k * T)^2 sum past WITNESS_WORK_CAP."""
-    work = 0
-    for k in ks:
-        work += n * k * (n * k * T) ** 2
-        if work > WITNESS_WORK_CAP:
-            raise SearchSpaceTooLarge(
-                f"witness frames up to rank {k} (n = {n}, depth {T}) exceed the work cap of {WITNESS_WORK_CAP}"
-            )
+def check_witness_frames(n: int, T: int, ks: range) -> None:
+    """Refuse, before building anything, building and certifying witness frames of ranks `ks`
+    past a bound of the budget.  A rank-k frame has R = n * k * T rows of at most k + T + 1
+    letters, and each of the n generators is checked by a direct route on R rows (about
+    8 n k R^2 multiply-adds)."""
+    R = n * ks[-1] * T  # frames are built one at a time, so the largest sets the memory
+    parts = [{"frames": len(ks), "rows": R, "letters": R * (ks[-1] + T + 1), "coefficients": R * ks[-1]}]
+    for k in ks[: 1 + int(budget.TIME_BOUND_S / budget.UNITS["frames"][0])]:  # more frames pass the bound alone
+        parts += [direct_route_units(k, n * k * T, n), {"madds": (n + 1) * k**3 * n * T}]  # Gram check, compressions
+    budget.check(f"witness frames of ranks {ks.start}..{ks.stop - 1} (n = {n}, depth {T})", *parts)
 
 
 def build_witness_frame(cfg: WitnessConfig) -> Frame:
@@ -126,7 +122,7 @@ def build_witness_frame(cfg: WitnessConfig) -> Frame:
     renormalized to unit length (raw squared norm 1 - (n+1)^(-T)), so the
     exact inner-product value 1/n survives truncation verbatim.
     """
-    check_witness_work(cfg.n, cfg.T, [cfg.k])
+    check_witness_frames(cfg.n, cfg.T, range(cfg.k, cfg.k + 1))
     descriptor = free_group(cfg.n)
     # for generator i, the first T words beginning with a_w^-1, w = (i-1 mod n) or n
     tails = [prefixed_words(descriptor, -(cfg.n if i == 1 else i - 1), cfg.T) for i in range(1, cfg.n + 1)]
@@ -219,19 +215,17 @@ def foelner_upper_estimate(n: int, k_max: int, T: int = 6, mode: str = "frame") 
     """Minimum certified epsilon over frame ranks k = 1..k_max.
 
     The formula is strictly decreasing in k, so the best rank is k_max; frame
-    mode re-derives every point from an actual frame (refused up front past
-    WITNESS_WORK_CAP), formula mode evaluates the closed form only, for
-    sweeps up to FORMULA_K_MAX_CAP.
+    mode re-derives every point from an actual frame, formula mode evaluates
+    the closed form only; either sweep is refused up front past a bound of the budget.
     """
     if mode not in ("frame", "formula"):
         raise PreconditionError(f"unknown mode {mode!r}")
     WitnessConfig(n, k_max, T)  # the same checks as a single certificate
     if mode == "frame":
-        check_witness_work(n, T, range(1, k_max + 1))
+        check_witness_frames(n, T, range(1, k_max + 1))
         sweep = [(k, witness_certificate(n, k, T).certified_epsilon) for k in range(1, k_max + 1)]
     else:
-        if k_max > FORMULA_K_MAX_CAP:
-            raise SearchSpaceTooLarge(f"k_max = {k_max} exceeds the formula sweep cap of {FORMULA_K_MAX_CAP}")
+        budget.check(f"a formula sweep of {k_max} ranks", points=k_max)
         sweep = [(k, certificate_formula(n, k)) for k in range(1, k_max + 1)]
     best_k, best_eps = min(sweep, key=lambda kv: (kv[1], kv[0]))
     return UpperEstimate(best_k, best_eps, limit_formula(n), tuple(sweep))
@@ -322,14 +316,21 @@ def anneal_projection(cfg: ProjectionSearchConfig) -> AnnealResult:
     """Seeded annealing over frames on the support ball: perturb one column
     sparsely, re-orthonormalize, accept by Metropolis on the Q-objective.
     Deterministic per seed; the best-so-far history never increases.  Trials
-    are Gram-checked bare arrays; only the returned one becomes a Frame."""
+    are Gram-checked bare arrays; only the returned one becomes a Frame.  Refuses,
+    before building the ball, a search past a bound of the budget."""
     op_radius = max(w.length() for w in cfg.unitaries)
     if cfg.ambient_radius - op_radius < 0:
         raise PreconditionError("ambient radius too small for the unitary list")
     support_radius = cfg.ambient_radius - max(op_radius, 1)
-    check_translation_cost(cfg.descriptor, cfg.unitaries, support_radius)
+    units = ball_units(cfg.descriptor, support_radius, cfg.unitaries)
+    n_sup, k, u, steps = units["rows"], cfg.rank, len(cfg.unitaries), cfg.iterations + 1  # and the first frame
+    budget.check(
+        f"an annealed search of {cfg.iterations} iterations at rank {k} on ball({support_radius})", units,
+        direct_route_units(k, n_sup, u), coefficients=n_sup * k,  # the final records and the reported frame
+        calls=steps * (1 + k + u), amplitudes=steps * k * n_sup, mgs_madds=steps * 2 * k * k * n_sup,
+        madds=(steps + 1) * (u + 1) * k * k * n_sup,  # the Gram checks and the compressions
+    )
     rows = ball(cfg.descriptor, support_radius)
-    n_sup, k = len(rows), cfg.rank
     if k > n_sup:
         raise PreconditionError(f"rank {k} exceeds the support dimension {n_sup}")
     ops = [GroupAlgebraElement.left_translation(w) for w in cfg.unitaries]

@@ -49,7 +49,7 @@ class RankDeficiency(PreconditionError):
 
 
 class SearchSpaceTooLarge(PreconditionError):
-    """Enumeration was requested beyond its element or subset-count cap."""
+    """A run refused for its size: predicted past a bound of foelner.budget, or too long to spell."""
 
 
 class SeedRequired(PreconditionError):

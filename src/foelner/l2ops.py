@@ -222,6 +222,17 @@ class CommutatorRatio(NamedTuple):
     defect: float
 
 
+def _tile_rows(k: int) -> int:
+    return math.isqrt(BLAS_CHUNK // (2 * k)) if _piece_rows(k, k) else HS_TILE
+
+
+def direct_route_units(k: int, rows: int, count: int = 1) -> dict:
+    """Budget units of `count` direct routes of commutator_ratio on rank-k frames of `rows` rows,
+    whose translates add at most `rows` more: tiles, their entries and their multiply-adds."""
+    m, tiles = 2 * rows, -(-2 * rows // _tile_rows(k))  # the tiles along one side
+    return {"tiles": count * tiles * tiles, "tile_entries": count * m * m, "madds": count * 2 * k * m * m}
+
+
 def commutator_ratio(op: GroupAlgebraElement, frame: Frame) -> CommutatorRatio:
     """The one evaluation of the unitary U = L_g on a frame: one row gather, one compression.
 
@@ -247,7 +258,7 @@ def commutator_ratio(op: GroupAlgebraElement, frame: Frame) -> CommutatorRatio:
     z[:n, k:] = frame.C
     w = z.conj()
     w[:, k:] *= -1  # conj([UC, -C]), so z @ w.T = (UC)(UC)* - CC*
-    tile = math.isqrt(BLAS_CHUNK // (2 * k)) if _piece_rows(k, k) else HS_TILE
+    tile = _tile_rows(k)
     hs_sq = 0.0
     for s in range(0, len(z), tile):
         for t in range(0, len(z), tile):

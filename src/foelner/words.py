@@ -18,15 +18,11 @@ from typing import Callable, Iterable, Sequence
 
 import numpy as np
 
-from .errors import DescriptorMismatch, InvalidDescriptor, InvalidLetter, SearchSpaceTooLarge
+from . import budget
+from .errors import DescriptorMismatch, InvalidDescriptor, InvalidLetter
 
 FREE = "free"
 ABELIAN = "abelian"
-ENUMERATION_CAP = 200_000  # largest Cayley ball that is ever materialized
-INTEGER_CAP = 1_000_000  # most integers a Z^d generator list or ball may store (d^2, or |ball| * d)
-LETTER_CAP = 2_000_000  # most letters an F_n ball may store; ball(F_2, 10), the most for n >= 2, holds 1,121,932
-TABLE_CAP = 100_000_000  # most operations the tables of translates of one run may cost (check_translation_cost)
-TABLE_ENTRY_COST = 64  # one product and its lookup, counted in integer additions
 
 
 @dataclass(frozen=True)
@@ -273,17 +269,25 @@ def translation_indices(descriptor: GroupDescriptor, rows: np.ndarray, gs: Seque
         pos = np.minimum(np.searchsorted(keys, wanted), len(keys) - 1)
         hit = keys[pos] == wanted
         out[fit[hit]] = pos[hit]
+        del products, wanted, pos, hit, fit  # freed before the next generator's products are made
     return idx
 
 
-def check_translation_cost(descriptor: GroupDescriptor, words: Sequence[Word], radius: int) -> None:
-    """Refuse, before any ball is built, to multiply each word of ball(radius) by each of `words`
-    (translation_indices) past TABLE_CAP operations: TABLE_ENTRY_COST per product plus the
-    integers it reads, those of w (d in Z^d) and, in F_n, up to `radius` of the ball word."""
-    per_ball_word = len(words) * (TABLE_ENTRY_COST + (radius if descriptor.is_free else 0))
-    cost = capped_ball_size(descriptor, radius) * (per_ball_word + sum(len(w.data) for w in words))
-    if cost > TABLE_CAP:
-        raise SearchSpaceTooLarge(f"the tables of translates cost {cost} operations > the cap of {TABLE_CAP}")
+def ball_units(descriptor: GroupDescriptor, radius: int, words: Sequence[Word] = ()) -> dict:
+    """The budget units of ball(radius), radius >= 0, and of its table of translates by each of
+    `words` (translation_indices): a product per word and row, which reads the row's integers
+    or letters and the word's.  Sizes come from the closed form, taken up to budget.MAX_ROWS."""
+    rows = budget.MAX_ROWS
+    if 1 + 2 * descriptor.rank * radius <= rows:  # each sphere holds 2n words or more: no huge closed form
+        rows = min(ball_size(descriptor, radius), rows)
+    width = radius + 1 if descriptor.is_free else descriptor.rank  # F_n rows are zero-padded
+    units = {"rows": rows, "letters" if descriptor.is_free else "integers": rows * width}
+    if descriptor.is_free:
+        units["letters"] *= _letter_type(descriptor.rank).itemsize
+    if words:
+        units["products"] = len(words) * rows
+        units["product_entries"] = rows * (len(words) * width + sum(len(w.data) for w in words))
+    return units
 
 
 def _free_words(rank: int, first: tuple[int, ...], more: Callable[[list], bool]) -> np.ndarray:
@@ -332,27 +336,19 @@ def _abelian_ball(descriptor: GroupDescriptor, radius: int) -> np.ndarray:
 
 # A run reuses at most three balls (identity-check draws frames on three
 # radii); an unbounded cache would pin every ball a long-lived caller ever
-# built, each of up to 8 MB (INTEGER_CAP int64 exponents; the widest F_n ball,
-# F_1 at radius 1,413, holds 4 MB of one-byte letters and padding).
+# built, each as large as the memory bound admits.
 @lru_cache(maxsize=4)
 def ball(descriptor: GroupDescriptor, radius: int) -> np.ndarray:
     """The Cayley ball for the standard generators: the read-only array of the normal forms of
     its words of length <= radius, shortlex-sorted and duplicate-free, so e is row 0 and
     ball(r) is the first ball_size(r) rows of ball(radius) for every r <= radius.
 
-    Refuses, before building anything, when the ball has more than
-    ENUMERATION_CAP elements, or stores more than INTEGER_CAP integers (Z^d) or
-    LETTER_CAP letters (F_n).
+    Refuses, before building anything, a ball whose rows and integers or letters
+    pass a bound of the budget.
     """
     if radius < 0:
         raise InvalidDescriptor(f"radius must be >= 0, got {radius}")
-    size = capped_ball_size(descriptor, radius)
-    if size > ENUMERATION_CAP:
-        raise SearchSpaceTooLarge(f"ball({descriptor.spec()}, {radius}) exceeds the cap of {ENUMERATION_CAP} elements")
-    if descriptor.is_free and free_ball_letters(descriptor.rank, radius) > LETTER_CAP:
-        raise SearchSpaceTooLarge(f"ball({descriptor.spec()}, {radius}) stores more than {LETTER_CAP} letters")
-    if not descriptor.is_free and size * descriptor.rank > INTEGER_CAP:
-        raise SearchSpaceTooLarge(f"ball({descriptor.spec()}, {radius}) stores more than {INTEGER_CAP} integers")
+    budget.check(f"ball({descriptor.spec()}, {radius})", ball_units(descriptor, radius))
     if descriptor.is_free:
         out = _free_words(descriptor.rank, (), lambda spheres: len(spheres) <= radius)
     else:
@@ -369,15 +365,6 @@ def ball_size(descriptor: GroupDescriptor, radius: int) -> int:
     return sum(2**k * math.comb(d, k) * math.comb(radius, k) for k in range(min(d, radius) + 1))
 
 
-def capped_ball_size(descriptor: GroupDescriptor, radius: int) -> int:
-    """min(|ball(radius)|, ENUMERATION_CAP + 1) for radius >= 0."""
-    # every sphere of radius 1..radius holds at least 2 * rank words; that cheap
-    # bound keeps the closed form away from huge ranks and radii
-    if 1 + 2 * descriptor.rank * radius > ENUMERATION_CAP:
-        return ENUMERATION_CAP + 1
-    return min(ball_size(descriptor, radius), ENUMERATION_CAP + 1)
-
-
 def free_ball_size(rank: int, radius: int) -> int:
     """Closed form 1 + 2n((2n-1)^r - 1)/(2n-2) for |ball(F_n, r)|."""
     if radius == 0:
@@ -386,11 +373,6 @@ def free_ball_size(rank: int, radius: int) -> int:
     if n == 1:
         return 2 * radius + 1
     return 1 + 2 * n * ((2 * n - 1) ** radius - 1) // (2 * n - 2)
-
-
-def free_ball_letters(rank: int, radius: int) -> int:
-    """Letters stored by ball(F_n, radius): sum_r r |sphere(r)|, radius (radius + 1) for F_1."""
-    return sum(r * free_sphere_size(rank, r) for r in range(1, radius + 1))
 
 
 def free_sphere_size(rank: int, radius: int) -> int:
@@ -436,10 +418,11 @@ def parse_word(descriptor: GroupDescriptor, text: str) -> Word:
 
 
 def standard_generators(descriptor: GroupDescriptor) -> tuple[Word, ...]:
-    """a1..an; refused beyond ENUMERATION_CAP words or, for Z^d, INTEGER_CAP stored integers (d^2)."""
-    n = descriptor.rank
-    if n > ENUMERATION_CAP or (not descriptor.is_free and n * n > INTEGER_CAP):
-        raise SearchSpaceTooLarge(f"the standard generators of {descriptor.spec()} exceed the word or integer cap")
+    """a1..an, refused before they are made when they and their inverses, as words and as the
+    arrays that sort them (d^2 integers each in Z^d), pass a bound of the budget."""
+    n, entries = descriptor.rank, descriptor.rank ** (1 if descriptor.is_free else 2)
+    budget.check(f"the standard generators of {descriptor.spec()}", members=2 * n, word_entries=2 * entries,
+                 integers=0 if descriptor.is_free else 2 * entries)
     return tuple(words_of(descriptor, np.arange(1, n + 1)[:, None] if descriptor.is_free else np.eye(n, dtype=np.int64)))
 
 

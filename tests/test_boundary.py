@@ -173,8 +173,8 @@ def test_exhaustive_degenerate_generators_match_oracle(descriptor, gens, radius)
 
 
 def test_exhaustive_builds_one_fraction_per_chunk(monkeypatch):
-    # every subset of ball(F_2, 2) ties at ratio 0 under {e}: one chunk, one winner,
-    # plus the report's own check
+    # every subset of ball(F_2, 2) ties at ratio 0 under {e}: one winner per chunk of
+    # the 2^17 - 1 subsets, plus the report's own check
     made = []
 
     def counting_fraction(*args):
@@ -184,7 +184,7 @@ def test_exhaustive_builds_one_fraction_per_chunk(monkeypatch):
     monkeypatch.setattr("foelner.boundary.Fraction", counting_fraction)
     X = GeneratingSet.of(F2, [Word.identity(F2)])
     best_set, report = exhaustive_min_ratio(F2, X, 2)
-    assert len(made) <= 1 + 1
+    assert len(made) <= -(-((1 << 17) - 1) // boundary.EXHAUSTIVE_CHUNK) + 1
     assert report.ratio == 0 and len(best_set) == 1
 
 
@@ -197,7 +197,7 @@ def test_exhaustive_f2_radius2():
 
 def test_exhaustive_cap():
     with pytest.raises(SearchSpaceTooLarge):
-        exhaustive_min_ratio(F2, XF2, 3)  # |ball| = 53 > 22
+        exhaustive_min_ratio(F2, XF2, 3)  # 2^53 subsets of |ball| = 53
 
 
 class BallBuilt(Exception):
@@ -209,27 +209,27 @@ def _refuse_ball(*args):
 
 
 def test_exhaustive_subset_pass_cap(monkeypatch):
-    # 2|X| * |ball| * 2^|ball| mask entries on ball(Z, 10), 21 elements: 12 generators
-    # pass the cap of 2^30, 13 do not, refused before the ball is built
+    # (2|X| * |ball| + 20) * 2^|ball| mask entries on ball(Z, 10), 21 elements: 56 generators
+    # are under the time bound, 57 are past it, refused before the ball is built
     def gens(count):
         return GeneratingSet.of(Z1, [Word.from_vector(Z1, (c,)) for c in range(1, count + 1)])
 
     monkeypatch.setattr("foelner.boundary.ball", _refuse_ball)
-    with pytest.raises(SearchSpaceTooLarge, match="subset pass"):
-        exhaustive_min_ratio(Z1, gens(13), 10)
+    with pytest.raises(SearchSpaceTooLarge, match="exhaustive search .* time bound"):
+        exhaustive_min_ratio(Z1, gens(57), 10)
     with pytest.raises(BallBuilt):
-        exhaustive_min_ratio(Z1, gens(12), 10)
+        exhaustive_min_ratio(Z1, gens(56), 10)
 
 
 def test_local_search_toggle_cap(monkeypatch):
-    # iterations * 2|X| rows: the 160 words of ball(F_2, 4) other than e give 320 per
-    # toggle, so 52,428 iterations pass the cap of 2^24 and 52,429 do not
+    # the 160 words of ball(F_2, 4) other than e give 320 table rows per toggle, two toggles
+    # at most per iteration: 265,871 iterations are under the time bound, 265,872 past it
     X = GeneratingSet.of(F2, [w for w in ball_words(F2, 4) if not w.is_identity])
     monkeypatch.setattr("foelner.boundary.ball", _refuse_ball)
-    with pytest.raises(SearchSpaceTooLarge, match="toggles"):
-        local_search_min_ratio(F2, X, GroupSearchConfig(radius=1, seed=1, iterations=52_429))
+    with pytest.raises(SearchSpaceTooLarge, match="local search .* time bound"):
+        local_search_min_ratio(F2, X, GroupSearchConfig(radius=1, seed=1, iterations=265_872))
     with pytest.raises(BallBuilt):
-        local_search_min_ratio(F2, X, GroupSearchConfig(radius=1, seed=1, iterations=52_428))
+        local_search_min_ratio(F2, X, GroupSearchConfig(radius=1, seed=1, iterations=265_871))
 
 
 def test_exhaustive_minimum_nonincreasing_in_radius():

@@ -18,8 +18,8 @@ from hypothesis import strategies as st
 
 import foelner.cli
 import foelner.connes
-from foelner import l2ops
-from foelner.cli import _HANDLERS, _check_counts, build_parser, main, render_json, run
+from foelner import budget, l2ops
+from foelner.cli import _HANDLERS, build_parser, main, render_json, run
 from foelner.connes import ProjectionSearchConfig, anneal_projection
 from foelner.errors import ConvergenceError, InvariantViolation
 from foelner.words import ball, format_word, free_group, standard_generators, words_of
@@ -83,7 +83,7 @@ def test_group_bad_spec(tmp_path, capsys):
 def test_exhaustive_cap_exit_code(capsys):
     code = main(["group", "--group", "free:2", "--radius", "3", "--mode", "exhaustive"])
     assert code == 2
-    assert "cap" in capsys.readouterr().err
+    assert "time bound" in capsys.readouterr().err
 
 
 def test_witness_report(tmp_path):
@@ -194,16 +194,48 @@ def test_identity_check_payload_independent_of_hash_seed():
     assert payloads[0]
 
 
+def _edge(template: str, last: int) -> tuple[list, list]:
+    return template.format(last).split(), template.format(last + 1).split()
+
+
+# Each cost formula's edge: the largest input the budget admits (README's caps table times
+# each one) and the input one step past it, refused before any ball or frame is built.
+EDGES = [
+    _edge("identity-check --trials {} --seed 1", 5000),
+    _edge("audit --rank 8 --radius 5 --seed 1 --frames {}", 2364),
+    _edge("audit --rank 200 --radius 6 --seed 1 --frames {}", 34),
+    _edge("audit --rank 1 --radius {} --seed 1 --frames 1", 11),  # the set identities read ball(F_2, radius)
+    _edge("scan --n 2 --rank 8 --radius 5 --iters {} --seed 1", 15864),
+    _edge("scan --n 2 --rank 150 --radius 7 --iters {} --seed 1", 72),
+    _edge("scan --n 2 --rank 1 --radius {} --iters 1 --seed 1", 9),  # the direct route of the final check
+    _edge("scan --n {} --rank 1 --radius 2 --iters 0 --seed 1", 542),
+    _edge("group --group abelian:2 --radius 20 --mode search --iters {} --seed 1", 270964),
+    _edge("group --group abelian:2 --radius {} --mode search --iters 10000 --seed 1", 466),
+    _edge("group --group abelian:9 --radius {} --mode search --iters 10000 --seed 1", 6),
+    _edge("group --group free:1 --radius {} --mode search --iters 10 --seed 1", 2279),  # the letters of F_1 balls
+    _edge("group --group abelian:2 --radius {} --mode balls", 483),
+    _edge("group --group abelian:4 --radius {} --mode balls", 24),
+    _edge("group --group abelian:1 --radius {} --mode exhaustive", 12),
+    _edge("group --group free:2 --radius {} --mode balls", 8865),  # the digits of its closed forms
+    _edge("group --group free:1 --radius {} --mode balls", 83551),
+    _edge("witness --n 5 --k 32 --depth {}", 18),
+    _edge("witness --n 5 --k-max {} --depth 8", 28),
+    _edge("witness --n 2 --k-max {} --depth 6", 65),
+    _edge("witness --n 2 --k-max {} --formula-only", 209715),
+    _edge("scan --n 2 --rank 8 --radius 5 --iters {} --seed 1 --unitaries " + ",".join(["a1"] * 2000), 65),
+    _edge("group --group abelian:{} --radius 0 --mode exhaustive", 863),  # the d^2 integers of Z^d's generators
+]
+
+
 @pytest.mark.parametrize(
     "argv",
     [
         ["audit", "--rank", "3", "--radius", "1", "--seed", "1", "--frames", "1"],
         ["audit", "--rank", "6", "--radius", "2", "--seed", "1", "--frames", "1"],
         ["group", "--group", "abelian:30", "--radius", "40", "--mode", "search", "--seed", "1"],
-        # ball families past boundary.FAMILY_RADIUS_CAP, and enumerated ones whose
-        # ball(radius) exceeds words.ENUMERATION_CAP: ball(Z^2, 316) has 200,345 elements
-        ["group", "--group", "free:2", "--radius", "2001", "--mode", "balls"],
-        ["group", "--group", "abelian:2", "--radius", "316", "--mode", "balls"],
+        # ball families past the budget, of closed forms and of enumerated balls
+        ["group", "--group", "free:2", "--radius", "20001", "--mode", "balls"],
+        ["group", "--group", "abelian:2", "--radius", "1000", "--mode", "balls"],
         # witness inputs: the same n >= 2, k >= 1, depth >= 1 checks in every mode
         ["witness", "--n", "0", "--k", "2", "--formula-only"],
         ["witness", "--n", "1", "--k", "2", "--formula-only"],
@@ -211,26 +243,16 @@ def test_identity_check_payload_independent_of_hash_seed():
         ["witness", "--n", "2", "--k", "2", "--depth", "0", "--formula-only"],
         ["witness", "--n", "2", "--k-max", "0"],
         ["witness", "--n", "2", "--k-max", "0", "--formula-only"],
-        # just past connes.WITNESS_WORK_CAP, for one frame and for a sweep, and
-        # just past connes.FORMULA_K_MAX_CAP
-        ["witness", "--n", "5", "--k", "32", "--depth", "9"],
-        ["witness", "--n", "5", "--k-max", "19", "--depth", "8"],
-        ["witness", "--n", "2", "--k-max", "100001", "--formula-only"],
+        # witness frames and formula sweeps far past the budget
+        ["witness", "--n", "5", "--k", "32", "--depth", "90"],
+        ["witness", "--n", "5", "--k-max", "10000000", "--depth", "8"],
+        ["witness", "--n", "2", "--k-max", "10000000", "--formula-only"],
         # negative counts
         ["identity-check", "--trials", "-1", "--seed", "1"],
         ["audit", "--rank", "2", "--radius", "3", "--seed", "1", "--frames", "-1"],
         ["scan", "--n", "2", "--rank", "2", "--radius", "3", "--iters", "-1", "--seed", "1"],
         ["group", "--group", "abelian:2", "--radius", "3", "--mode", "search", "--iters", "-1", "--seed", "1"],
-        # counts just past the cli caps: the count caps, then the work caps
-        # count * rank^2 * |ball(radius - 1)| of scan (rank 8 on 161 rows) and
-        # audit (rank 200 on 485 rows)
-        ["group", "--group", "abelian:2", "--radius", "3", "--mode", "search", "--iters", "100001", "--seed", "1"],
-        ["identity-check", "--trials", "20001", "--seed", "1"],
-        ["scan", "--n", "1", "--rank", "1", "--radius", "2", "--iters", "200001", "--seed", "1"],
-        ["audit", "--rank", "1", "--radius", "1", "--seed", "1", "--frames", "2001"],
-        ["scan", "--n", "2", "--rank", "8", "--radius", "5", "--iters", "104207", "--seed", "1"],
-        ["audit", "--rank", "200", "--radius", "6", "--seed", "1", "--frames", "14"],
-        # an audit rank past l2ops.SVD_MAX_K, refused before any frame is drawn
+        # an audit rank past l2ops.SVD_MAX_K, refused by svd_small on the first frame
         ["audit", "--rank", "400", "--radius", "7", "--seed", "1", "--frames", "1"],
         # audit ranks and radii below 1, refused also when no frame is drawn
         ["audit", "--rank", "0", "--radius", "3", "--seed", "1", "--frames", "0"],
@@ -240,31 +262,16 @@ def test_identity_check_payload_independent_of_hash_seed():
         ["scan", "--n", "2", "--rank", "1", "--radius", "3", "--iters", "1", "--seed", "-5"],
         ["audit", "--rank", "2", "--radius", "3", "--frames", "1", "--seed", "-1"],
         ["identity-check", "--trials", "1", "--seed", "-1"],
-    ],
+    ]
+    + [past for _, past in EDGES],
 )
 def test_unbounded_inputs_refused_with_exit_2(argv, capsys):
     assert main(argv) == 2
     assert capsys.readouterr().err.startswith("error: ")
 
 
-AT_THE_CAPS = [
-    ["group", "--group", "abelian:2", "--radius", "3", "--mode", "search", "--iters", "100000", "--seed", "1"],
-    ["identity-check", "--trials", "20000", "--seed", "1"],
-    ["scan", "--n", "1", "--rank", "1", "--radius", "2", "--iters", "200000", "--seed", "1"],
-    ["audit", "--rank", "1", "--radius", "1", "--seed", "1", "--frames", "2000"],
-    ["scan", "--n", "2", "--rank", "8", "--radius", "5", "--iters", "104206", "--seed", "1"],
-    ["audit", "--rank", "200", "--radius", "6", "--seed", "1", "--frames", "13"],
-    ["audit", "--rank", "256", "--radius", "7", "--seed", "1", "--frames", "2"],
-]
-
-
-@pytest.mark.parametrize("argv", AT_THE_CAPS)
-def test_counts_at_their_caps_admitted(argv):
-    _check_counts(build_parser().parse_args(argv))  # checks only; runs nothing
-
-
 class BallBuilt(Exception):
-    """Raised by a patched ball(): the input passed every check made before the build."""
+    """Raised by a patched builder: the input passed every check made before the build."""
 
 
 def _refuse_balls(monkeypatch):
@@ -273,55 +280,110 @@ def _refuse_balls(monkeypatch):
 
     for module in ("boundary", "connes", "paradox"):
         monkeypatch.setattr(f"foelner.{module}.ball", build)
+    monkeypatch.setattr("foelner.boundary.ball_size", build)  # ball families in closed form
+    monkeypatch.setattr("foelner.connes.prefixed_words", build)  # witness frames
+    monkeypatch.setattr("foelner.connes.certificate_formula", build)  # formula sweeps
 
 
-@pytest.mark.parametrize(
-    "argv",
-    AT_THE_CAPS
-    + [
-        # the slowest admitted inputs of README's caps table
-        ["group", "--group", "abelian:9", "--radius", "6", "--mode", "search", "--iters", "100000", "--seed", "1"],
-        ["group", "--group", "abelian:2", "--radius", "300", "--mode", "search", "--iters", "100000", "--seed", "1"],
-        ["group", "--group", "abelian:1", "--radius", "99999", "--mode", "search", "--iters", "100000", "--seed", "1"],
-        ["group", "--group", "free:1", "--radius", "1413", "--mode", "search", "--iters", "100000", "--seed", "1"],
-        ["scan", "--n", "2", "--rank", "150", "--radius", "7", "--iters", "32", "--seed", "1"],
-        ["scan", "--n", "2", "--rank", "8", "--radius", "5", "--iters", "104", "--seed", "1", "--unitaries",
-         ",".join(["a1"] * 2000)],
-        # enumerated ball families read every radius off the one table of ball(radius)
-        ["group", "--group", "abelian:2", "--radius", "66", "--mode", "balls"],
-        ["group", "--group", "abelian:2", "--radius", "315", "--mode", "balls"],
-        ["group", "--group", "abelian:4", "--radius", "22", "--mode", "balls"],
-        ["group", "--group", "abelian:9", "--radius", "6", "--mode", "balls"],
-    ],
-)
-def test_inputs_at_the_caps_reach_the_build(argv, monkeypatch):
+@pytest.mark.parametrize("argv", [admitted for admitted, _ in EDGES])
+def test_counts_at_their_caps_admitted(argv, monkeypatch):
+    # each edge (a row of README's caps table) is predicted within both bounds
+    predicted = []
+
+    def check(what, *parts, **units):
+        predicted.append(budget.cost(*parts, **units))
+        return real_check(what, *parts, **units)
+
+    real_check = budget.check
+    monkeypatch.setattr(budget, "check", check)
     _refuse_balls(monkeypatch)
     with pytest.raises(BallBuilt):
         main(argv)
+    assert predicted
+    assert max(s for s, _ in predicted) <= budget.TIME_BOUND_S
+    assert max(mb for _, mb in predicted) <= budget.MEMORY_BOUND_MB
 
 
 @pytest.mark.parametrize(
     "argv",
     [
-        # tables of translates past words.TABLE_CAP: 199,998 generators times 199,999 words,
+        argv.split()
+        for argv in (
+            # README's commands
+            "group --group free:2 --radius 2 --mode exhaustive",
+            "group --group free:2 --radius 12 --mode balls --format csv",
+            "group --group abelian:2 --radius 12 --mode search --iters 10000 --seed 2",
+            "witness --n 2 --k 8 --depth 6",
+            "witness --n 2 --k-max 10000 --formula-only --format csv",
+            "scan --n 2 --rank 8 --radius 5 --iters 10000 --seed 42",
+            "audit --rank 8 --radius 5 --seed 1 --frames 100 --paper-mode",
+            "identity-check --trials 100 --seed 1",
+            # the benchmark's other jobs
+            "group --group free:2 --radius 12 --mode balls",
+            "group --group abelian:2 --radius 20 --mode search --iters 20000 --seed 1",
+            "scan --n 2 --rank 8 --radius 5 --iters 10000 --seed 1",
+            "witness --n 2 --k-max 30 --depth 6",
+            # the acceptance suite's inputs, and the CLI forms of its library calls
+            "group --group abelian:2 --radius 10 --mode search --iters 500 --seed 6",
+            "group --group free:2 --radius 8 --mode balls --format csv",
+            "witness --n 3 --k-max 64 --formula-only",
+            "scan --n 2 --rank 3 --radius 4 --iters 60 --seed 11",
+            "audit --rank 3 --radius 4 --seed 12 --frames 5 --paper-mode",
+            "identity-check --trials 8 --seed 13",
+            "witness --n 5 --k 32 --depth 6",
+            "group --group abelian:2 --radius 20 --mode search --iters 40000 --seed 2",
+        )
+    ],
+)
+def test_inputs_at_the_caps_reach_the_build(argv, monkeypatch):
+    # inputs that must stay admitted pass every check made before the build
+    _refuse_balls(monkeypatch)
+    with pytest.raises(BallBuilt):
+        main(argv)
+
+
+def test_scan_charges_its_parsed_unitaries(monkeypatch):
+    # "a1," is one unitary word: the charge is taken from the parsed words, not the commas
+    charged = []
+    monkeypatch.setattr(budget, "check", lambda what, *parts, **units: charged.append(budget.cost(*parts, **units)))
+    _refuse_balls(monkeypatch)
+    for unitaries in ("a1,", "a1"):
+        with pytest.raises(BallBuilt):
+            main(["scan", "--n", "2", "--rank", "2", "--radius", "3", "--iters", "5", "--seed", "1", "--unitaries", unitaries])
+    assert charged[0] == charged[1]
+
+
+@pytest.mark.parametrize("argv", [past for _, past in EDGES])
+def test_one_step_past_each_edge_refused_before_building(argv, monkeypatch, capsys):
+    _refuse_balls(monkeypatch)
+    assert main(argv) == 2
+    err = capsys.readouterr().err
+    assert "predicted to" in err or "decimal digits" in err
+    assert "audit of" in err if argv[0] == "audit" else True  # audit's message names its whole cost
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        # tables of translates past the time bound: 199,998 generators times 199,999 words,
         # and the 4,372 words of ball(F_2, 7) other than e times that ball
         ["group", "--group", "free:99999", "--radius", "1", "--mode", "search", "--iters", "1", "--seed", "1"],
         ["group", "--group", "free:2", "--radius", "7", "--mode", "search", "--iters", "1", "--seed", "1", "--gens",
          ",".join(format_word(w) for w in words_of(free_group(2), ball(free_group(2), 7)) if not w.is_identity)],
-        # scan's work cap counts the unitaries: 2,000 of them at rank 8 on 161 rows
-        # admit 104 iterations
+        # scan's cost counts its parsed unitaries: 2,000 of them at rank 8 on 161 rows
+        # are past the time bound at 105 iterations
         ["scan", "--n", "2", "--rank", "8", "--radius", "5", "--iters", "100000", "--seed", "1", "--unitaries",
          ",".join(["a1"] * 2000)],
         ["scan", "--n", "2", "--rank", "8", "--radius", "5", "--iters", "105", "--seed", "1", "--unitaries",
          ",".join(["a1"] * 2000)],
-        # the direct route of scan's final check, unitaries * rank * rows^2: 99,999 * 199,999^2
-        # on ball(F_99999, 1) (whose row gathers would also exceed words.TABLE_CAP),
-        # 2 * 118,097^2 on ball(F_2, 10) and 860 * 1,721^2 on ball(F_860, 1)
+        # the direct routes of scan's final check, about (2 rows)^2 tile entries per unitary:
+        # 99,999 unitaries on ball(F_99999, 1) (whose row gathers are also past the bound),
+        # 2 on ball(F_2, 10) and 860 on ball(F_860, 1)
         ["scan", "--n", "99999", "--rank", "1", "--radius", "2", "--iters", "0", "--seed", "1"],
         ["scan", "--n", "2", "--rank", "1", "--radius", "11", "--iters", "1", "--seed", "1"],
         ["scan", "--n", "860", "--rank", "1", "--radius", "2", "--iters", "0", "--seed", "1"],
-        # tables of translates of ball families past words.TABLE_CAP: 18 translations of the
-        # 224,143 words of ball(Z^9, 7), and the 4,372 words of ball(F_2, 7) other than e
+        # ball families past the budget: the 224,143 words of ball(Z^9, 7), 9 integers each,
+        # and the table of the 4,372 words of ball(F_2, 7) other than e
         ["group", "--group", "abelian:9", "--radius", "7", "--mode", "balls"],
         ["group", "--group", "free:2", "--radius", "7", "--mode", "balls", "--gens",
          ",".join(format_word(w) for w in words_of(free_group(2), ball(free_group(2), 7)) if not w.is_identity)],
@@ -336,10 +398,10 @@ def test_large_tables_and_checks_refused_before_building(argv, monkeypatch, caps
 @pytest.mark.parametrize(
     "argv, builder",
     [
-        # F_1 balls under the element cap that store more than words.LETTER_CAP letters
+        # F_1 balls whose letters are past the memory bound
         (["group", "--group", "free:1", "--radius", "99999", "--mode", "search", "--seed", "1"], "words._free_words"),
         (["scan", "--n", "1", "--rank", "1", "--radius", "100000", "--iters", "1", "--seed", "1"], "words._free_words"),
-        # balls past boundary.EXHAUSTIVE_BALL_CAP
+        # subset passes past the time bound
         (["group", "--group", "free:1", "--radius", "99999", "--mode", "exhaustive"], "boundary.ball"),
         (["group", "--group", "abelian:1", "--radius", "99999", "--mode", "exhaustive"], "boundary.ball"),
     ],
@@ -372,7 +434,7 @@ def test_one_evaluation_per_unitary_and_frame(argv, products, gathers, monkeypat
 
 
 def test_huge_abelian_rank_refused_before_allocating():
-    # without a cap, the 50,000 standard generators of Z^50000 alone hold 2.5e9
+    # without the memory bound, the 50,000 standard generators of Z^50000 alone hold 2.5e9
     # integers; the address-space limit turns such an allocation into a
     # MemoryError instead of exhausting the machine
     script = textwrap.dedent(
@@ -387,7 +449,7 @@ def test_huge_abelian_rank_refused_before_allocating():
     env["PYTHONPATH"] = os.pathsep.join(filter(None, [str(SRC), env.get("PYTHONPATH")]))
     proc = subprocess.run([sys.executable, "-c", script], env=env, capture_output=True, timeout=120)
     assert proc.returncode == 2, proc.stderr.decode(errors="replace")[-400:]
-    assert b"cap" in proc.stderr
+    assert b"bound of" in proc.stderr
 
 
 def test_convergence_error_maps_to_exit_3(monkeypatch, capsys):

@@ -265,11 +265,11 @@ def test_anneal_identity_unitary_is_trivial():
 
 
 def test_anneal_refuses_large_row_gathers_before_building(monkeypatch):
-    # 99,999 unitaries times the 199,999 rows of ball(F_99999, 1): past words.TABLE_CAP
+    # 99,999 unitaries times the 199,999 rows of ball(F_99999, 1): past the time bound
     monkeypatch.setattr("foelner.connes.ball", lambda *args: pytest.fail("the ball was built"))
     descriptor = free_group(99_999)
     cfg = ProjectionSearchConfig(descriptor, 1, 2, 1, 0, standard_generators(descriptor))
-    with pytest.raises(SearchSpaceTooLarge, match="tables of translates"):
+    with pytest.raises(SearchSpaceTooLarge, match="annealed search .* time bound"):
         anneal_projection(cfg)
 
 

@@ -132,9 +132,26 @@ def test_no_module_level_hashlib_import_in_package():
     assert not found, f"module-level hashlib imports in src/foelner: {found}"
 
 
+def test_only_the_budget_module_defines_caps_and_bounds():
+    # one admission policy: every refusal for cost goes through foelner.budget, so no
+    # other module keeps a module-level *_CAP or *_BOUND of its own
+    found = []
+    for path in sorted(PACKAGE.glob("*.py")):
+        if path.name == "budget.py":
+            continue
+        for stmt in ast.parse(path.read_text(), filename=str(path)).body:
+            targets = stmt.targets if isinstance(stmt, ast.Assign) else [stmt.target] if isinstance(stmt, ast.AnnAssign) else []
+            found += [
+                f"{path.name}:{stmt.lineno} {t.id}"
+                for t in targets
+                if isinstance(t, ast.Name) and t.id.endswith(("_CAP", "_BOUND"))
+            ]
+    assert not found, f"caps or bounds outside foelner.budget: {found}"
+
+
 # The lines of src/foelner/*.py (as `wc -l` counts them) at the last change that
 # set this limit; a change that raises it says so, and why, in CHANGES.md.
-SOURCE_LINE_LIMIT = 2337
+SOURCE_LINE_LIMIT = 2385
 
 
 def test_package_line_count_does_not_grow():

@@ -11,17 +11,14 @@ from foelner.boundary import GeneratingSet
 from foelner.connes import WitnessConfig, build_witness_frame
 from foelner.errors import DescriptorMismatch, InvalidDescriptor, InvalidLetter, SearchSpaceTooLarge
 from foelner.words import (
-    ENUMERATION_CAP,
-    INTEGER_CAP,
-    LETTER_CAP,
     GroupDescriptor,
     Word,
     ball,
     ball_size,
+    ball_units,
     element_array,
     format_word,
     free_abelian,
-    free_ball_letters,
     free_ball_size,
     free_group,
     multiply,
@@ -217,20 +214,30 @@ def test_abelian_ball_against_oracle_and_closed_form():
     assert len(ball(free_abelian(9), 6)) == 75517
 
 
-def test_ball_cap_refuses_before_building():
-    for desc, r in ((free_abelian(30), 40), (free_abelian(10**9), 3), (free_group(2), 11), (free_group(2), 10**9)):
-        assert ball_size(desc, min(r, 40)) > ENUMERATION_CAP
-        with pytest.raises(SearchSpaceTooLarge):
+def _built(*args):
+    raise RuntimeError("the ball was built")
+
+
+def test_ball_cap_refuses_before_building(monkeypatch):
+    # balls whose rows and integers or letters pass the memory bound; ball(F_2, 11), of
+    # 354,293 words, is under it and ball(F_2, 12), of 1,062,881, is past it
+    ball.cache_clear()
+    monkeypatch.setattr(words, "_free_words", _built)
+    monkeypatch.setattr(words, "_abelian_ball", _built)
+    for desc, r in ((free_abelian(30), 40), (free_abelian(10**9), 3), (free_group(2), 12), (free_group(2), 10**9)):
+        with pytest.raises(SearchSpaceTooLarge, match="bound of"):
             ball(desc, r)
+    with pytest.raises(RuntimeError, match="built"):
+        ball(free_group(2), 11)
 
 
 def test_integer_cap_bounds_abelian_ranks():
-    assert len(standard_generators(free_abelian(1000))) == 1000  # 1000^2 = INTEGER_CAP integers
-    for desc, r in ((free_abelian(1001), None), (free_abelian(10**9), 0), (free_abelian(100), 2), (free_group(10**9), None)):
-        with pytest.raises(SearchSpaceTooLarge):
+    # Z^d's standard generators and their inverses hold 2 d^2 integers as words and as arrays:
+    # d = 863 is under the memory bound, 864 is past it
+    assert len(standard_generators(free_abelian(863))) == 863
+    for desc, r in ((free_abelian(864), None), (free_abelian(10**9), 0), (free_abelian(100), 2), (free_group(10**9), None)):
+        with pytest.raises(SearchSpaceTooLarge, match="bound of"):
             standard_generators(desc) if r is None else ball(desc, r)
-    # |ball(Z^100, 2)| = 20201 elements of 100 integers each
-    assert ball_size(free_abelian(100), 2) * 100 > INTEGER_CAP >= ball_size(free_abelian(9), 6) * 9
 
 
 def test_ball_no_duplicates_and_sorted():
@@ -281,30 +288,24 @@ def test_shortlex_key_of_an_abelian_word_has_one_entry_per_coordinate():
 
 
 def test_free_ball_letters_and_the_letter_cap():
-    for n in (1, 2, 3):
-        for r in range(6):
-            assert free_ball_letters(n, r) == int((ball(free_group(n), r) != 0).sum())
-    # every F_n ball with n >= 2 under ENUMERATION_CAP is admitted; past rank 223
-    # only radius 1, of 2n letters, stays under it
-    worst = (0, 0, 0)
-    for n in range(2, 224):
-        r = 1
-        while free_ball_size(n, r + 1) <= ENUMERATION_CAP:
-            r += 1
-        worst = max(worst, (free_ball_letters(n, r), n, r))
-    assert free_ball_size(224, 2) > ENUMERATION_CAP
-    assert worst == (1_121_932, 2, 10) and worst[0] <= LETTER_CAP
-    assert free_ball_letters(1, 1413) <= LETTER_CAP < free_ball_letters(1, 1414)
+    # the budget charges an F_n ball the bytes of its letters and padding as its array stores
+    # them, and a Z^d ball its integers; F_40's letters take two bytes each
+    for descriptor, radii in ((free_group(1), 6), (free_group(2), 6), (free_group(3), 6), (free_group(40), 3), (Z2, 6)):
+        for r in range(radii):
+            b, units = ball(descriptor, r), ball_units(descriptor, r)
+            assert units["rows"] == len(b)
+            assert units["letters"] == b.nbytes if descriptor.is_free else units["integers"] == b.size
 
 
 def test_free_ball_letter_cap_refuses_before_building(monkeypatch):
-    def build(*args):
-        raise RuntimeError("the ball was built")
-
-    monkeypatch.setattr(words, "_free_words", build)
-    for r in (1414, 99_999):  # under ENUMERATION_CAP, past LETTER_CAP
-        with pytest.raises(SearchSpaceTooLarge):
+    # ball(F_1, r) stores (2r + 1)(r + 1) bytes: radius 2,285 is under the memory bound
+    ball.cache_clear()
+    monkeypatch.setattr(words, "_free_words", _built)
+    for r in (2286, 99_999):
+        with pytest.raises(SearchSpaceTooLarge, match="bound of"):
             ball(free_group(1), r)
+    with pytest.raises(RuntimeError, match="built"):
+        ball(free_group(1), 2285)
 
 
 def test_ball_serialization_stable():
