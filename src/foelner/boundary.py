@@ -140,7 +140,7 @@ def translation_table(descriptor: GroupDescriptor, X: GeneratingSet, radius: int
     from another group, and a table past a bound of the budget, before the ball is built."""
     if X.descriptor != descriptor:
         raise DescriptorMismatch(f"generating set of {X.descriptor.spec()} for a ball of {descriptor.spec()}")
-    budget.check(f"the table of ball({radius})", ball_units(descriptor, radius, X.generators * 2))  # 2|X| >= |X u X^-1|
+    budget.check(f"the table of ball({radius})", *ball_units(descriptor, radius, X.generators * 2))  # 2|X| >= |X u X^-1|
     b = ball(descriptor, radius)
     gens = [x for x in X.closure() if not x.is_identity]
     return b, translation_indices(descriptor, b, gens, right=True)
@@ -177,10 +177,9 @@ def exhaustive_min_ratio(
     membership.  Refuses, before building the ball, a pass over all subsets
     (2|X| * |ball| * 2^|ball| mask entries) or a table past a bound of the budget.
     """
-    units = ball_units(descriptor, max(radius, 0), X.generators * 2)
-    size = units["rows"]
-    budget.check(f"an exhaustive search over the subsets of ball({radius})", units, members=size,
-                 masks=(2 * len(X.generators) * size + 20) << size, pass_masks=min(1 << size, EXHAUSTIVE_CHUNK))
+    table = ball_units(descriptor, max(radius, 0), X.generators * 2)
+    size = table[0]["rows"]  # a pass of EXHAUSTIVE_CHUNK subsets is part of budget.BASE_MB
+    budget.check(f"a search over all subsets of ball({radius})", *table, masks=(2 * len(X.generators) * size + 20) << size)
     b, nbr = translation_table(descriptor, X, radius)
     n = len(b)
     total = (1 << n) - 1
@@ -253,10 +252,10 @@ def ball_family_ratios(
     if use_closed:
         if (limit := sys.get_int_max_str_digits()) and r_max * math.log10(2 * descriptor.rank - 1) + 2 > limit:
             raise SearchSpaceTooLarge(f"{what} has closed forms past Python's {limit} decimal digits")
-        budget.check(what, radii=r_max, digits=r_max * (int(r_max * math.log10(2 * descriptor.rank - 1)) + 2))
+        budget.check(what, radii=r_max, digits=r_max * (int(r_max * math.log10(2 * descriptor.rank - 1) + 2) // 150))
     else:
-        units = ball_units(descriptor, r_max, X.generators * 2)
-        budget.check(what, units, radii=r_max, masks=r_max * units["rows"])
+        table = ball_units(descriptor, r_max, X.generators * 2)
+        budget.check(what, *table, masks=r_max * table[0]["rows"], radii=r_max)
         b, nbr = translation_table(descriptor, X, r_max)
         far = np.where(nbr < 0, len(b), nbr).max(axis=0, initial=-1)  # each member's farthest translate
     out: list[BallRatio] = []
@@ -317,15 +316,11 @@ def local_search_min_ratio(
     is rebuilt at the end by replaying the accepted toggles up to it, and checked
     word by word.  Refuses, before building the ball, a run past a bound of the budget.
     """
-    steps, closure = config.iterations, 2 * len(X.generators)
-    units = ball_units(descriptor, config.radius, X.generators * 2)
-    members = min(steps + 1, units["rows"])  # also bounds the words moves name
-    width = config.radius + 1 if descriptor.is_free else descriptor.rank  # integers or letters a word holds
-    budget.check(
-        f"a local search of {steps} iterations on ball({config.radius})", units,
-        toggles=steps, toggle_rows=2 * steps * closure, moves=steps, members=members, rows=members,
-        word_entries=2 * members * width, word_products=members * closure, product_entries=members * closure * width,
-    )
+    steps, closure, table = config.iterations, 2 * len(X.generators), ball_units(descriptor, config.radius, X.generators * 2)
+    rows, word = table[0]["rows"], 32 + (config.radius + 1 if descriptor.is_free else descriptor.rank)  # a Word's units
+    members = min(steps + 1, rows)  # of the best set, which the final check multiplies by X u X^-1
+    budget.check(f"a local search of {steps} iterations on ball({config.radius})", *table, {"moves": steps, "integers": 2 * rows,
+                 "toggles": steps * (closure + 150) + members * closure * word}, words=members * word)
     b, nbr = translation_table(descriptor, X, config.radius)
     n = len(b)
     start = np.arange(n) == 0  # the set {e}: e is row 0 of the ball

@@ -1,66 +1,46 @@
 """The admission policy: one time bound and one memory bound for every run.
 
-Each entry point counts its run's units in closed form from its inputs and calls check()
-before it builds any ball; a run predicted past either bound is refused with
-SearchSpaceTooLarge (exit 2).  The unit costs were measured in process on an otherwise idle
-2-core VM and raised until every row of README's caps table is predicted at or above its
-measured time and resident peak.
+Each entry point counts its run's units in closed form from its inputs and checks them before it
+builds any ball.  A run is phases in order (a ball, its table, a search on them): its time is their
+sum, its peak the largest peak of a phase on top of what the phases before it hold.
 """
-
-from collections import Counter
 
 from .errors import SearchSpaceTooLarge
 
 TIME_BOUND_S = 10.0
 MEMORY_BOUND_MB = 128.0
-BASE_MB = 48.0  # the resident interpreter, numpy, the package and OpenBLAS's buffers
+BASE_MB = 40.0  # the largest peak of any command's smallest run: interpreter, numpy, the package
 
-UNITS = {  # unit: (seconds, bytes) per unit
-    "rows": (200e-9, 50),  # group elements of a ball, of frame rows or of a reported set
-    "integers": (120e-9, 48),  # Z^d exponents those rows store, with the copies a table makes
-    "letters": (10e-9, 8),  # bytes of F_n letters (and padding) those rows store
-    "products": (450e-9, 8),  # products of a table of translates, each with its lookup
-    "product_entries": (8e-9, 0),  # integers or letters those products, and Word products, read
-    "masks": (2e-9, 0),  # vectorized membership tests: the exhaustive pass's, a ball family's
-    "pass_masks": (0.0, 100),  # subsets one vectorized pass of the exhaustive search holds
-    "toggles": (2e-6, 8),  # local-search iterations
-    "toggle_rows": (40e-9, 0),  # table rows their toggles visit
-    "moves": (10e-6, 300),  # search-history moves a report holds
-    "members": (5e-6, 250),  # words of a reported set
-    "word_entries": (300e-9, 8),  # integers or letters of those words, and of the words moves name
-    "word_products": (1.5e-6, 0),  # Word products of the final word-by-word boundary check
-    "radii": (20e-6, 1000),  # radii of a ball family
-    "digits": (100e-9, 2),  # decimal digits of its closed forms, r_max at the largest radius's length
-    "calls": (45e-6, 0),  # numpy-call overheads: an annealer step, a Gram-Schmidt column, a trial evaluation
-    "amplitudes": (80e-9, 0),  # amplitudes a Gram-Schmidt column pass, or a frame draw, streams
-    "mgs_madds": (1.4e-9, 0),  # Gram-Schmidt complex multiply-adds (matrix-vector)
-    "madds": (0.1e-9, 0),  # complex multiply-adds of matrix products: Gram checks, compressions, tiles
-    "tiles": (12e-6, 0),  # tiles of the direct route of a commutator ratio
-    "tile_entries": (2e-9, 0),  # entries of those tiles
-    "svd": (3.5e-9, 0),  # k^3 of one small SVD
-    "coefficients": (1e-6, 300),  # amplitudes of a frame held as arrays and reported
-    "arrays": (0.0, 32),  # complex amplitudes held in arrays only, with one copy
-    "points": (2e-6, 400),  # points of a formula sweep
-    "frames": (2e-3, 5000),  # frames drawn or built and checked: audit's, witness sweeps', identity-check's
+UNITS = {  # unit: (seconds, bytes at its peak, bytes it leaves held)
+    "rows": (200e-9, 60, 0),  # group elements a ball or a frame's rows hold
+    "integers": (90e-9, 40, 8),  # 8-byte words: Z^d exponents, or F_n letters 8 to a word, of rows; table entries
+    "products": (380e-9, 8, 8),  # products of a table of translates, each with its lookup
+    "masks": (2.1e-9, 0, 0),  # subset-mask visits of the exhaustive pass and of a ball family
+    "toggles": (40e-9, 0, 0),  # table rows a local search's toggles visit, 150 an iteration, its Word products' units
+    "moves": (12e-6, 560, 300),  # search-history moves, named and held for the report
+    "words": (300e-9, 8, 8),  # integers or letters of Word objects, and 32 for each word
+    "radii": (14e-6, 760, 760),  # radii of a ball family
+    "digits": (15e-6, 270, 270),  # each 150 decimal digits of its largest closed form, at every radius
+    "calls": (10e-6, 0, 0),  # numpy-call overheads: a Gram-Schmidt column, a compression in the annealer's objective
+    "madds": (0.06e-9, 0, 0),  # complex multiply-adds of matrix products; Gram-Schmidt's count 25, an SVD's k^3 80
+    "tiles": (1.4e-9, 0, 0),  # entries of the tiles of direct routes, and their overhead (see direct_route_units)
+    "amplitudes": (2e-9, 16, 0),  # complex amplitudes of frame draws, coefficients and direct routes
+    "points": (1.3e-6, 330, 330),  # points of a formula sweep, of a search history or of its records
+    "frames": (1e-3, 3000, 3000),  # frames drawn, or built and certified, with the report each holds
 }
-# Every row costs 50 bytes, so no ball of MAX_ROWS rows fits the memory bound:
-# ball sizes are computed in closed form up to MAX_ROWS only.
-MAX_ROWS = int(MEMORY_BOUND_MB * 2**20) // UNITS["rows"][1] + 1
+MAX_ROWS = int(MEMORY_BOUND_MB * 2**20) // UNITS["rows"][1] + 1  # a ball of more rows passes the memory bound
 
 
-def cost(*parts: dict, **units: int) -> tuple[float, float]:
-    """(seconds, megabytes) predicted for the units named and those of `parts`, summed."""
-    totals = sum(map(Counter, parts), Counter(units))
-    counts = [(UNITS[u], min(n, 1e30)) for u, n in totals.items()]  # 1e30 is past any bound, and a float
-    return sum(s * n for (s, _), n in counts), BASE_MB + sum(b * n for (_, b), n in counts) / 2**20
-
-
-def check(what: str, *parts: dict, **units: int) -> None:
-    """Refuse `what` when its cost passes the time bound or the memory bound."""
-    seconds, megabytes = cost(*parts, **units)
-    if seconds > TIME_BOUND_S:
-        raise SearchSpaceTooLarge(f"{what} is predicted to take {seconds:.5g} s > the time bound of {TIME_BOUND_S:g} s")
-    if megabytes > MEMORY_BOUND_MB:
-        raise SearchSpaceTooLarge(
-            f"{what} is predicted to peak at {megabytes:.5g} MB > the memory bound of {MEMORY_BOUND_MB:g} MB"
-        )
+def check(what: str, *phases: dict, **units: int) -> tuple[float, float]:
+    """The (seconds, megabytes) predicted for `what`, run as `phases` then `units`; refused past a bound."""
+    seconds = held = peak = 0.0
+    for phase in (*phases, units):
+        prices = [(UNITS[u], min(n, 1e30)) for u, n in phase.items()]  # 1e30 passes either bound, as a float
+        seconds += sum(s * n for (s, _, _), n in prices)
+        peak = max(peak, held + sum(b * n for (_, b, _), n in prices))
+        held += sum(h * n for (_, _, h), n in prices)
+    megabytes = BASE_MB + peak / 2**20
+    if seconds > TIME_BOUND_S or megabytes > MEMORY_BOUND_MB:
+        raise SearchSpaceTooLarge(f"{what} is predicted to take {seconds:.4g} s and to peak at {megabytes:.4g} MB, "
+                                  f"past the bounds of {TIME_BOUND_S:g} s and {MEMORY_BOUND_MB:g} MB")
+    return seconds, megabytes

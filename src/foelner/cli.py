@@ -35,6 +35,7 @@ from .boundary import (
     local_search_min_ratio,
 )
 from .connes import (
+    FRAME_MAX_SUPPORT,
     ProjectionSearchConfig,
     WitnessConfig,
     anneal_projection,
@@ -59,8 +60,6 @@ from .words import GroupDescriptor, Word, ball_units, format_word, free_group, p
 
 STOCHASTIC_COMMANDS = {"scan", "audit", "identity-check"}
 COUNT_PARAMS = ("iters", "frames", "trials")  # refused below 0
-# run() charges to the budget the loops this module runs itself, audit's frames and
-# identity-check's trials; the library entry points charge every other run.
 
 
 def _element_set_json(s: ElementSet) -> list:
@@ -245,27 +244,25 @@ _HANDLERS = {
 
 
 def _check_counts(args: argparse.Namespace) -> None:
-    """Refuse a negative count, and an audit or identity-check run past a bound of the budget."""
+    """Refuse a negative count; charge the budget for the loops run() runs itself, audit's frames and
+    identity-check's trials (the library charges every other run)."""
     for name in COUNT_PARAMS:
         if getattr(args, name, 0) < 0:
             raise PreconditionError(f"--{name} must be >= 0, got {getattr(args, name)}")
-    if args.command == "identity-check":  # frames of rank <= 8 on at most |ball(F_2, 4)| rows
-        budget.check(f"identity-check of {args.trials} trials", frames=args.trials)
+    if args.command == "identity-check":  # a frame of rank <= 8 on at most 96 rows, and three ratios
+        budget.check(f"identity-check of {args.trials} trials", frames=args.trials, calls=60 * args.trials)
     elif args.command == "audit":
         k, f, radius = args.rank, args.frames, args.radius
         if k < 1 or radius < 1:  # frames need rank >= 1 and rows in ball(radius - 1)
             raise PreconditionError(f"audit needs --rank >= 1 and --radius >= 1, got {k} and {radius}")
-        # the set identities read ball(F_2, radius); each frame is drawn on ball(F_2, radius - 1)
-        # and lives on the at most 12k rows its columns draw, where L_a and L_b are each checked
-        pool, identities = ball_units(free_group(2), radius - 1), ball_units(free_group(2), radius)
-        rows = min(12 * k, pool["rows"])
-        budget.check(
-            f"audit of {f} frames at rank {k} on ball(F_2, {radius - 1}), set identities on ball(F_2, {radius})",
-            pool, identities, direct_route_units(k, rows, 2 * f), frames=f, svd=f * 2 * k**3,
-            arrays=k * (pool["rows"] + 10 * rows),  # a draw over the whole ball; its columns, [UC, C] and copies
-            amplitudes=f * k * (pool["rows"] + 10 * rows), calls=f * k, mgs_madds=f * 2 * k * k * rows,
-            madds=f * 3 * k * k * rows,  # the Gram check and two compressions
-        )
+        # set identities on ball(F_2, radius); frames drawn on ball(F_2, radius - 1), each on <= FRAME_MAX_SUPPORT * k
+        # rows: Gram-Schmidt, a Gram check, two compressions, two SVDs, the chain audit and routes of L_a and L_b
+        pool = ball_units(free_group(2), radius - 1)
+        rows = min(FRAME_MAX_SUPPORT * k, pool[0]["rows"])
+        frames = {"frames": f, "calls": f * (k + 60), "madds": f * (53 * k * k * rows + 160 * k**3),
+                  "amplitudes": k * (pool[0]["rows"] + 4 * rows)}  # one frame's draw at a time
+        budget.check(f"audit of {f} frames at rank {k} on ball(F_2, {radius - 1}), set identities on ball(F_2, {radius})",
+                     *ball_units(free_group(2), radius), *pool, frames, direct_route_units(k, rows, 2 * f))
 
 
 def _check_output(args: argparse.Namespace) -> None:

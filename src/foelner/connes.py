@@ -102,15 +102,16 @@ class WitnessConfig:
 
 
 def check_witness_frames(n: int, T: int, ks: range) -> None:
-    """Refuse, before building anything, building and certifying witness frames of ranks `ks`
-    past a bound of the budget.  A rank-k frame has R = n * k * T rows of at most k + T + 1
-    letters, and each of the n generators is checked by a direct route on R rows (about
-    8 n k R^2 multiply-adds)."""
-    R = n * ks[-1] * T  # frames are built one at a time, so the largest sets the memory
-    parts = [{"frames": len(ks), "rows": R, "letters": R * (ks[-1] + T + 1), "coefficients": R * ks[-1]}]
-    for k in ks[: 1 + int(budget.TIME_BOUND_S / budget.UNITS["frames"][0])]:  # more frames pass the bound alone
-        parts += [direct_route_units(k, n * k * T, n), {"madds": (n + 1) * k**3 * n * T}]  # Gram check, compressions
-    budget.check(f"witness frames of ranks {ks.start}..{ks.stop - 1} (n = {n}, depth {T})", *parts)
+    """Refuse, before building anything, building and certifying witness frames of ranks `ks` past a
+    bound of the budget: R = n k T rows of k + T + 2 letters at most (2 bytes each, 8 to an integer),
+    a Gram check and n compressions ((n + 1) k^2 R multiply-adds) and n direct routes each."""
+    what = f"witness frames of ranks {ks.start}..{ks.stop - 1} (n = {n}, depth {T})"
+    budget.check(what, frames=len(ks))  # alone first, so that the phases below are few
+    phases = []
+    for k, R in ((k, n * k * T) for k in ks):
+        phases += [{"frames": 1, "rows": R, "integers": R * ((k + T + 5) // 4), "amplitudes": 3 * R * k,
+                    "madds": (n + 1) * k * k * R}, direct_route_units(k, R, n)]
+    budget.check(what, *phases)
 
 
 def build_witness_frame(cfg: WitnessConfig) -> Frame:
@@ -189,15 +190,11 @@ class UpperBoundCertificate:
         return frame_fingerprint(self.frame)
 
 
-def standard_unitaries(descriptor: GroupDescriptor) -> tuple[GroupAlgebraElement, ...]:
-    return tuple(GroupAlgebraElement.left_translation(w) for w in standard_generators(descriptor))
-
-
 def witness_certificate(n: int, k: int, T: int) -> UpperBoundCertificate:
     """Build the witness frame and certify Q over the standard generators."""
     cfg = WitnessConfig(n, k, T)
     frame = build_witness_frame(cfg)
-    unitaries = standard_unitaries(frame.descriptor)
+    unitaries = tuple(GroupAlgebraElement.left_translation(w) for w in standard_generators(frame.descriptor))
     records = q_objective(unitaries, frame)
     certified = max(r.worst for r in records)
     return UpperBoundCertificate(certified, certificate_formula(n, k), frame, records)
@@ -322,14 +319,12 @@ def anneal_projection(cfg: ProjectionSearchConfig) -> AnnealResult:
     if cfg.ambient_radius - op_radius < 0:
         raise PreconditionError("ambient radius too small for the unitary list")
     support_radius = cfg.ambient_radius - max(op_radius, 1)
-    units = ball_units(cfg.descriptor, support_radius, cfg.unitaries)
-    n_sup, k, u, steps = units["rows"], cfg.rank, len(cfg.unitaries), cfg.iterations + 1  # and the first frame
-    budget.check(
-        f"an annealed search of {cfg.iterations} iterations at rank {k} on ball({support_radius})", units,
-        direct_route_units(k, n_sup, u), coefficients=n_sup * k,  # the final records and the reported frame
-        calls=steps * (1 + k + u), amplitudes=steps * k * n_sup, mgs_madds=steps * 2 * k * k * n_sup,
-        madds=(steps + 1) * (u + 1) * k * k * n_sup,  # the Gram checks and the compressions
-    )
+    table = ball_units(cfg.descriptor, support_radius, cfg.unitaries)
+    n_sup, k, u, steps = table[0]["rows"], cfg.rank, len(cfg.unitaries), cfg.iterations + 1  # and the first frame
+    routes = direct_route_units(k, n_sup, u)  # of the u final records, on top of the search's arrays
+    search = {"calls": steps * (4 + k + 3 * u) + 200 * u, "madds": steps * k * n_sup * (1300 + 560 * math.sqrt(k) + u * k)}
+    budget.check(f"an annealed search of {cfg.iterations} iterations at rank {k} on ball({support_radius})", *table,
+                 {**search, "points": steps + 10 * u}, {**routes, "amplitudes": routes["amplitudes"] + 6 * k * n_sup})
     rows = ball(cfg.descriptor, support_radius)
     if k > n_sup:
         raise PreconditionError(f"rank {k} exceeds the support dimension {n_sup}")

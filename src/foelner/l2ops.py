@@ -222,15 +222,12 @@ class CommutatorRatio(NamedTuple):
     defect: float
 
 
-def _tile_rows(k: int) -> int:
-    return math.isqrt(BLAS_CHUNK // (2 * k)) if _piece_rows(k, k) else HS_TILE
-
-
 def direct_route_units(k: int, rows: int, count: int = 1) -> dict:
-    """Budget units of `count` direct routes of commutator_ratio on rank-k frames of `rows` rows,
-    whose translates add at most `rows` more: tiles, their entries and their multiply-adds."""
-    m, tiles = 2 * rows, -(-2 * rows // _tile_rows(k))  # the tiles along one side
-    return {"tiles": count * tiles * tiles, "tile_entries": count * m * m, "madds": count * 2 * k * m * m}
+    """Budget units of `count` direct routes of commutator_ratio, one at a time, on rank-k frames of `rows`
+    rows and at most as many translates: tile entries (k + 1 more each in BLAS_CHUNK tiles), z, w and a copy."""
+    m = 2 * rows
+    return {"tiles": count * m * m * (2 + k if _piece_rows(k, k) else 1), "madds": count * 2 * k * m * m,
+            "amplitudes": 6 * m * k + 2 * min(HS_TILE, m) ** 2}
 
 
 def commutator_ratio(op: GroupAlgebraElement, frame: Frame) -> CommutatorRatio:
@@ -258,7 +255,7 @@ def commutator_ratio(op: GroupAlgebraElement, frame: Frame) -> CommutatorRatio:
     z[:n, k:] = frame.C
     w = z.conj()
     w[:, k:] *= -1  # conj([UC, -C]), so z @ w.T = (UC)(UC)* - CC*
-    tile = _tile_rows(k)
+    tile = math.isqrt(BLAS_CHUNK // (2 * k)) if _piece_rows(k, k) else HS_TILE
     hs_sq = 0.0
     for s in range(0, len(z), tile):
         for t in range(0, len(z), tile):

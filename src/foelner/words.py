@@ -61,14 +61,6 @@ def free_abelian(rank: int) -> GroupDescriptor:
     return GroupDescriptor(ABELIAN, rank)
 
 
-def _check_letters(descriptor: GroupDescriptor, letters: Iterable[int]) -> tuple[int, ...]:
-    out = tuple(letters)
-    for l in out:
-        if l == 0 or abs(l) > descriptor.rank:
-            raise InvalidLetter(f"letter {l} out of range for rank {descriptor.rank}")
-    return out
-
-
 def _reduce_free(letters: Sequence[int]) -> tuple[int, ...]:
     out: list[int] = []
     for l in letters:
@@ -100,7 +92,10 @@ class Word:
     @staticmethod
     def from_letters(descriptor: GroupDescriptor, letters: Iterable[int]) -> "Word":
         """Build a word from raw letters, reducing / accumulating as needed."""
-        ls = _check_letters(descriptor, letters)
+        ls = tuple(letters)
+        for l in ls:
+            if l == 0 or abs(l) > descriptor.rank:
+                raise InvalidLetter(f"letter {l} out of range for rank {descriptor.rank}")
         if descriptor.is_free:
             return Word(descriptor, _reduce_free(ls))
         vec = [0] * descriptor.rank
@@ -273,21 +268,15 @@ def translation_indices(descriptor: GroupDescriptor, rows: np.ndarray, gs: Seque
     return idx
 
 
-def ball_units(descriptor: GroupDescriptor, radius: int, words: Sequence[Word] = ()) -> dict:
-    """The budget units of ball(radius), radius >= 0, and of its table of translates by each of
-    `words` (translation_indices): a product per word and row, which reads the row's integers
-    or letters and the word's.  Sizes come from the closed form, taken up to budget.MAX_ROWS."""
+def ball_units(descriptor: GroupDescriptor, radius: int, words: Sequence[Word] = ()) -> list[dict]:
+    """The budget phases of ball(radius), radius >= 0, and of its table of translates by each of `words`
+    (translation_indices), which copies the rows; sizes from the closed form, taken up to budget.MAX_ROWS."""
     rows = budget.MAX_ROWS
     if 1 + 2 * descriptor.rank * radius <= rows:  # each sphere holds 2n words or more: no huge closed form
         rows = min(ball_size(descriptor, radius), rows)
-    width = radius + 1 if descriptor.is_free else descriptor.rank  # F_n rows are zero-padded
-    units = {"rows": rows, "letters" if descriptor.is_free else "integers": rows * width}
-    if descriptor.is_free:
-        units["letters"] *= _letter_type(descriptor.rank).itemsize
-    if words:
-        units["products"] = len(words) * rows
-        units["product_entries"] = rows * (len(words) * width + sum(len(w.data) for w in words))
-    return units
+    width, size = (radius + 1, _letter_type(descriptor.rank).itemsize) if descriptor.is_free else (descriptor.rank, 8)
+    built = {"rows": rows, "integers": -(-width * size // 8) * rows}  # F_n rows are zero-padded letters, 8 to an integer
+    return [built, {**built, "products": rows * len(words)}] if words else [built]
 
 
 def _free_words(rank: int, first: tuple[int, ...], more: Callable[[list], bool]) -> np.ndarray:
@@ -343,12 +332,11 @@ def ball(descriptor: GroupDescriptor, radius: int) -> np.ndarray:
     its words of length <= radius, shortlex-sorted and duplicate-free, so e is row 0 and
     ball(r) is the first ball_size(r) rows of ball(radius) for every r <= radius.
 
-    Refuses, before building anything, a ball whose rows and integers or letters
-    pass a bound of the budget.
+    Refuses, before building anything, a ball past a bound of the budget.
     """
     if radius < 0:
         raise InvalidDescriptor(f"radius must be >= 0, got {radius}")
-    budget.check(f"ball({descriptor.spec()}, {radius})", ball_units(descriptor, radius))
+    budget.check(f"ball({descriptor.spec()}, {radius})", *ball_units(descriptor, radius))
     if descriptor.is_free:
         out = _free_words(descriptor.rank, (), lambda spheres: len(spheres) <= radius)
     else:
@@ -421,8 +409,7 @@ def standard_generators(descriptor: GroupDescriptor) -> tuple[Word, ...]:
     """a1..an, refused before they are made when they and their inverses, as words and as the
     arrays that sort them (d^2 integers each in Z^d), pass a bound of the budget."""
     n, entries = descriptor.rank, descriptor.rank ** (1 if descriptor.is_free else 2)
-    budget.check(f"the standard generators of {descriptor.spec()}", members=2 * n, word_entries=2 * entries,
-                 integers=0 if descriptor.is_free else 2 * entries)
+    budget.check(f"the standard generators of {descriptor.spec()}", words=2 * (entries + 32 * n), integers=2 * entries)
     return tuple(words_of(descriptor, np.arange(1, n + 1)[:, None] if descriptor.is_free else np.eye(n, dtype=np.int64)))
 
 

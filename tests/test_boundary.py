@@ -209,27 +209,27 @@ def _refuse_ball(*args):
 
 
 def test_exhaustive_subset_pass_cap(monkeypatch):
-    # (2|X| * |ball| + 20) * 2^|ball| mask entries on ball(Z, 10), 21 elements: 56 generators
-    # are under the time bound, 57 are past it, refused before the ball is built
+    # (2|X| * |ball| + 20) * 2^|ball| mask entries on ball(Z, 10), 21 elements: 53 generators
+    # are under the time bound, 54 are past it, refused before the ball is built
     def gens(count):
         return GeneratingSet.of(Z1, [Word.from_vector(Z1, (c,)) for c in range(1, count + 1)])
 
     monkeypatch.setattr("foelner.boundary.ball", _refuse_ball)
-    with pytest.raises(SearchSpaceTooLarge, match="exhaustive search .* time bound"):
-        exhaustive_min_ratio(Z1, gens(57), 10)
+    with pytest.raises(SearchSpaceTooLarge, match="subsets of ball.* predicted to take"):
+        exhaustive_min_ratio(Z1, gens(54), 10)
     with pytest.raises(BallBuilt):
-        exhaustive_min_ratio(Z1, gens(56), 10)
+        exhaustive_min_ratio(Z1, gens(53), 10)
 
 
 def test_local_search_toggle_cap(monkeypatch):
-    # the 160 words of ball(F_2, 4) other than e give 320 table rows per toggle, two toggles
-    # at most per iteration: 265,871 iterations are under the time bound, 265,872 past it
+    # the 160 words of ball(F_2, 4) other than e give 320 table rows per toggle, and every
+    # iteration may add a history move: 164,752 iterations are under the bounds, 164,753 past them
     X = GeneratingSet.of(F2, [w for w in ball_words(F2, 4) if not w.is_identity])
     monkeypatch.setattr("foelner.boundary.ball", _refuse_ball)
-    with pytest.raises(SearchSpaceTooLarge, match="local search .* time bound"):
-        local_search_min_ratio(F2, X, GroupSearchConfig(radius=1, seed=1, iterations=265_872))
+    with pytest.raises(SearchSpaceTooLarge, match="local search .* predicted to take"):
+        local_search_min_ratio(F2, X, GroupSearchConfig(radius=1, seed=1, iterations=164_753))
     with pytest.raises(BallBuilt):
-        local_search_min_ratio(F2, X, GroupSearchConfig(radius=1, seed=1, iterations=265_871))
+        local_search_min_ratio(F2, X, GroupSearchConfig(radius=1, seed=1, iterations=164_752))
 
 
 def test_exhaustive_minimum_nonincreasing_in_radius():

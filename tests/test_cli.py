@@ -83,7 +83,7 @@ def test_group_bad_spec(tmp_path, capsys):
 def test_exhaustive_cap_exit_code(capsys):
     code = main(["group", "--group", "free:2", "--radius", "3", "--mode", "exhaustive"])
     assert code == 2
-    assert "time bound" in capsys.readouterr().err
+    assert "predicted to take" in capsys.readouterr().err
 
 
 def test_witness_report(tmp_path):
@@ -201,29 +201,31 @@ def _edge(template: str, last: int) -> tuple[list, list]:
 # Each cost formula's edge: the largest input the budget admits (README's caps table times
 # each one) and the input one step past it, refused before any ball or frame is built.
 EDGES = [
-    _edge("identity-check --trials {} --seed 1", 5000),
-    _edge("audit --rank 8 --radius 5 --seed 1 --frames {}", 2364),
-    _edge("audit --rank 200 --radius 6 --seed 1 --frames {}", 34),
+    _edge("identity-check --trials {} --seed 1", 6250),
+    _edge("audit --rank 8 --radius 5 --seed 1 --frames {}", 3561),
+    _edge("audit --rank 200 --radius 6 --seed 1 --frames {}", 52),
     _edge("audit --rank 1 --radius {} --seed 1 --frames 1", 11),  # the set identities read ball(F_2, radius)
-    _edge("scan --n 2 --rank 8 --radius 5 --iters {} --seed 1", 15864),
-    _edge("scan --n 2 --rank 150 --radius 7 --iters {} --seed 1", 72),
-    _edge("scan --n 2 --rank 1 --radius {} --iters 1 --seed 1", 9),  # the direct route of the final check
-    _edge("scan --n {} --rank 1 --radius 2 --iters 0 --seed 1", 542),
-    _edge("group --group abelian:2 --radius 20 --mode search --iters {} --seed 1", 270964),
-    _edge("group --group abelian:2 --radius {} --mode search --iters 10000 --seed 1", 466),
+    _edge("audit --rank {} --radius 7 --seed 1 --frames 1", 299),  # svd_small refuses ranks past SVD_MAX_K on the first frame
+    _edge("scan --n 2 --rank 8 --radius 5 --iters {} --seed 1", 24646),
+    _edge("scan --n 2 --rank 150 --radius 7 --iters {} --seed 1", 84),
+    _edge("scan --n 2 --rank 1 --radius {} --iters 1 --seed 1", 9),  # the direct routes of the final records
+    _edge("scan --n {} --rank 1 --radius 2 --iters 0 --seed 1", 502),
+    _edge("group --group abelian:9 --radius 6 --mode search --iters {} --seed 1", 115150),  # every move accepted, as the model assumes
+    _edge("group --group free:2 --radius 10 --mode search --iters {} --seed 1", 134408),
+    _edge("group --group abelian:2 --radius {} --mode search --iters 10000 --seed 1", 494),
     _edge("group --group abelian:9 --radius {} --mode search --iters 10000 --seed 1", 6),
-    _edge("group --group free:1 --radius {} --mode search --iters 10 --seed 1", 2279),  # the letters of F_1 balls
-    _edge("group --group abelian:2 --radius {} --mode balls", 483),
-    _edge("group --group abelian:4 --radius {} --mode balls", 24),
+    _edge("group --group free:1 --radius {} --mode search --iters 10 --seed 1", 2764),  # the letters of F_1 balls and their table
+    _edge("group --group abelian:2 --radius {} --mode balls", 494),
+    _edge("group --group abelian:4 --radius {} --mode balls", 25),
     _edge("group --group abelian:1 --radius {} --mode exhaustive", 12),
-    _edge("group --group free:2 --radius {} --mode balls", 8865),  # the digits of its closed forms
-    _edge("group --group free:1 --radius {} --mode balls", 83551),
-    _edge("witness --n 5 --k 32 --depth {}", 18),
+    _edge("group --group free:2 --radius {} --mode balls", 9008),  # the digits of its closed forms
+    _edge("group --group free:1 --radius {} --mode balls", 121414),
+    _edge("witness --n 5 --k 32 --depth {}", 19),
     _edge("witness --n 5 --k-max {} --depth 8", 28),
-    _edge("witness --n 2 --k-max {} --depth 6", 65),
-    _edge("witness --n 2 --k-max {} --formula-only", 209715),
-    _edge("scan --n 2 --rank 8 --radius 5 --iters {} --seed 1 --unitaries " + ",".join(["a1"] * 2000), 65),
-    _edge("group --group abelian:{} --radius 0 --mode exhaustive", 863),  # the d^2 integers of Z^d's generators
+    _edge("witness --n 2 --k-max {} --depth 6", 67),
+    _edge("scan --n 2 --rank 8 --radius 5 --iters {} --seed 1 --unitaries " + ",".join(["a1"] * 2000), 43),
+    _edge("witness --n 2 --k-max {} --formula-only", 279620),
+    _edge("group --group abelian:{} --radius 0 --mode exhaustive", 977),  # the d^2 integers of Z^d's generators
 ]
 
 
@@ -252,8 +254,8 @@ EDGES = [
         ["audit", "--rank", "2", "--radius", "3", "--seed", "1", "--frames", "-1"],
         ["scan", "--n", "2", "--rank", "2", "--radius", "3", "--iters", "-1", "--seed", "1"],
         ["group", "--group", "abelian:2", "--radius", "3", "--mode", "search", "--iters", "-1", "--seed", "1"],
-        # an audit rank past l2ops.SVD_MAX_K, refused by svd_small on the first frame
-        ["audit", "--rank", "400", "--radius", "7", "--seed", "1", "--frames", "1"],
+        # an audit rank past l2ops.SVD_MAX_K that the budget admits, refused by svd_small on the first frame
+        ["audit", "--rank", "257", "--radius", "7", "--seed", "1", "--frames", "1"],
         # audit ranks and radii below 1, refused also when no frame is drawn
         ["audit", "--rank", "0", "--radius", "3", "--seed", "1", "--frames", "0"],
         ["audit", "--rank", "2", "--radius", "0", "--seed", "1", "--frames", "0"],
@@ -290,9 +292,9 @@ def test_counts_at_their_caps_admitted(argv, monkeypatch):
     # each edge (a row of README's caps table) is predicted within both bounds
     predicted = []
 
-    def check(what, *parts, **units):
-        predicted.append(budget.cost(*parts, **units))
-        return real_check(what, *parts, **units)
+    def check(what, *phases, **units):
+        predicted.append(real_check(what, *phases, **units))
+        return predicted[-1]
 
     real_check = budget.check
     monkeypatch.setattr(budget, "check", check)
@@ -332,6 +334,12 @@ def test_counts_at_their_caps_admitted(argv, monkeypatch):
             "identity-check --trials 8 --seed 13",
             "witness --n 5 --k 32 --depth 6",
             "group --group abelian:2 --radius 20 --mode search --iters 40000 --seed 2",
+            # the 100,000-iteration searches README has timed since before the budget
+            *(f"group --group {g} --radius {r} --mode search --iters 100000 --seed 1" for g, r in (
+                ("abelian:9", 6), ("abelian:5", 13), ("abelian:4", 22), ("free:4", 6), ("abelian:3", 52),
+                ("free:1", 1413), ("abelian:2", 300), ("abelian:1", 99999))),
+            # audit at l2ops.SVD_MAX_K on ball(F_2, 6)
+            "audit --rank 256 --radius 7 --seed 1 --frames 2",
         )
     ],
 )
@@ -345,12 +353,20 @@ def test_inputs_at_the_caps_reach_the_build(argv, monkeypatch):
 def test_scan_charges_its_parsed_unitaries(monkeypatch):
     # "a1," is one unitary word: the charge is taken from the parsed words, not the commas
     charged = []
-    monkeypatch.setattr(budget, "check", lambda what, *parts, **units: charged.append(budget.cost(*parts, **units)))
+    real_check = budget.check
+    monkeypatch.setattr(budget, "check", lambda what, *phases, **units: charged.append(real_check(what, *phases, **units)))
     _refuse_balls(monkeypatch)
     for unitaries in ("a1,", "a1"):
         with pytest.raises(BallBuilt):
             main(["scan", "--n", "2", "--rank", "2", "--radius", "3", "--iters", "5", "--seed", "1", "--unitaries", unitaries])
     assert charged[0] == charged[1]
+
+
+def test_audit_rank_past_svd_max_k_is_refused_by_svd_small(capsys):
+    # the budget admits ranks up to 299 on ball(F_2, 6) (EDGES); svd_small refuses the ones past
+    # l2ops.SVD_MAX_K on the first frame, and audit's rank 256 there stays admitted
+    assert main(["audit", "--rank", str(l2ops.SVD_MAX_K + 1), "--radius", "7", "--seed", "1", "--frames", "1"]) == 2
+    assert "SVD size cap" in capsys.readouterr().err
 
 
 @pytest.mark.parametrize("argv", [past for _, past in EDGES])
@@ -365,16 +381,16 @@ def test_one_step_past_each_edge_refused_before_building(argv, monkeypatch, caps
 @pytest.mark.parametrize(
     "argv",
     [
-        # tables of translates past the time bound: 199,998 generators times 199,999 words,
+        # tables of translates past the budget: 199,998 generators times 199,999 words,
         # and the 4,372 words of ball(F_2, 7) other than e times that ball
         ["group", "--group", "free:99999", "--radius", "1", "--mode", "search", "--iters", "1", "--seed", "1"],
         ["group", "--group", "free:2", "--radius", "7", "--mode", "search", "--iters", "1", "--seed", "1", "--gens",
          ",".join(format_word(w) for w in words_of(free_group(2), ball(free_group(2), 7)) if not w.is_identity)],
         # scan's cost counts its parsed unitaries: 2,000 of them at rank 8 on 161 rows
-        # are past the time bound at 105 iterations
+        # are past the time bound at 44 iterations
         ["scan", "--n", "2", "--rank", "8", "--radius", "5", "--iters", "100000", "--seed", "1", "--unitaries",
          ",".join(["a1"] * 2000)],
-        ["scan", "--n", "2", "--rank", "8", "--radius", "5", "--iters", "105", "--seed", "1", "--unitaries",
+        ["scan", "--n", "2", "--rank", "8", "--radius", "5", "--iters", "44", "--seed", "1", "--unitaries",
          ",".join(["a1"] * 2000)],
         # the direct routes of scan's final check, about (2 rows)^2 tile entries per unitary:
         # 99,999 unitaries on ball(F_99999, 1) (whose row gathers are also past the bound),
@@ -449,7 +465,7 @@ def test_huge_abelian_rank_refused_before_allocating():
     env["PYTHONPATH"] = os.pathsep.join(filter(None, [str(SRC), env.get("PYTHONPATH")]))
     proc = subprocess.run([sys.executable, "-c", script], env=env, capture_output=True, timeout=120)
     assert proc.returncode == 2, proc.stderr.decode(errors="replace")[-400:]
-    assert b"bound of" in proc.stderr
+    assert b"bounds of" in proc.stderr
 
 
 def test_convergence_error_maps_to_exit_3(monkeypatch, capsys):

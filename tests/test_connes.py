@@ -20,7 +20,6 @@ from foelner.connes import (
     pool_objective,
     q_objective,
     random_frame,
-    standard_unitaries,
     witness_certificate,
 )
 from foelner.errors import PreconditionError, RankDeficiency, SearchSpaceTooLarge
@@ -79,7 +78,7 @@ def test_witness_subdiagonal_geometric_series_oracle():
         assert abs(raw_ip - raw_norm_sq / n) < 1e-12
 
         frame = build_witness_frame(WitnessConfig(n, 3, t))
-        ops = standard_unitaries(frame.descriptor)
+        ops = tuple(GroupAlgebraElement.left_translation(w) for w in standard_generators(frame.descriptor))
         cols = columns_of(frame)
         for op in ops:
             for m in (1, 2):  # <L_aj xi_m, xi_{m+1}> = 1/n for every j
@@ -269,7 +268,7 @@ def test_anneal_refuses_large_row_gathers_before_building(monkeypatch):
     monkeypatch.setattr("foelner.connes.ball", lambda *args: pytest.fail("the ball was built"))
     descriptor = free_group(99_999)
     cfg = ProjectionSearchConfig(descriptor, 1, 2, 1, 0, standard_generators(descriptor))
-    with pytest.raises(SearchSpaceTooLarge, match="annealed search .* time bound"):
+    with pytest.raises(SearchSpaceTooLarge, match="annealed search .* predicted to take"):
         anneal_projection(cfg)
 
 
@@ -399,7 +398,7 @@ def test_anneal_gram_check_runs_on_every_trial(monkeypatch):
 def test_q_objective_one_compression_per_unitary(monkeypatch):
     frame = build_witness_frame(WitnessConfig(3, 4, 3))
     counts = count_calls(monkeypatch, l2ops, "adjoint_product", "translation_indices")
-    q_objective(standard_unitaries(frame.descriptor), frame)
+    q_objective(tuple(GroupAlgebraElement.left_translation(w) for w in standard_generators(frame.descriptor)), frame)
     assert counts == {"adjoint_product": 3, "translation_indices": 3}
 
 

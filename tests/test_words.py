@@ -225,7 +225,7 @@ def test_ball_cap_refuses_before_building(monkeypatch):
     monkeypatch.setattr(words, "_free_words", _built)
     monkeypatch.setattr(words, "_abelian_ball", _built)
     for desc, r in ((free_abelian(30), 40), (free_abelian(10**9), 3), (free_group(2), 12), (free_group(2), 10**9)):
-        with pytest.raises(SearchSpaceTooLarge, match="bound of"):
+        with pytest.raises(SearchSpaceTooLarge, match="bounds of"):
             ball(desc, r)
     with pytest.raises(RuntimeError, match="built"):
         ball(free_group(2), 11)
@@ -233,10 +233,10 @@ def test_ball_cap_refuses_before_building(monkeypatch):
 
 def test_integer_cap_bounds_abelian_ranks():
     # Z^d's standard generators and their inverses hold 2 d^2 integers as words and as arrays:
-    # d = 863 is under the memory bound, 864 is past it
-    assert len(standard_generators(free_abelian(863))) == 863
-    for desc, r in ((free_abelian(864), None), (free_abelian(10**9), 0), (free_abelian(100), 2), (free_group(10**9), None)):
-        with pytest.raises(SearchSpaceTooLarge, match="bound of"):
+    # d = 977 is under the memory bound, 978 is past it
+    assert len(standard_generators(free_abelian(977))) == 977
+    for desc, r in ((free_abelian(978), None), (free_abelian(10**9), 0), (free_abelian(100), 3), (free_group(10**9), None)):
+        with pytest.raises(SearchSpaceTooLarge, match="bounds of"):
             standard_generators(desc) if r is None else ball(desc, r)
 
 
@@ -288,24 +288,25 @@ def test_shortlex_key_of_an_abelian_word_has_one_entry_per_coordinate():
 
 
 def test_free_ball_letters_and_the_letter_cap():
-    # the budget charges an F_n ball the bytes of its letters and padding as its array stores
-    # them, and a Z^d ball its integers; F_40's letters take two bytes each
-    for descriptor, radii in ((free_group(1), 6), (free_group(2), 6), (free_group(3), 6), (free_group(40), 3), (Z2, 6)):
+    # the budget charges a ball its rows and the 8-byte words its array stores: a Z^d ball
+    # its integers, an F_n ball its letters and padding, 8 a word; F_40's take two bytes each
+    for descriptor, radii in ((free_group(1), 12), (free_group(2), 6), (free_group(3), 6), (free_group(40), 3), (Z2, 6)):
         for r in range(radii):
-            b, units = ball(descriptor, r), ball_units(descriptor, r)
+            b, [units] = ball(descriptor, r), ball_units(descriptor, r)
             assert units["rows"] == len(b)
-            assert units["letters"] == b.nbytes if descriptor.is_free else units["integers"] == b.size
+            assert units["integers"] == len(b) * -(-b.shape[1] * b.itemsize // 8)
 
 
 def test_free_ball_letter_cap_refuses_before_building(monkeypatch):
-    # ball(F_1, r) stores (2r + 1)(r + 1) bytes: radius 2,285 is under the memory bound
+    # ball(F_1, r) stores 2r + 1 rows of r + 1 one-byte letters, 8 to an integer: radius 3,030
+    # is under the memory bound
     ball.cache_clear()
     monkeypatch.setattr(words, "_free_words", _built)
-    for r in (2286, 99_999):
-        with pytest.raises(SearchSpaceTooLarge, match="bound of"):
+    for r in (3031, 99_999):
+        with pytest.raises(SearchSpaceTooLarge, match="bounds of"):
             ball(free_group(1), r)
     with pytest.raises(RuntimeError, match="built"):
-        ball(free_group(1), 2285)
+        ball(free_group(1), 3030)
 
 
 def test_ball_serialization_stable():
