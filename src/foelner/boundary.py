@@ -175,11 +175,14 @@ def exhaustive_min_ratio(
 
     Ties are broken by smaller set size, then by shortlex-lexicographic
     membership.  Refuses, before building the ball, a pass over all subsets
-    (2|X| * |ball| * 2^|ball| mask entries) or a table past a bound of the budget.
+    or a table past a bound of the budget.  Each subset is charged |ball| mask entries for each word
+    of X u X^-1 no longer than 2 * radius, two whole-mask passes for each longer one (which moves
+    every member off the ball), and 20 more.
     """
     table = ball_units(descriptor, max(radius, 0), X.generators * 2)
     size = table[0]["rows"]  # a pass of EXHAUSTIVE_CHUNK subsets is part of budget.BASE_MB
-    budget.check(f"a search over all subsets of ball({radius})", *table, masks=(2 * len(X.generators) * size + 20) << size)
+    per_subset = sum(2 * (size if x.length() <= 2 * radius else 2) for x in X.generators) + 20
+    budget.check(f"a search over all subsets of ball({radius})", *table, masks=per_subset << size)
     b, nbr = translation_table(descriptor, X, radius)
     n = len(b)
     total = (1 << n) - 1

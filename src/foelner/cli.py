@@ -47,7 +47,7 @@ from .connes import (
     witness_certificate,
 )
 from .errors import ConvergenceError, InvariantViolation, PreconditionError, SeedRequired
-from .l2ops import GroupAlgebraElement, commutator_ratio, direct_route_units, frame_to_json
+from .l2ops import GroupAlgebraElement, commutator_ratios, direct_route_units, frame_to_json
 from .paradox import (
     DERIVED_THRESHOLD,
     PAPER_EPSILON,
@@ -213,8 +213,7 @@ def _run_identity_check(args: argparse.Namespace) -> tuple[dict, list]:
     defect_max = 0.0
     for _ in range(args.trials):
         frame = random_frame(descriptor, int(rng.integers(1, 9)), int(rng.integers(3, 6)), rng)
-        for op in ops:
-            r = commutator_ratio(op, frame)
+        for r in commutator_ratios(ops, frame):
             diff = abs(r.direct - r.closed_form)
             max_diff = max(max_diff, diff)
             ratio_max = max(ratio_max, r.direct, r.closed_form)

@@ -18,36 +18,10 @@ from typing import Sequence
 import numpy as np
 
 from . import budget
-from .errors import (
-    ConvergenceError,
-    InvariantViolation,
-    PreconditionError,
-    RankDeficiency,
-    SeedRequired,
-)
-from .l2ops import (
-    Frame,
-    GroupAlgebraElement,
-    adjoint_product,
-    checked_hs_norm_sq,
-    closed_form_ratio,
-    commutator_ratio,
-    direct_route_units,
-    frame_to_json,
-    gram_schmidt,
-    normalized_trace,
-    translation_gather,
-)
-from .words import (
-    GroupDescriptor,
-    Word,
-    ball,
-    ball_units,
-    free_group,
-    prefixed_words,
-    shortlex_order,
-    standard_generators,
-)
+from .errors import ConvergenceError, InvariantViolation, PreconditionError, RankDeficiency, SeedRequired
+from .l2ops import (Frame, GroupAlgebraElement, adjoint_product, checked_hs_norm_sq, closed_form_ratio, commutator_ratios,
+                    direct_route_units, frame_to_json, gram_schmidt, normalized_trace, translation_gathers)
+from .words import GroupDescriptor, Word, ball, ball_units, free_group, prefixed_words, shortlex_order, standard_generators
 
 MAX_RESTARTS = 1000  # rank-deficient random draws tolerated before giving up
 FRAME_MAX_SUPPORT = 12  # random_frame draws 2..FRAME_MAX_SUPPORT amplitudes per column
@@ -69,12 +43,13 @@ class UnitaryRecord:
         return max(self.ratio, self.defect)
 
 
-def q_objective(unitaries: Sequence[GroupAlgebraElement], frame: Frame) -> tuple[UnitaryRecord, ...]:
+def q_objective(unitaries: Sequence[GroupAlgebraElement], frame: Frame, gathers: list | None = None) -> tuple[UnitaryRecord, ...]:
     """The closed-form commutator ratio and the trace defect of each unitary on
-    the frame; Q(X, eps) holds on it when every record's worst is <= eps."""
+    the frame (from `gathers` as commutator_ratios takes them); Q(X, eps) holds
+    on it when every record's worst is <= eps."""
     if not unitaries:
         raise PreconditionError("empty unitary list")
-    evaluations = ((op, commutator_ratio(op, frame)) for op in unitaries)
+    evaluations = zip(unitaries, commutator_ratios(unitaries, frame, gathers))
     return tuple(UnitaryRecord(op.label(), ev.closed_form, ev.defect) for op, ev in evaluations)
 
 
@@ -255,7 +230,9 @@ def random_frame(
         for j in range(rank):
             size = int(rng.integers(2, FRAME_MAX_SUPPORT + 1))
             idx = rng.choice(len(pool), size=min(size, len(pool)), replace=False)
-            raw[idx, j] = [complex(rng.normal(), rng.normal()) for _ in idx]
+            draw = rng.normal(size=2 * len(idx))  # the stream of complex(rng.normal(), rng.normal()) pairs
+            column = raw[:, j]
+            column.real[idx], column.imag[idx] = draw[0::2], draw[1::2]
         used = np.flatnonzero(raw.any(axis=1))  # the drawn words, still in shortlex order
         try:
             c = gram_schmidt(raw[used])
@@ -345,7 +322,8 @@ def anneal_projection(cfg: ProjectionSearchConfig) -> AnnealResult:
         raise ConvergenceError(f"no rank-{k} starting frame after {MAX_RESTARTS} draws")
     frame = Frame(cfg.descriptor, cfg.ambient_radius, rows, c)
 
-    gathers = [(*translation_gather(op, frame), op.identity_coefficient) for op in ops]
+    pairs = translation_gathers(ops, frame)  # also the final records', on the same rows
+    gathers = [(*pair, op.identity_coefficient) for op, pair in zip(ops, pairs)]
 
     def objective(c: np.ndarray) -> float:  # max over ops of the closed-form ratio and the trace defect
         hs_norm_sq = checked_hs_norm_sq(c)
@@ -381,5 +359,5 @@ def anneal_projection(cfg: ProjectionSearchConfig) -> AnnealResult:
                 history.append((it, best_val))
 
     best_frame = frame.with_columns(best)
-    records = q_objective(ops, best_frame)
+    records = q_objective(ops, best_frame, pairs)
     return AnnealResult(best_frame, max(r.worst for r in records), records, tuple(history))

@@ -15,20 +15,14 @@ inner product, HS norm and compression exact.
 from __future__ import annotations
 
 import copy
+import itertools
 import math
 from dataclasses import dataclass, field
-from typing import NamedTuple
+from typing import NamedTuple, Sequence
 
 import numpy as np
 
-from .errors import (
-    ConvergenceError,
-    DescriptorMismatch,
-    HeadroomViolation,
-    InvariantViolation,
-    PreconditionError,
-    RankDeficiency,
-)
+from .errors import ConvergenceError, DescriptorMismatch, HeadroomViolation, InvariantViolation, PreconditionError, RankDeficiency
 from .words import GroupDescriptor, Word, format_word, row_lengths, shortlex_order, translation_indices, words_of
 
 PRUNE_TOL = 1e-15   # amplitudes below this are dropped at the JSON edge
@@ -42,6 +36,7 @@ SVD_MAX_K = 256
 # whole instead: at that size the threads pay for themselves (see _piece_rows).
 BLAS_CHUNK = 1 << 14
 HS_TILE = 512  # rows of a direct-route tile at such ranks: 4 MB of output each
+SUPPORT_BLOCKS = 4  # direct routes of more tile rows than this find and leave out their zero tiles
 
 
 @dataclass(frozen=True)
@@ -175,25 +170,24 @@ def gram_schmidt(raw: np.ndarray) -> np.ndarray:
     return q
 
 
-def translation_gather(op: GroupAlgebraElement, frame: Frame) -> tuple[np.ndarray, np.ndarray]:
-    """(dst, src) with rows[dst[i]] = g * rows[src[i]] over the rows whose translate is a
-    row, so compress(op, frame) = C[dst]* C[src].  Refuses (rather than truncating)
-    when L_g could move the support out of the ambient ball: requires
-    support_radius + operator_radius <= ambient_radius."""
-    if op.descriptor != frame.descriptor:
-        raise DescriptorMismatch("operator and frame from different groups")
-    if frame.support_radius + op.operator_radius > frame.ambient_radius:
-        raise HeadroomViolation(
-            f"support {frame.support_radius} + operator {op.operator_radius} exceeds ambient {frame.ambient_radius}"
-        )
-    idx = translation_indices(frame.descriptor, frame.rows, [op.word])[0]
-    src = np.flatnonzero(idx >= 0)
-    return idx[src], src
+def translation_gathers(ops: Sequence[GroupAlgebraElement], frame: Frame) -> list[tuple[np.ndarray, np.ndarray]]:
+    """(dst, src) for each op, with rows[dst[i]] = g * rows[src[i]] over the rows whose translate is
+    a row, so compress(op, frame) = C[dst]* C[src]: one translation_indices call for all of them.
+    Refuses (rather than truncating) an op that could move the support out of the ambient ball:
+    each needs support_radius + operator_radius <= ambient_radius."""
+    for op in ops:
+        if op.descriptor != frame.descriptor:
+            raise DescriptorMismatch("operator and frame from different groups")
+        if frame.support_radius + op.operator_radius > frame.ambient_radius:
+            raise HeadroomViolation(f"support {frame.support_radius} + operator {op.operator_radius} exceeds "
+                                    f"ambient {frame.ambient_radius}")
+    idx = translation_indices(frame.descriptor, frame.rows, [op.word for op in ops])
+    return [(row[src], src) for row in idx for src in (np.flatnonzero(row >= 0),)]
 
 
 def compress(op: GroupAlgebraElement, frame: Frame) -> np.ndarray:
     """The k x k compression eL_ge: entry [q, p] = <L_g xi_p, xi_q> = (C* L_g C)[q, p]."""
-    dst, src = translation_gather(op, frame)
+    dst, src = translation_gathers([op], frame)[0]
     return adjoint_product(frame.C[dst], frame.C[src])
 
 
@@ -230,17 +224,20 @@ def direct_route_units(k: int, rows: int, count: int = 1) -> dict:
             "amplitudes": 6 * m * k + 2 * min(HS_TILE, m) ** 2}
 
 
-def commutator_ratio(op: GroupAlgebraElement, frame: Frame) -> CommutatorRatio:
-    """The one evaluation of the unitary U = L_g on a frame: one row gather, one compression.
+def commutator_ratio(op: GroupAlgebraElement, frame: Frame, gather: tuple[np.ndarray, ...] | None = None) -> CommutatorRatio:
+    """The one evaluation of the unitary U = L_g on a frame: one compression, on op's `gather`
+    from translation_gathers (a row gather of its own when None).
 
     The direct route forms ||Ue - eU||_HS = ||UeU* - e||_HS = ||(UC)(UC)* - CC*||_F
     on the rows and their translates, one square tile at a time, so no whole matrix
     of that size is formed: BLAS_CHUNK multiply-adds a tile while the frame's
-    products are cut (see _piece_rows), HS_TILE rows once they run whole.  The
-    closed form is sqrt(2) * sqrt(1 - tau_k(A* A)) with A the compression (see
-    closed_form_ratio).  Both are exact up to roundoff and must agree within 1e-9.
+    products are cut (see _piece_rows), HS_TILE rows once they run whole.  A tile
+    whose two row blocks have no nonzero column in common is exactly zero, and past
+    SUPPORT_BLOCKS row blocks those tiles are left out of the sum.  The closed form is
+    sqrt(2) * sqrt(1 - tau_k(A* A)) with A the compression (see closed_form_ratio).
+    Both are exact up to roundoff and must agree within 1e-9.
     """
-    dst, src = translation_gather(op, frame)
+    dst, src = translation_gathers([op], frame)[0] if gather is None else gather
     a = adjoint_product(frame.C[dst], frame.C[src])
     closed = closed_form_ratio(a, frame.hs_norm_sq)
 
@@ -254,18 +251,30 @@ def commutator_ratio(op: GroupAlgebraElement, frame: Frame) -> CommutatorRatio:
     z[pos, :k] = frame.C
     z[:n, k:] = frame.C
     w = z.conj()
-    w[:, k:] *= -1  # conj([UC, -C]), so z @ w.T = (UC)(UC)* - CC*
+    w[:, k:] *= -1  # conj([UC, -C]), so z @ w.T = (UC)(UC)* - CC*; w has z's zeros
     tile = math.isqrt(BLAS_CHUNK // (2 * k)) if _piece_rows(k, k) else HS_TILE
+    starts = range(0, len(z), tile)
+    if len(starts) > SUPPORT_BLOCKS:
+        support = np.logical_or.reduceat(z != 0, starts, axis=0).astype(float)  # block x column
+        tiles = zip(*np.nonzero(support @ support.T))
+    else:
+        tiles = itertools.product(range(len(starts)), repeat=2)
     hs_sq = 0.0
-    for s in range(0, len(z), tile):
-        for t in range(0, len(z), tile):
-            d = z[s : s + tile] @ w[t : t + tile].T
-            hs_sq += float(np.vdot(d, d).real)
+    for s, t in tiles:  # in the order of the whole double loop: adding a zero tile's 0.0 changes no bit
+        d = z[s * tile : (s + 1) * tile] @ w[t * tile : (t + 1) * tile].T
+        hs_sq += float(np.vdot(d, d).real)
     direct = math.sqrt(hs_sq / frame.hs_norm_sq)
 
     if abs(direct - closed) > 1e-9:
         raise InvariantViolation(f"HS identity violated: {direct} vs {closed}")
     return CommutatorRatio(direct, closed, a, abs(op.identity_coefficient - normalized_trace(a)))
+
+
+def commutator_ratios(ops: Sequence[GroupAlgebraElement], frame: Frame, gathers: list | None = None) -> list[CommutatorRatio]:
+    """commutator_ratio of each of `ops` on the frame, all from one row gather: `gathers`, the ops'
+    translation_gathers on frames of these rows and ambient radius, or a new one when None."""
+    gathers = translation_gathers(ops, frame) if gathers is None else gathers
+    return [commutator_ratio(op, frame, gather) for op, gather in zip(ops, gathers)]
 
 
 def trace_defect(op: GroupAlgebraElement, frame: Frame) -> float:
@@ -299,16 +308,19 @@ def svd_small(a: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     return u, sigma, vh
 
 
+def polar_distance(sigma: np.ndarray) -> float:
+    """sqrt((1/k) sum (1 - sigma_i)^2): ||a - W||_{tau_k} for a k x k matrix a of singular values
+    sigma and its polar factor W."""
+    return math.sqrt(float(np.sum((1.0 - sigma) ** 2)) / len(sigma))
+
+
 def nearest_unitary(a: np.ndarray) -> tuple[np.ndarray, float]:
-    """Polar factor W = U Vh and its distance sqrt((1/k) sum (1 - sigma_i)^2).
+    """Polar factor W = U Vh and its distance polar_distance(sigma).
 
     W is the global minimizer of ||a - W||_{tau_k} over all unitaries.
     """
     u, sigma, vh = svd_small(a)
-    w = u @ vh
-    k = a.shape[0]
-    dist = math.sqrt(float(np.sum((1.0 - sigma) ** 2)) / k)
-    return w, dist
+    return u @ vh, polar_distance(sigma)
 
 
 # ---------------------------------------------------------------------------

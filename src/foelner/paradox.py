@@ -9,14 +9,16 @@ use the honest constants.
 
 from __future__ import annotations
 
+import functools
 import math
-from dataclasses import asdict, dataclass
+from dataclasses import dataclass
 from fractions import Fraction
+from typing import NamedTuple
 
 import numpy as np
 
 from .errors import InvalidLetter, InvariantViolation, PreconditionError
-from .l2ops import CommutatorRatio, Frame, GroupAlgebraElement, commutator_ratio, nearest_unitary
+from .l2ops import CommutatorRatio, Frame, GroupAlgebraElement, commutator_ratios, polar_distance, svd_small
 from .words import GroupDescriptor, Word, ball, format_word, free_group, letters_in_order, multiply, words_of
 
 PAPER_EPSILON = Fraction(1, 7)
@@ -76,14 +78,6 @@ class PrefixSet:
         return core if t.is_identity else f"{format_word(t)}*{core}"
 
 
-def c_value(frame: Frame, s: PrefixSet) -> float:
-    """(1/k) sum_i ||xi_i||^2_S: the squared amplitude mass of the frame inside S, in [0, 1]."""
-    if frame.descriptor != s.descriptor:
-        raise PreconditionError("frame and prefix set from different groups")
-    inside = frame.C[s.row_mask(frame.rows)]
-    return float(np.sum(inside.real**2 + inside.imag**2)) / frame.rank
-
-
 # ---------------------------------------------------------------------------
 # Set identities.
 
@@ -136,10 +130,7 @@ def verify_set_identities(radius: int) -> SetIdentityReport:
 # Displacement bounds.
 
 
-@dataclass(frozen=True)
-class DisplacementBound:
-    set_label: str
-    unitary_label: str
+class DisplacementBound(NamedTuple):
     measured_pull: float  # |c_{U^-1 S} - c_S|
     measured_push: float  # |c_{U S} - c_S|
     measured: float
@@ -148,34 +139,23 @@ class DisplacementBound:
     compression_gap: float  # sqrt(1 - tau_k(A* A)) = ||Ue - eUe||_{tau_k}
 
 
-def displacement_bound(frame: Frame, op: GroupAlgebraElement, s: PrefixSet, ev: CommutatorRatio) -> DisplacementBound:
-    """Measured mass displacement of S under U against its certified bound, from
-    ev = commutator_ratio(op, frame).
+def displacement_bound(ev: CommutatorRatio, c_s: float, c_pull: float, c_push: float) -> DisplacementBound:
+    """Measured mass displacement of a set S under U = L_g, from the masses c_S, c_{g^-1 S} and
+    c_{g S} on a frame, against its certified bound, from ev = commutator_ratio(U, frame).
 
     certified = 2 ||Ue - W|| with ||Ue - W||^2 = dist^2 + (1 - tau_k(A*A)),
-    an exact identity for the polar factor W of A = ev.compression; measured <=
-    certified is a theorem, and a violation raises InvariantViolation.
+    an exact identity for the polar factor W of A = ev.compression, whose distance
+    dist reads A's singular values alone; measured <= certified is a theorem, and a
+    violation raises InvariantViolation.
     """
-    g = op.word
-    c_s = c_value(frame, s)
-    c_pull = c_value(frame, s.translated(g.inverse()))
-    c_push = c_value(frame, s.translated(g))
-    _, dist = nearest_unitary(ev.compression)
+    dist = polar_distance(svd_small(ev.compression)[1])
     gap = ev.closed_form / math.sqrt(2.0)  # sqrt(1 - tau_k(A*A))
     certified = 2.0 * math.sqrt(dist * dist + gap * gap)
-    measured = max(abs(c_pull - c_s), abs(c_push - c_s))
+    pull, push = abs(c_pull - c_s), abs(c_push - c_s)
+    measured = max(pull, push)
     if measured > certified + 1e-9:
         raise InvariantViolation(f"displacement theorem violated: {measured} > {certified}")
-    return DisplacementBound(
-        set_label=s.label(),
-        unitary_label=op.label(),
-        measured_pull=abs(c_pull - c_s),
-        measured_push=abs(c_push - c_s),
-        measured=measured,
-        certified=certified,
-        w_distance=dist,
-        compression_gap=gap,
-    )
+    return DisplacementBound(pull, push, measured, certified, dist, gap)
 
 
 # ---------------------------------------------------------------------------
@@ -223,6 +203,33 @@ def make_paper_trace() -> PaperTrace:
     )
 
 
+@functools.cache
+def _chain_sets(descriptor: GroupDescriptor) -> tuple[tuple[str, ...], np.ndarray]:
+    """The labels of the sets the chain weighs, and their membership by a row's first two letters.
+
+    The sets are the first-letter partition, then t S for t = a, b, b^-1 and a^-1 with
+    S = S(a^-1).  No translate is longer than one letter, so whether a row lies in
+    a set depends on its first two letters x, y alone: lookup[i, (2n + 1)(x + n) + y + n].
+    """
+    a, b, base = Word(descriptor, (1,)), Word(descriptor, (2,)), PrefixSet(descriptor, -1)
+    sets = [PrefixSet(descriptor, l) for l in (None, *letters_in_order(descriptor.rank))]
+    sets += [base.translated(t) for t in (a, b, b.inverse(), a.inverse())]
+    letters = np.arange(-descriptor.rank, descriptor.rank + 1)
+    pairs = np.stack(np.meshgrid(letters, letters, indexing="ij"), axis=-1).reshape(-1, 2)
+    return tuple(s.label() for s in sets), np.array([s.row_mask(pairs) for s in sets])
+
+
+def chain_masses(frame: Frame) -> list[float]:
+    """The mass c_S = (1/k) sum_i ||xi_i||^2_S in [0, 1] of a frame of F_n, n >= 2, inside each set S
+    of _chain_sets, in its order: the sum of the rows x k block of |C|^2 on S's rows, from one |C|^2."""
+    n = frame.descriptor.rank
+    first = frame.rows[:, 0].astype(np.intp)
+    second = frame.rows[:, 1] if frame.rows.shape[1] > 1 else 0  # rows of one letter hold e alone
+    masks = _chain_sets(frame.descriptor)[1][:, (2 * n + 1) * (first + n) + second + n]
+    squares = frame.C.real**2 + frame.C.imag**2
+    return [float(np.sum(squares[mask])) / frame.rank for mask in masks]
+
+
 def chain_audit(frame: Frame) -> ParadoxReport:
     """Evaluate the full inequality chain on one frame with honest constants.
 
@@ -231,32 +238,23 @@ def chain_audit(frame: Frame) -> ParadoxReport:
     independent, and the abstract chain is unsatisfiable (verdict
     'contradiction') precisely when 1/2 - B_a > 1/3 + B_b or 1/2 - B_b > 1/3 + B_a,
     i.e. B_a + B_b < 1/6.  A partition that does not sum to 1 is 'inconclusive'.
-    L_a and L_b are evaluated once each (commutator_ratio), for their bounds and
+    L_a and L_b are evaluated once each, from one row gather, for their bounds and
     for the report's larger closed-form commutator ratio.
     """
     descriptor = frame.descriptor
     if not descriptor.is_free or descriptor.rank < 2:
         raise PreconditionError("the chain audit targets free groups of rank >= 2")
-    a_w = Word(descriptor, (1,))
-    b_w = Word(descriptor, (2,))
-    l_a = GroupAlgebraElement.left_translation(a_w)
-    l_b = GroupAlgebraElement.left_translation(b_w)
+    l_a, l_b = (GroupAlgebraElement.left_translation(Word(descriptor, (i,))) for i in (1, 2))
+    labels, masses = _chain_sets(descriptor)[0], chain_masses(frame)
+    c_values = dict(zip(labels[:-1], masses[:-1]))  # all but a^-1 S, which only L_a's pull weighs
+    parts = 2 * descriptor.rank + 1
+    partition_sum = float(sum(masses[:parts]))
+    c_s, (c_as, c_bs, c_b_inv_s, c_a_inv_s) = masses[2], masses[parts:]  # S = S(a^-1) follows {e} and S(a)
 
-    partition = [PrefixSet(descriptor, l) for l in (None, *letters_in_order(descriptor.rank))]
-    c_values = {s.label(): c_value(frame, s) for s in partition}
-    partition_sum = float(sum(c_values.values()))
-
-    base = PrefixSet(descriptor, -1)
-    translate_sets = [base.translated(a_w), base.translated(b_w), base.translated(b_w.inverse())]
-    for s in translate_sets:
-        c_values[s.label()] = c_value(frame, s)
-
-    ev_a, ev_b = commutator_ratio(l_a, frame), commutator_ratio(l_b, frame)
-    d_a = displacement_bound(frame, l_a, base, ev_a)
-    d_b = displacement_bound(frame, l_b, base, ev_b)
-    displacements = {
-        d.unitary_label: {name: v for name, v in asdict(d).items() if not name.endswith("_label")} for d in (d_a, d_b)
-    }
+    ev_a, ev_b = commutator_ratios((l_a, l_b), frame)
+    d_a = displacement_bound(ev_a, c_s, c_a_inv_s, c_as)
+    d_b = displacement_bound(ev_b, c_s, c_b_inv_s, c_bs)
+    displacements = {l_a.label(): d_a._asdict(), l_b.label(): d_b._asdict()}
     b_a, b_b = d_a.certified, d_b.certified
     if abs(partition_sum - 1.0) > 1e-9:
         verdict = "inconclusive"

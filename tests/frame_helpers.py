@@ -1,14 +1,15 @@
 """Frames built from sparse columns, the group-basis references the array
 code is checked against, and a call counter for the evaluation-count tests."""
 
+import math
 from collections import Counter
 
 import numpy as np
 
-from foelner.connes import random_frame
+from foelner.connes import FRAME_MAX_SUPPORT, random_frame
 from foelner.errors import PreconditionError, RankDeficiency
-from foelner.l2ops import BLAS_CHUNK, RANK_TOL, Frame, gram_schmidt
-from foelner.words import element_array, multiply, shortlex_sorted, words_of
+from foelner.l2ops import BLAS_CHUNK, HS_TILE, RANK_TOL, Frame, _piece_rows, gram_schmidt, translation_gathers
+from foelner.words import ball, element_array, multiply, shortlex_sorted, words_of
 
 
 def frame_of(descriptor, ambient, columns, orthonormalize=False):
@@ -26,6 +27,47 @@ def frame_pool(descriptor, rank, ambient_radius, seed, count):
     """`count` random frames from one seeded generator."""
     rng = np.random.default_rng(seed)
     return [random_frame(descriptor, rank, ambient_radius, rng) for _ in range(count)]
+
+
+def scalar_draw_frame(descriptor, rank, ambient_radius, rng):
+    """(rows, C) of connes.random_frame drawn the former way, with one scalar rng.normal() call
+    for each real and each imaginary part."""
+    pool = ball(descriptor, ambient_radius - 1)
+    while True:
+        raw = np.zeros((len(pool), rank), dtype=complex)
+        for j in range(rank):
+            size = int(rng.integers(2, FRAME_MAX_SUPPORT + 1))
+            idx = rng.choice(len(pool), size=min(size, len(pool)), replace=False)
+            raw[idx, j] = [complex(rng.normal(), rng.normal()) for _ in idx]
+        used = np.flatnonzero(raw.any(axis=1))
+        try:
+            return pool[used], gram_schmidt(raw[used])
+        except RankDeficiency:
+            continue
+
+
+def all_tiles_direct(op, frame):
+    """(direct, zero tiles): commutator_ratio's direct route summed over every tile, as it was
+    before tiles known to be zero were left out, and how many of the tiles were exactly zero."""
+    dst, src = translation_gathers([op], frame)[0]
+    k, n = frame.rank, len(frame.rows)
+    pos = np.full(n, -1, dtype=np.int64)
+    pos[src] = dst
+    outside = np.flatnonzero(pos < 0)
+    pos[outside] = n + np.arange(len(outside))
+    z = np.zeros((n + len(outside), 2 * k), dtype=complex)
+    z[pos, :k] = frame.C
+    z[:n, k:] = frame.C
+    w = z.conj()
+    w[:, k:] *= -1
+    tile = math.isqrt(BLAS_CHUNK // (2 * k)) if _piece_rows(k, k) else HS_TILE
+    hs_sq, zero = 0.0, 0
+    for s in range(0, len(z), tile):
+        for t in range(0, len(z), tile):
+            d = z[s : s + tile] @ w[t : t + tile].T
+            hs_sq += float(np.vdot(d, d).real)
+            zero += not d.any()
+    return math.sqrt(hs_sq / frame.hs_norm_sq), zero
 
 
 def row_words(frame):

@@ -209,16 +209,18 @@ def _refuse_ball(*args):
 
 
 def test_exhaustive_subset_pass_cap(monkeypatch):
-    # (2|X| * |ball| + 20) * 2^|ball| mask entries on ball(Z, 10), 21 elements: 53 generators
-    # are under the time bound, 54 are past it, refused before the ball is built
+    # on ball(Z, 10), 21 elements, each subset costs 2 * 21 mask entries for each of the
+    # generators (1)..(20), 2 * 2 whole-mask passes for each longer one (it moves every member
+    # off the ball) and 20 more: 372 generators are under the time bound, 373 are past it,
+    # refused before the ball is built
     def gens(count):
         return GeneratingSet.of(Z1, [Word.from_vector(Z1, (c,)) for c in range(1, count + 1)])
 
     monkeypatch.setattr("foelner.boundary.ball", _refuse_ball)
     with pytest.raises(SearchSpaceTooLarge, match="subsets of ball.* predicted to take"):
-        exhaustive_min_ratio(Z1, gens(54), 10)
+        exhaustive_min_ratio(Z1, gens(373), 10)
     with pytest.raises(BallBuilt):
-        exhaustive_min_ratio(Z1, gens(53), 10)
+        exhaustive_min_ratio(Z1, gens(372), 10)
 
 
 def test_local_search_toggle_cap(monkeypatch):

@@ -434,13 +434,13 @@ def test_large_balls_refused_before_building(argv, builder, monkeypatch, capsys)
 @pytest.mark.parametrize(
     "argv, products, gathers",
     [
-        (["audit", "--rank", "8", "--radius", "5", "--seed", "1", "--frames", "100", "--paper-mode"], 300, 200),
-        (["witness", "--n", "2", "--k-max", "30", "--depth", "6"], 90, 60),
-        (["identity-check", "--trials", "100", "--seed", "1"], 400, 300),
+        (["audit", "--rank", "8", "--radius", "5", "--seed", "1", "--frames", "100", "--paper-mode"], 300, 100),
+        (["witness", "--n", "2", "--k-max", "30", "--depth", "6"], 90, 30),
+        (["identity-check", "--trials", "100", "--seed", "1"], 400, 100),
     ],
 )
 def test_one_evaluation_per_unitary_and_frame(argv, products, gathers, monkeypatch, tmp_path):
-    # one Gram check per frame, and one row gather and compression per (unitary, frame):
+    # one Gram check and one row gather per frame, and one compression per (unitary, frame):
     # L_a and L_b on each audit frame, the two generators on each witness frame,
     # and three unitaries on each identity-check frame
     counts = count_calls(monkeypatch, l2ops, "adjoint_product", "translation_indices")

@@ -34,7 +34,7 @@ from foelner.words import (
     standard_generators,
     words_of,
 )
-from frame_helpers import columns_of, count_calls, frame_of, frame_pool, inner, translate
+from frame_helpers import columns_of, count_calls, frame_of, frame_pool, inner, scalar_draw_frame, translate
 from search_helpers import frame_per_trial_anneal
 
 F2 = free_group(2)
@@ -240,6 +240,19 @@ def test_random_frame_deterministic():
     assert [frame_fingerprint(f) for f in a] == [frame_fingerprint(f) for f in b]
 
 
+@pytest.mark.parametrize("rank, radius", [(1, 2), (3, 3), (8, 5), (12, 4), (5, 2)])
+def test_random_frame_matches_scalar_draws(rank, radius):
+    # one rng.normal(size=2m) a column is the stream of m complex(rng.normal(), rng.normal()) pairs;
+    # at (5, 2) the frames span all of ball(F_2, 1)
+    rng, oracle = np.random.default_rng(rank + radius), np.random.default_rng(rank + radius)
+    for _ in range(5):
+        frame = random_frame(F2, rank, radius, rng)
+        rows, c = scalar_draw_frame(F2, rank, radius, oracle)
+        assert np.array_equal(frame.rows, rows)
+        assert frame.C.tobytes() == c.tobytes()
+    assert rng.random() == oracle.random()  # the streams end in the same place
+
+
 def test_pool_objective_refuses_an_empty_pool():
     # an objective of inf over no frames would make every monotonicity check vacuous
     with pytest.raises(PreconditionError, match="empty frame pool"):
@@ -399,7 +412,7 @@ def test_q_objective_one_compression_per_unitary(monkeypatch):
     frame = build_witness_frame(WitnessConfig(3, 4, 3))
     counts = count_calls(monkeypatch, l2ops, "adjoint_product", "translation_indices")
     q_objective(tuple(GroupAlgebraElement.left_translation(w) for w in standard_generators(frame.descriptor)), frame)
-    assert counts == {"adjoint_product": 3, "translation_indices": 3}
+    assert counts == {"adjoint_product": 3, "translation_indices": 1}  # one row gather serves all three
 
 
 def test_rank_sweep_computes_no_fingerprint(monkeypatch):

@@ -12,6 +12,9 @@ from foelner.errors import (
     PreconditionError,
     RankDeficiency,
 )
+from foelner import l2ops
+from foelner.connes import WitnessConfig, build_witness_frame
+from foelner.connes import random_frame as draw_frame
 from foelner.l2ops import (
     HS_TILE,
     Frame,
@@ -28,6 +31,7 @@ from foelner.l2ops import (
 )
 from foelner.words import Word, ball, element_array, free_abelian, free_group, multiply, parse_word, translation_indices, words_of
 from frame_helpers import (
+    all_tiles_direct,
     columns_of,
     frame_of,
     frame_pool,
@@ -365,6 +369,35 @@ def test_direct_route_across_the_tile_switch():
         r = commutator_ratio(GroupAlgebraElement.left_translation(g), frame)
         assert abs(r.direct - ref) <= 1e-12
         assert abs(r.closed_form - ref) <= 1e-9
+
+
+def _frame_with_zero_rows(rng):
+    # three orthonormal columns on 8 of the 161 rows of ball(F_2, 4); the other rows are zero
+    rows = ball(F2, 4)
+    c = np.zeros((len(rows), 3), dtype=complex)
+    c[rng.choice(len(rows), size=8, replace=False)] = gram_schmidt(rng.normal(size=(8, 3)) + 1j * rng.normal(size=(8, 3)))
+    return Frame(F2, 5, rows, c)
+
+
+@pytest.mark.parametrize("blocks", [0, l2ops.SUPPORT_BLOCKS])
+def test_direct_route_leaves_out_only_zero_tiles(blocks, monkeypatch):
+    # with the zero tiles found on every route (0) and past the default SUPPORT_BLOCKS, the
+    # direct route is bit for bit the sum over every tile: on witness frames, on a frame with
+    # zero rows, and on frames drawn as identity-check draws them
+    monkeypatch.setattr(l2ops, "SUPPORT_BLOCKS", blocks)
+    frames = [build_witness_frame(WitnessConfig(n, k, 6)) for n in (2, 3) for k in range(1, 13)]
+    rng = np.random.default_rng(1)
+    frames.append(_frame_with_zero_rows(rng))
+    frames += [draw_frame(F2, int(rng.integers(1, 9)), int(rng.integers(3, 6)), rng) for _ in range(30)]
+    zero_tiles = 0
+    for frame in frames:
+        gens = [Word(frame.descriptor, (i,)) for i in range(1, frame.descriptor.rank + 1)]
+        for g in (*gens, gens[0].inverse()):
+            op = GroupAlgebraElement.left_translation(g)
+            direct, zero = all_tiles_direct(op, frame)
+            assert commutator_ratio(op, frame).direct.hex() == direct.hex()
+            zero_tiles += zero
+    assert zero_tiles > 1000  # the frames have tiles to leave out
 
 
 def test_trace_defect_examples():

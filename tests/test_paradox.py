@@ -1,5 +1,6 @@
 """Prefix sets, restriction norms, displacement bounds, the inequality chain."""
 
+import json
 import math
 from fractions import Fraction
 
@@ -7,7 +8,7 @@ import numpy as np
 import pytest
 
 from foelner import l2ops, paradox
-from foelner.connes import WitnessConfig, build_witness_frame
+from foelner.connes import WitnessConfig, build_witness_frame, random_frame
 from foelner.errors import InvalidLetter, PreconditionError
 from foelner.l2ops import GroupAlgebraElement, commutator_ratio
 from foelner.paradox import (
@@ -16,14 +17,14 @@ from foelner.paradox import (
     THRESHOLD_NOTE,
     PrefixSet,
     chain_audit,
-    c_value,
+    chain_masses,
     displacement_bound,
     make_paper_trace,
     verify_set_identities,
 )
 from foelner.words import Word, ball, free_abelian, free_group, words_of
 from frame_helpers import count_calls, frame_of, frame_pool
-from prefix_helpers import contains, reference_set_identities
+from prefix_helpers import c_value, contains, reference_chain_audit, reference_set_identities
 
 F2 = free_group(2)
 E = Word.identity(F2)
@@ -69,6 +70,7 @@ def test_c_partition_sums_to_one():
         assert abs(total - 1.0) < 1e-12
         for s in sets:
             assert -1e-15 <= c_value(frame, s) <= 1.0 + 1e-15
+        assert chain_masses(frame)[:5] == [c_value(frame, s) for s in sets]
 
 
 def test_prefix_set_labels():
@@ -151,7 +153,9 @@ def test_set_identities_radius_contract():
 
 
 def bound(frame, op, s):
-    return displacement_bound(frame, op, s, commutator_ratio(op, frame))
+    g = op.word
+    masses = (c_value(frame, t) for t in (s, s.translated(g.inverse()), s.translated(g)))
+    return displacement_bound(commutator_ratio(op, frame), *masses)
 
 
 def test_displacement_identity_unitary():
@@ -225,16 +229,31 @@ def test_chain_audit_evaluates_each_generator_once(monkeypatch):
     frame = build_witness_frame(WitnessConfig(2, 8, 6))
     counts = count_calls(monkeypatch, l2ops, "adjoint_product", "translation_indices")
     rep = chain_audit(frame)
-    assert counts == {"adjoint_product": 2, "translation_indices": 2}
+    assert counts == {"adjoint_product": 2, "translation_indices": 1}  # one row gather serves both
     assert rep.max_commutator_ratio == max(commutator_ratio(op, frame).closed_form for op in (L_a, L_b))
 
 
-def _fixed_bounds(monkeypatch, b_a, b_b):
-    # displacement_bound with the certified bounds B_a, B_b and no measured displacement
-    bounds = {L_a.label(): b_a, L_b.label(): b_b}
+@pytest.mark.parametrize("radius", [2, 3, 4, 5])
+def test_chain_audit_matches_the_per_set_oracle_bit_for_bit(radius):
+    # random frames of ranks 1-8 (those the ball can span), and at radius 5 witness frames of
+    # F_2 and F_3 and the frame on e alone, whose rows hold one letter
+    rng = np.random.default_rng(radius)
+    ranks = [k for k in range(1, 9) if k <= len(ball(F2, radius - 1))]
+    frames = [random_frame(F2, k, radius, rng) for k in ranks for _ in range(3)]
+    if radius == 5:
+        frames += [build_witness_frame(WitnessConfig(n, 8, 6)) for n in (2, 3)] + [delta_frame(E, ambient=2)]
+    for frame in frames:
+        report = json.dumps(vars(chain_audit(frame)), sort_keys=True)
+        assert report == json.dumps(reference_chain_audit(frame), sort_keys=True)
 
-    def fake(frame, op, s, ev):
-        return paradox.DisplacementBound(s.label(), op.label(), 0.0, 0.0, 0.0, bounds[op.label()], 0.0, 0.0)
+
+def _fixed_bounds(monkeypatch, b_a, b_b):
+    # displacement_bound with the certified bounds B_a, then B_b (chain_audit bounds L_a first),
+    # and no measured displacement
+    bounds = iter((b_a, b_b))
+
+    def fake(ev, c_s, c_pull, c_push):
+        return paradox.DisplacementBound(0.0, 0.0, 0.0, next(bounds), 0.0, 0.0)
 
     monkeypatch.setattr(paradox, "displacement_bound", fake)
 
@@ -258,7 +277,7 @@ def test_chain_audit_verdict_from_the_bounds(monkeypatch, b_a, b_b, verdict):
 
 def test_chain_audit_inconclusive_when_the_partition_leaks(monkeypatch):
     # five partition sets of mass 0.18 each sum to 0.9, not 1
-    monkeypatch.setattr(paradox, "c_value", lambda frame, s: 0.18)
+    monkeypatch.setattr(paradox, "chain_masses", lambda frame: [0.18] * 9)
     rep = chain_audit(build_witness_frame(WitnessConfig(2, 8, 6)))
     assert abs(rep.partition_sum - 0.9) < 1e-12
     assert rep.verdict == "inconclusive"
