@@ -262,6 +262,8 @@ def _check_counts(args: argparse.Namespace) -> None:
                   "amplitudes": k * (pool[0]["rows"] + 4 * rows)}  # one frame's draw at a time
         budget.check(f"audit of {f} frames at rank {k} on ball(F_2, {radius - 1}), set identities on ball(F_2, {radius})",
                      *ball_units(free_group(2), radius), *pool, frames, direct_route_units(k, rows, 2 * f))
+        if k > pool[0]["rows"]:  # the pool's exact size once the budget admits it
+            raise PreconditionError(f"rank {k} exceeds |ball({radius - 1})| = {pool[0]['rows']}, the dimension frames can span")
 
 
 def _check_output(args: argparse.Namespace) -> None:

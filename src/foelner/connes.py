@@ -43,13 +43,12 @@ class UnitaryRecord:
         return max(self.ratio, self.defect)
 
 
-def q_objective(unitaries: Sequence[GroupAlgebraElement], frame: Frame, gathers: list | None = None) -> tuple[UnitaryRecord, ...]:
+def q_objective(unitaries: Sequence[GroupAlgebraElement], frame: Frame) -> tuple[UnitaryRecord, ...]:
     """The closed-form commutator ratio and the trace defect of each unitary on
-    the frame (from `gathers` as commutator_ratios takes them); Q(X, eps) holds
-    on it when every record's worst is <= eps."""
+    the frame; Q(X, eps) holds on it when every record's worst is <= eps."""
     if not unitaries:
         raise PreconditionError("empty unitary list")
-    evaluations = zip(unitaries, commutator_ratios(unitaries, frame, gathers))
+    evaluations = zip(unitaries, commutator_ratios(unitaries, frame))
     return tuple(UnitaryRecord(op.label(), ev.closed_form, ev.defect) for op, ev in evaluations)
 
 
@@ -291,7 +290,7 @@ def anneal_projection(cfg: ProjectionSearchConfig) -> AnnealResult:
     sparsely, re-orthonormalize, accept by Metropolis on the Q-objective.
     Deterministic per seed; the best-so-far history never increases.  Trials
     are Gram-checked bare arrays; only the returned one becomes a Frame.  Refuses,
-    before building the ball, a search past a bound of the budget."""
+    before building the ball, a search past a bound of the budget or a rank past the ball's size."""
     op_radius = max(w.length() for w in cfg.unitaries)
     if cfg.ambient_radius - op_radius < 0:
         raise PreconditionError("ambient radius too small for the unitary list")
@@ -302,9 +301,9 @@ def anneal_projection(cfg: ProjectionSearchConfig) -> AnnealResult:
     search = {"calls": steps * (4 + k + 3 * u) + 200 * u, "madds": steps * k * n_sup * (1300 + 560 * math.sqrt(k) + u * k)}
     budget.check(f"an annealed search of {cfg.iterations} iterations at rank {k} on ball({support_radius})", *table,
                  {**search, "points": steps + 10 * u}, {**routes, "amplitudes": routes["amplitudes"] + 6 * k * n_sup})
-    rows = ball(cfg.descriptor, support_radius)
     if k > n_sup:
         raise PreconditionError(f"rank {k} exceeds the support dimension {n_sup}")
+    rows = ball(cfg.descriptor, support_radius)
     ops = [GroupAlgebraElement.left_translation(w) for w in cfg.unitaries]
     rng = np.random.default_rng(cfg.seed)
 
@@ -322,8 +321,7 @@ def anneal_projection(cfg: ProjectionSearchConfig) -> AnnealResult:
         raise ConvergenceError(f"no rank-{k} starting frame after {MAX_RESTARTS} draws")
     frame = Frame(cfg.descriptor, cfg.ambient_radius, rows, c)
 
-    pairs = translation_gathers(ops, frame)  # also the final records', on the same rows
-    gathers = [(*pair, op.identity_coefficient) for op, pair in zip(ops, pairs)]
+    gathers = [(*pair, op.identity_coefficient) for op, pair in zip(ops, translation_gathers(ops, frame))]
 
     def objective(c: np.ndarray) -> float:  # max over ops of the closed-form ratio and the trace defect
         hs_norm_sq = checked_hs_norm_sq(c)
@@ -358,6 +356,6 @@ def anneal_projection(cfg: ProjectionSearchConfig) -> AnnealResult:
                 best_val, best = val, trial
                 history.append((it, best_val))
 
-    best_frame = frame.with_columns(best)
-    records = q_objective(ops, best_frame, pairs)
+    best_frame = Frame(cfg.descriptor, cfg.ambient_radius, rows, best)
+    records = q_objective(ops, best_frame)
     return AnnealResult(best_frame, max(r.worst for r in records), records, tuple(history))

@@ -14,7 +14,6 @@ inner product, HS norm and compression exact.
 
 from __future__ import annotations
 
-import copy
 import itertools
 import math
 from dataclasses import dataclass, field
@@ -28,7 +27,6 @@ from .words import GroupDescriptor, Word, format_word, row_lengths, shortlex_ord
 PRUNE_TOL = 1e-15   # amplitudes below this are dropped at the JSON edge
 GRAM_TOL = 1e-10    # frame Gram matrix must match the identity entrywise
 RANK_TOL = 1e-8     # residual threshold declaring columns dependent
-SVD_MAX_K = 256
 # Most multiply-adds per piece of a matrix product cut into row pieces.  OpenBLAS,
 # numpy's default BLAS, runs products of up to about 2^16 multiply-adds on the
 # calling thread; larger ones wake its worker threads, which costs milliseconds
@@ -100,12 +98,9 @@ class Frame:
         rows.flags.writeable = False
         object.__setattr__(self, "rows", rows)
         object.__setattr__(self, "support_radius", radius)
-        self._set_columns(self.C)
-
-    def _set_columns(self, c: np.ndarray) -> None:
-        c = np.array(c, dtype=complex)
-        if c.ndim != 2 or c.shape[0] != len(self.rows) or c.shape[1] < 1:
-            raise PreconditionError(f"need a {len(self.rows)} x k coefficient array with k >= 1, got shape {c.shape}")
+        c = np.array(self.C, dtype=complex)
+        if c.ndim != 2 or c.shape[0] != len(rows) or c.shape[1] < 1:
+            raise PreconditionError(f"need a {len(rows)} x k coefficient array with k >= 1, got shape {c.shape}")
         object.__setattr__(self, "hs_norm_sq", checked_hs_norm_sq(c))
         c.flags.writeable = False
         object.__setattr__(self, "C", c)
@@ -113,12 +108,6 @@ class Frame:
     @property
     def rank(self) -> int:
         return self.C.shape[1]
-
-    def with_columns(self, c: np.ndarray) -> "Frame":
-        """The frame on the same, already checked, rows with new orthonormal columns."""
-        frame = copy.copy(self)
-        frame._set_columns(c)
-        return frame
 
 
 def _piece_rows(k_x: int, k_y: int) -> int:
@@ -217,39 +206,52 @@ class CommutatorRatio(NamedTuple):
 
 
 def direct_route_units(k: int, rows: int, count: int = 1) -> dict:
-    """Budget units of `count` direct routes of commutator_ratio, one at a time, on rank-k frames of `rows`
+    """Budget units of `count` direct routes (_direct_hs_sq), one at a time, on rank-k frames of `rows`
     rows and at most as many translates: tile entries (k + 1 more each in BLAS_CHUNK tiles), z, w and a copy."""
     m = 2 * rows
     return {"tiles": count * m * m * (2 + k if _piece_rows(k, k) else 1), "madds": count * 2 * k * m * m,
             "amplitudes": 6 * m * k + 2 * min(HS_TILE, m) ** 2}
 
 
-def commutator_ratio(op: GroupAlgebraElement, frame: Frame, gather: tuple[np.ndarray, ...] | None = None) -> CommutatorRatio:
-    """The one evaluation of the unitary U = L_g on a frame: one compression, on op's `gather`
-    from translation_gathers (a row gather of its own when None).
+def commutator_ratio(op: GroupAlgebraElement, frame: Frame) -> CommutatorRatio:
+    """The one evaluation of the unitary U = L_g on a frame (see commutator_ratios)."""
+    return commutator_ratios([op], frame)[0]
 
-    The direct route forms ||Ue - eU||_HS = ||UeU* - e||_HS = ||(UC)(UC)* - CC*||_F
-    on the rows and their translates, one square tile at a time, so no whole matrix
-    of that size is formed: BLAS_CHUNK multiply-adds a tile while the frame's
-    products are cut (see _piece_rows), HS_TILE rows once they run whole.  A tile
-    whose two row blocks have no nonzero column in common is exactly zero, and past
-    SUPPORT_BLOCKS row blocks those tiles are left out of the sum.  The closed form is
-    sqrt(2) * sqrt(1 - tau_k(A* A)) with A the compression (see closed_form_ratio).
-    Both are exact up to roundoff and must agree within 1e-9.
+
+def commutator_ratios(ops: Sequence[GroupAlgebraElement], frame: Frame) -> list[CommutatorRatio]:
+    """The one evaluation of each unitary U = L_g of `ops` on a frame, all from one row gather
+    (translation_gathers): its compression A, the trace defect, and ||[U,e]||_HS / ||e||_HS by
+    two routes exact up to roundoff, _direct_hs_sq and closed_form_ratio, which must agree within 1e-9."""
+    out = []
+    for op, (dst, src) in zip(ops, translation_gathers(ops, frame)):
+        a = adjoint_product(frame.C[dst], frame.C[src])
+        closed = closed_form_ratio(a, frame.hs_norm_sq)
+        direct = math.sqrt(_direct_hs_sq(frame.C, dst, src) / frame.hs_norm_sq)
+        if abs(direct - closed) > 1e-9:
+            raise InvariantViolation(f"HS identity violated: {direct} vs {closed}")
+        out.append(CommutatorRatio(direct, closed, a, abs(op.identity_coefficient - normalized_trace(a))))
+    return out
+
+
+def _direct_hs_sq(c: np.ndarray, dst: np.ndarray, src: np.ndarray) -> float:
+    """||Ue - eU||^2_HS = ||UeU* - e||^2_HS = ||(UC)(UC)* - CC*||^2_F for U with the row gather (dst, src).
+
+    It is formed on the rows and their translates, one square tile at a time, so no whole
+    matrix of that size is formed: BLAS_CHUNK multiply-adds a tile while the frame's
+    products are cut (see _piece_rows), HS_TILE rows once they run whole.  A tile whose
+    two row blocks have no nonzero column in common is exactly zero, and past
+    SUPPORT_BLOCKS row blocks those tiles are left out of the sum.  A function of its own, so
+    that z and w are freed before the next unitary's are built.
     """
-    dst, src = translation_gathers([op], frame)[0] if gather is None else gather
-    a = adjoint_product(frame.C[dst], frame.C[src])
-    closed = closed_form_ratio(a, frame.hs_norm_sq)
-
     # embed C and UC = L_g C over rows + (translates outside the rows)
-    k, n = frame.rank, len(frame.rows)
+    n, k = c.shape
     pos = np.full(n, -1, dtype=np.int64)
     pos[src] = dst
     outside = np.flatnonzero(pos < 0)
     pos[outside] = n + np.arange(len(outside))
     z = np.zeros((n + len(outside), 2 * k), dtype=complex)  # [UC, C]
-    z[pos, :k] = frame.C
-    z[:n, k:] = frame.C
+    z[pos, :k] = c
+    z[:n, k:] = c
     w = z.conj()
     w[:, k:] *= -1  # conj([UC, -C]), so z @ w.T = (UC)(UC)* - CC*; w has z's zeros
     tile = math.isqrt(BLAS_CHUNK // (2 * k)) if _piece_rows(k, k) else HS_TILE
@@ -263,18 +265,7 @@ def commutator_ratio(op: GroupAlgebraElement, frame: Frame, gather: tuple[np.nda
     for s, t in tiles:  # in the order of the whole double loop: adding a zero tile's 0.0 changes no bit
         d = z[s * tile : (s + 1) * tile] @ w[t * tile : (t + 1) * tile].T
         hs_sq += float(np.vdot(d, d).real)
-    direct = math.sqrt(hs_sq / frame.hs_norm_sq)
-
-    if abs(direct - closed) > 1e-9:
-        raise InvariantViolation(f"HS identity violated: {direct} vs {closed}")
-    return CommutatorRatio(direct, closed, a, abs(op.identity_coefficient - normalized_trace(a)))
-
-
-def commutator_ratios(ops: Sequence[GroupAlgebraElement], frame: Frame, gathers: list | None = None) -> list[CommutatorRatio]:
-    """commutator_ratio of each of `ops` on the frame, all from one row gather: `gathers`, the ops'
-    translation_gathers on frames of these rows and ambient radius, or a new one when None."""
-    gathers = translation_gathers(ops, frame) if gathers is None else gathers
-    return [commutator_ratio(op, frame, gather) for op, gather in zip(ops, gathers)]
+    return hs_sq
 
 
 def trace_defect(op: GroupAlgebraElement, frame: Frame) -> float:
@@ -296,8 +287,6 @@ def svd_small(a: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     if a.ndim != 2 or a.shape[0] != a.shape[1]:
         raise PreconditionError(f"square matrix required, got shape {a.shape}")
     k = a.shape[0]
-    if k > SVD_MAX_K:
-        raise PreconditionError(f"k = {k} exceeds the SVD size cap {SVD_MAX_K}")
     try:
         u, sigma, vh = np.linalg.svd(a)
     except np.linalg.LinAlgError as exc:

@@ -126,7 +126,7 @@ def frame_per_trial_anneal(cfg):
         trial[positions, j] += noise
         scale *= STEP_DECAY
         try:
-            trial_frame = frame.with_columns(reference_gram_schmidt(trial))
+            trial_frame = Frame(cfg.descriptor, cfg.ambient_radius, rows, reference_gram_schmidt(trial))
         except RankDeficiency:
             continue  # move rejected, not fatal
         val = _worst_record(ops, trial_frame)

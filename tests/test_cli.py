@@ -205,7 +205,7 @@ EDGES = [
     _edge("audit --rank 8 --radius 5 --seed 1 --frames {}", 3561),
     _edge("audit --rank 200 --radius 6 --seed 1 --frames {}", 52),
     _edge("audit --rank 1 --radius {} --seed 1 --frames 1", 11),  # the set identities read ball(F_2, radius)
-    _edge("audit --rank {} --radius 7 --seed 1 --frames 1", 299),  # svd_small refuses ranks past SVD_MAX_K on the first frame
+    _edge("audit --rank {} --radius 7 --seed 1 --frames 1", 299),  # the memory bound, below ball(F_2, 6)'s 1,457 words
     _edge("scan --n 2 --rank 8 --radius 5 --iters {} --seed 1", 24646),
     _edge("scan --n 2 --rank 150 --radius 7 --iters {} --seed 1", 84),
     _edge("scan --n 2 --rank 1 --radius {} --iters 1 --seed 1", 9),  # the direct routes of the final records
@@ -232,9 +232,13 @@ EDGES = [
 @pytest.mark.parametrize(
     "argv",
     [
+        ["group", "--group", "abelian:30", "--radius", "40", "--mode", "search", "--seed", "1"],
+        # frame ranks past the dimension their ball can span, |ball(F_2, radius - 1)| for audit
         ["audit", "--rank", "3", "--radius", "1", "--seed", "1", "--frames", "1"],
         ["audit", "--rank", "6", "--radius", "2", "--seed", "1", "--frames", "1"],
-        ["group", "--group", "abelian:30", "--radius", "40", "--mode", "search", "--seed", "1"],
+        ["audit", "--rank", "200", "--radius", "5", "--seed", "1", "--frames", "1"],
+        ["audit", "--rank", "200", "--radius", "5", "--seed", "1", "--frames", "0"],
+        ["scan", "--n", "2", "--rank", "200", "--radius", "5", "--iters", "1", "--seed", "1"],
         # ball families past the budget, of closed forms and of enumerated balls
         ["group", "--group", "free:2", "--radius", "20001", "--mode", "balls"],
         ["group", "--group", "abelian:2", "--radius", "1000", "--mode", "balls"],
@@ -254,8 +258,6 @@ EDGES = [
         ["audit", "--rank", "2", "--radius", "3", "--seed", "1", "--frames", "-1"],
         ["scan", "--n", "2", "--rank", "2", "--radius", "3", "--iters", "-1", "--seed", "1"],
         ["group", "--group", "abelian:2", "--radius", "3", "--mode", "search", "--iters", "-1", "--seed", "1"],
-        # an audit rank past l2ops.SVD_MAX_K that the budget admits, refused by svd_small on the first frame
-        ["audit", "--rank", "257", "--radius", "7", "--seed", "1", "--frames", "1"],
         # audit ranks and radii below 1, refused also when no frame is drawn
         ["audit", "--rank", "0", "--radius", "3", "--seed", "1", "--frames", "0"],
         ["audit", "--rank", "2", "--radius", "0", "--seed", "1", "--frames", "0"],
@@ -267,7 +269,8 @@ EDGES = [
     ]
     + [past for _, past in EDGES],
 )
-def test_unbounded_inputs_refused_with_exit_2(argv, capsys):
+def test_unbounded_inputs_refused_with_exit_2(argv, monkeypatch, capsys):
+    _refuse_balls(monkeypatch)  # refused before any ball is built
     assert main(argv) == 2
     assert capsys.readouterr().err.startswith("error: ")
 
@@ -338,8 +341,9 @@ def test_counts_at_their_caps_admitted(argv, monkeypatch):
             *(f"group --group {g} --radius {r} --mode search --iters 100000 --seed 1" for g, r in (
                 ("abelian:9", 6), ("abelian:5", 13), ("abelian:4", 22), ("free:4", 6), ("abelian:3", 52),
                 ("free:1", 1413), ("abelian:2", 300), ("abelian:1", 99999))),
-            # audit at l2ops.SVD_MAX_K on ball(F_2, 6)
-            "audit --rank 256 --radius 7 --seed 1 --frames 2",
+            # audit's frames edges at its largest ranks on ball(F_2, 5), whose 485 words they can span
+            "audit --rank 485 --radius 6 --seed 1 --frames 6",
+            "audit --rank 400 --radius 6 --seed 1 --frames 10",
         )
     ],
 )
@@ -362,11 +366,12 @@ def test_scan_charges_its_parsed_unitaries(monkeypatch):
     assert charged[0] == charged[1]
 
 
-def test_audit_rank_past_svd_max_k_is_refused_by_svd_small(capsys):
-    # the budget admits ranks up to 299 on ball(F_2, 6) (EDGES); svd_small refuses the ones past
-    # l2ops.SVD_MAX_K on the first frame, and audit's rank 256 there stays admitted
-    assert main(["audit", "--rank", str(l2ops.SVD_MAX_K + 1), "--radius", "7", "--seed", "1", "--frames", "1"]) == 2
-    assert "SVD size cap" in capsys.readouterr().err
+def test_audit_at_its_rank_edge_runs(tmp_path):
+    # the budget is the only size policy: audit's rank edge on ball(F_2, 6) (EDGES) runs,
+    # with its 299 x 299 compressions through svd_small
+    code, raw = run_cli(["audit", "--rank", "299", "--radius", "7", "--seed", "1", "--frames", "1"], tmp_path)
+    assert code == 0
+    assert json.loads(raw)["results"]["frames_evaluated"] == 1
 
 
 @pytest.mark.parametrize("argv", [past for _, past in EDGES])

@@ -114,7 +114,6 @@ def test_frame_letters_pad_rows():
     frame = frame_of(F2, 4, [{E: 0.6, A_INV: 0.8}, {Word.from_letters(F2, [2, 1, 1]): 1.0}])
     assert frame.rows.tolist() == [[0, 0, 0, 0], [-1, 0, 0, 0], [2, 1, 1, 0]]
     assert not frame.rows.flags.writeable
-    assert frame.with_columns(frame.C).rows is frame.rows
 
 
 # ---------------------------------------------------------------------------
