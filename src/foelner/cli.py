@@ -163,25 +163,11 @@ def _run_scan(args: argparse.Namespace) -> tuple[dict, list]:
     return results, []
 
 
-def _audit_one_frame(frame) -> dict:
-    report = chain_audit(frame)
-    return {
-        "c_values": report.c_values,
-        "displacement": {
-            "measured": max(d["measured"] for d in report.displacements.values()),
-            "certified": max(d["certified"] for d in report.displacements.values()),
-            "per_unitary": report.displacements,
-        },
-        "verdict": report.verdict,
-        "max_commutator_ratio": report.max_commutator_ratio,
-    }
-
-
 def _run_audit(args: argparse.Namespace) -> tuple[dict, list]:
     descriptor = free_group(2)
     identities = verify_set_identities(max(2, args.radius + 1))
     rng = np.random.default_rng(args.seed)
-    evaluated = [_audit_one_frame(random_frame(descriptor, args.rank, args.radius, rng)) for _ in range(args.frames)]
+    evaluated = [chain_audit(random_frame(descriptor, args.rank, args.radius, rng)) for _ in range(args.frames)]
     no_frame = {"c_values": {}, "displacement": {}, "max_commutator_ratio": None}
     worst = min(evaluated, key=lambda e: e["max_commutator_ratio"], default=no_frame)  # the first on ties
     verdicts = {e["verdict"] for e in evaluated}

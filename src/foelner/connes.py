@@ -273,6 +273,8 @@ class ProjectionSearchConfig:
             raise PreconditionError("need ambient radius >= 2 and rank >= 1")
         if self.seed is None:
             raise SeedRequired("projection search requires an explicit seed")
+        if self.seed < 0 or self.iterations < 0:
+            raise PreconditionError(f"seed and iterations must be >= 0, got {self.seed} and {self.iterations}")
         if not self.unitaries:
             raise PreconditionError("empty unitary list")
 

@@ -13,7 +13,6 @@ import functools
 import math
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import NamedTuple
 
 import numpy as np
 
@@ -130,16 +129,7 @@ def verify_set_identities(radius: int) -> SetIdentityReport:
 # Displacement bounds.
 
 
-class DisplacementBound(NamedTuple):
-    measured_pull: float  # |c_{U^-1 S} - c_S|
-    measured_push: float  # |c_{U S} - c_S|
-    measured: float
-    certified: float      # 2 ||Ue - W||_{tau_k}, W the polar factor of eUe
-    w_distance: float     # ||eUe - W||_{tau_k}
-    compression_gap: float  # sqrt(1 - tau_k(A* A)) = ||Ue - eUe||_{tau_k}
-
-
-def displacement_bound(ev: CommutatorRatio, c_s: float, c_pull: float, c_push: float) -> DisplacementBound:
+def displacement_bound(ev: CommutatorRatio, c_s: float, c_pull: float, c_push: float) -> dict:
     """Measured mass displacement of a set S under U = L_g, from the masses c_S, c_{g^-1 S} and
     c_{g S} on a frame, against its certified bound, from ev = commutator_ratio(U, frame).
 
@@ -155,7 +145,14 @@ def displacement_bound(ev: CommutatorRatio, c_s: float, c_pull: float, c_push: f
     measured = max(pull, push)
     if measured > certified + 1e-9:
         raise InvariantViolation(f"displacement theorem violated: {measured} > {certified}")
-    return DisplacementBound(pull, push, measured, certified, dist, gap)
+    return {
+        "measured_pull": pull,  # |c_{U^-1 S} - c_S|
+        "measured_push": push,  # |c_{U S} - c_S|
+        "measured": measured,
+        "certified": certified,  # 2 ||Ue - W||_{tau_k}, W the polar factor of eUe
+        "w_distance": dist,  # ||eUe - W||_{tau_k}
+        "compression_gap": gap,  # sqrt(1 - tau_k(A* A)) = ||Ue - eUe||_{tau_k}
+    }
 
 
 # ---------------------------------------------------------------------------
@@ -175,15 +172,6 @@ class PaperTrace:
     upper_below_threshold: bool
     chain_closes: bool
     honest_displacement_constant: float  # 2/7 after restoring the square root
-
-
-@dataclass(frozen=True)
-class ParadoxReport:
-    c_values: dict
-    displacements: dict
-    verdict: str  # contradiction | consistent | inconclusive
-    partition_sum: float
-    max_commutator_ratio: float  # the larger closed-form ratio of L_a and L_b
 
 
 def make_paper_trace() -> PaperTrace:
@@ -230,7 +218,7 @@ def chain_masses(frame: Frame) -> list[float]:
     return [float(np.sum(squares[mask])) / frame.rank for mask in masks]
 
 
-def chain_audit(frame: Frame) -> ParadoxReport:
+def chain_audit(frame: Frame) -> dict:
     """Evaluate the full inequality chain on one frame with honest constants.
 
     Masses are computed over the first-letter partition and the translates the
@@ -239,7 +227,9 @@ def chain_audit(frame: Frame) -> ParadoxReport:
     'contradiction') precisely when 1/2 - B_a > 1/3 + B_b or 1/2 - B_b > 1/3 + B_a,
     i.e. B_a + B_b < 1/6.  A partition that does not sum to 1 is 'inconclusive'.
     L_a and L_b are evaluated once each, from one row gather, for their bounds and
-    for the report's larger closed-form commutator ratio.
+    for the report's larger closed-form commutator ratio.  The report is the frame's entry
+    in audit's payload: c_values, displacement (the larger measured and certified bound, and
+    per_unitary, each generator's), verdict and max_commutator_ratio.
     """
     descriptor = frame.descriptor
     if not descriptor.is_free or descriptor.rank < 2:
@@ -254,12 +244,14 @@ def chain_audit(frame: Frame) -> ParadoxReport:
     ev_a, ev_b = commutator_ratios((l_a, l_b), frame)
     d_a = displacement_bound(ev_a, c_s, c_a_inv_s, c_as)
     d_b = displacement_bound(ev_b, c_s, c_b_inv_s, c_bs)
-    displacements = {l_a.label(): d_a._asdict(), l_b.label(): d_b._asdict()}
-    b_a, b_b = d_a.certified, d_b.certified
+    b_a, b_b = d_a["certified"], d_b["certified"]
     if abs(partition_sum - 1.0) > 1e-9:
         verdict = "inconclusive"
     elif not (0.5 - b_a <= 1.0 / 3.0 + b_b and 0.5 - b_b <= 1.0 / 3.0 + b_a):  # a NaN bound fails both
         verdict = "contradiction"
     else:
         verdict = "consistent"
-    return ParadoxReport(c_values, displacements, verdict, partition_sum, max(ev_a.closed_form, ev_b.closed_form))
+    displacement = {"measured": max(d_a["measured"], d_b["measured"]), "certified": max(b_a, b_b),
+                    "per_unitary": {l_a.label(): d_a, l_b.label(): d_b}}
+    return {"c_values": c_values, "displacement": displacement, "verdict": verdict,
+            "max_commutator_ratio": max(ev_a.closed_form, ev_b.closed_form)}

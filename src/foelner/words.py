@@ -388,11 +388,10 @@ def format_word(w: Word) -> str:
 def parse_word(descriptor: GroupDescriptor, text: str) -> Word:
     text = text.strip()
     if not descriptor.is_free:
-        m = re.fullmatch(r"\(([-\d,\s]*)\)", text)
+        m = re.fullmatch(r"\(\s*(-?\d+(?:\s*,\s*-?\d+)*)?\s*\)", text)
         if not m:
             raise InvalidLetter(f"cannot parse abelian element {text!r} (expected e.g. '(2,-1)')")
-        parts = [p.strip() for p in m.group(1).split(",")] if m.group(1).strip() else []
-        return Word.from_vector(descriptor, [int(p) for p in parts])
+        return Word.from_vector(descriptor, [int(p) for p in m.group(1).split(",")] if m.group(1) else [])
     if text == "e":
         return Word.identity(descriptor)
     letters = []

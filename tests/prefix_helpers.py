@@ -70,7 +70,7 @@ def c_value(frame, s: PrefixSet) -> float:
 
 
 def reference_chain_audit(frame) -> dict:
-    """The fields of chain_audit(frame), one set at a time: c_value of each PrefixSet, L_a and
+    """The report of chain_audit(frame), one set at a time: c_value of each PrefixSet, L_a and
     L_b each with a row gather of its own, and each bound through the polar factor's distance
     from nearest_unitary."""
     d = frame.descriptor
@@ -80,7 +80,7 @@ def reference_chain_audit(frame) -> dict:
     partition_sum = float(sum(c_values.values()))
     for s in (base.translated(a), base.translated(b), base.translated(b.inverse())):
         c_values[s.label()] = c_value(frame, s)
-    displacements, bounds, ratios = {}, [], []
+    per_unitary, bounds, ratios = {}, [], []
     for g in (a, b):
         op = GroupAlgebraElement.left_translation(g)
         ev = commutator_ratio(op, frame)
@@ -89,8 +89,8 @@ def reference_chain_audit(frame) -> dict:
         gap = ev.closed_form / math.sqrt(2.0)
         certified = 2.0 * math.sqrt(dist * dist + gap * gap)
         pull, push = abs(c_pull - c_s), abs(c_push - c_s)
-        displacements[op.label()] = {"measured_pull": pull, "measured_push": push, "measured": max(pull, push),
-                                     "certified": certified, "w_distance": dist, "compression_gap": gap}
+        per_unitary[op.label()] = {"measured_pull": pull, "measured_push": push, "measured": max(pull, push),
+                                   "certified": certified, "w_distance": dist, "compression_gap": gap}
         bounds.append(certified)
         ratios.append(ev.closed_form)
     b_a, b_b = bounds
@@ -100,5 +100,7 @@ def reference_chain_audit(frame) -> dict:
         verdict = "contradiction"
     else:
         verdict = "consistent"
-    return {"c_values": c_values, "displacements": displacements, "verdict": verdict,
-            "partition_sum": partition_sum, "max_commutator_ratio": max(ratios)}
+    displacement = {"measured": max(d["measured"] for d in per_unitary.values()), "certified": max(bounds),
+                    "per_unitary": per_unitary}
+    return {"c_values": c_values, "displacement": displacement, "verdict": verdict,
+            "max_commutator_ratio": max(ratios)}

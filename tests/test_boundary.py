@@ -398,6 +398,13 @@ def test_local_search_requires_seed():
         GroupSearchConfig(radius=3)
 
 
+@pytest.mark.parametrize("seed, iterations", [(-1, 10), (1, -1)])
+def test_local_search_config_refuses_negative_seed_and_iterations(seed, iterations):
+    # numpy takes no negative seed, and a negative iteration count would pass the budget with a negative charge
+    with pytest.raises(PreconditionError, match="must be >= 0"):
+        GroupSearchConfig(radius=2, seed=seed, iterations=iterations)
+
+
 @pytest.mark.parametrize("mode", ["balls", "exhaustive", "annealing"])
 def test_local_search_config_refuses_other_modes(mode):
     # the ball family and the exhaustive minimum have their own functions

@@ -80,6 +80,13 @@ def test_group_bad_spec(tmp_path, capsys):
     assert code == 2
 
 
+def test_malformed_abelian_generator_exits_2(capsys):
+    code = main(["group", "--group", "abelian:2", "--gens", "(1-2,0)", "--radius", "2", "--mode", "balls"])
+    assert code == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and err.count("\n") == 1
+
+
 def test_exhaustive_cap_exit_code(capsys):
     code = main(["group", "--group", "free:2", "--radius", "3", "--mode", "exhaustive"])
     assert code == 2
@@ -789,3 +796,24 @@ def test_cli_fuzz_exit_codes(argv):
     except SystemExit as exc:  # argparse rejects the arguments
         code = exc.code
     assert code in (0, 2, 3), argv
+
+
+# Generator text: parenthesised entries over "-0123 ", well formed or not.  Its own test, since a
+# branch of FUZZ_ARGV would change which examples the derandomized run above draws.
+GENS_ARGV = st.builds(
+    lambda group, parts, radius: _argv("group", "--group", group, "--gens", "(" + ",".join(parts) + ")",
+                                       "--radius", radius, "--mode", "balls"),
+    st.sampled_from(["abelian:1", "abelian:2", "abelian:3"]),
+    st.lists(st.text("-0123 ", max_size=3), min_size=1, max_size=3),
+    SMALL,
+)
+
+
+@settings(derandomize=True, database=None, max_examples=150, deadline=timedelta(seconds=5))
+@given(GENS_ARGV)
+def test_cli_fuzz_generator_text_exit_codes(argv):
+    try:
+        code = main(argv + ["--out", os.devnull])
+    except SystemExit as exc:  # argparse rejects the arguments
+        code = exc.code
+    assert code in (0, 2), argv

@@ -276,6 +276,13 @@ def test_anneal_identity_unitary_is_trivial():
     assert res.objective < 1e-9
 
 
+@pytest.mark.parametrize("seed, iterations", [(-1, 5), (1, -5)])
+def test_anneal_config_refuses_negative_seed_and_iterations(seed, iterations):
+    # a negative iteration count would otherwise return as if the loop had run 0 times
+    with pytest.raises(PreconditionError, match="must be >= 0"):
+        ProjectionSearchConfig(F2, 2, 3, seed, iterations, (Word(F2, (1,)),))
+
+
 def test_anneal_refuses_large_row_gathers_before_building(monkeypatch):
     # 99,999 unitaries times the 199,999 rows of ball(F_99999, 1): past the time bound
     monkeypatch.setattr("foelner.connes.ball", lambda *args: pytest.fail("the ball was built"))

@@ -151,7 +151,7 @@ def test_only_the_budget_module_defines_caps_and_bounds():
 
 # The lines of src/foelner/*.py (as `wc -l` counts them) at the last change that
 # set this limit; a change that raises it says so, and why, in CHANGES.md.
-SOURCE_LINE_LIMIT = 2315
+SOURCE_LINE_LIMIT = 2296
 
 
 def test_package_line_count_does_not_grow():

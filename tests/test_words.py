@@ -325,6 +325,9 @@ def test_word_syntax_roundtrip():
     assert format_word(Word.from_letters(F2, [1, -2, 1])) == "a1.A2.a1"
     assert parse_word(F2, "e") == Word.identity(F2)
     assert format_word(Word.from_vector(Z2, (2, -1))) == "(2,-1)"
+    assert parse_word(Z2, " ( 3 , -4 ) ") == Word.from_vector(Z2, (3, -4))
+    assert parse_word(Z2, "(-0,1)") == parse_word(Z2, "(0, 1)") == Word.from_vector(Z2, (0, 1))
+    assert format_word(parse_word(Z2, "(99999999999999999999,0)")) == "(99999999999999999999,0)"
 
 
 def test_word_syntax_errors():
@@ -334,6 +337,11 @@ def test_word_syntax_errors():
         parse_word(F2, "a9")
     with pytest.raises(InvalidLetter):
         parse_word(Z2, "2,-1")
+    for text in ("(1-2,0)", "(--1,0)", "(,)", "(1,,0)"):  # each entry one optionally signed integer
+        with pytest.raises(InvalidLetter):
+            parse_word(Z2, text)
+    with pytest.raises(InvalidLetter, match="vector length 0 != rank 2"):
+        parse_word(Z2, "()")
 
 
 def test_parse_generators():
