@@ -1,12 +1,13 @@
 """Command-line entry point: deterministic runs, JSON/CSV reports.
 
-Every stochastic command requires an explicit --seed; identical flags produce
-byte-identical payloads (wall time goes to stderr, never into the report)
-under the same BLAS thread count: at larger frame ranks (ranks >= 91, and some
-smaller ones on larger balls) OpenBLAS sums products in a thread-dependent
-order.  Exit codes: 0 success, 2 precondition violation (including an --out
-file that cannot be written), 3 numerical non-convergence, 4 a theorem or
-consistency check failed.
+Each command is one library call, which checks its inputs (an explicit --seed
+for every stochastic command) and counts its cost; the CLI checks only the
+output options.  Identical flags produce byte-identical payloads (wall time
+goes to stderr, never into the report) under the same BLAS thread count: at
+larger frame ranks (ranks >= 91, and some smaller ones on larger balls)
+OpenBLAS sums products in a thread-dependent order.  Exit codes: 0 success,
+2 precondition violation (including an --out file that cannot be written),
+3 numerical non-convergence, 4 a theorem or consistency check failed.
 """
 
 from __future__ import annotations
@@ -22,9 +23,7 @@ import time
 from dataclasses import asdict
 from typing import Iterator
 
-import numpy as np
-
-from . import __version__, budget
+from . import __version__
 from .boundary import (
     BoundaryReport,
     ElementSet,
@@ -35,31 +34,20 @@ from .boundary import (
     local_search_min_ratio,
 )
 from .connes import (
-    FRAME_MAX_SUPPORT,
     ProjectionSearchConfig,
     WitnessConfig,
     anneal_projection,
     certificate_formula,
     foelner_upper_estimate,
     frame_fingerprint,
+    identity_check,
     limit_formula,
-    random_frame,
     witness_certificate,
 )
-from .errors import ConvergenceError, InvariantViolation, PreconditionError, SeedRequired
-from .l2ops import GroupAlgebraElement, commutator_ratios, direct_route_units, frame_to_json
-from .paradox import (
-    DERIVED_THRESHOLD,
-    PAPER_EPSILON,
-    THRESHOLD_NOTE,
-    chain_audit,
-    make_paper_trace,
-    verify_set_identities,
-)
-from .words import GroupDescriptor, Word, ball_units, format_word, free_group, parse_generators, standard_generators
-
-STOCHASTIC_COMMANDS = {"scan", "audit", "identity-check"}
-COUNT_PARAMS = ("iters", "frames", "trials")  # refused below 0
+from .errors import ConvergenceError, InvariantViolation, PreconditionError
+from .l2ops import frame_to_json
+from .paradox import THRESHOLD_NOTE, audit, make_paper_trace
+from .words import GroupDescriptor, format_word, free_group, parse_generators, standard_generators
 
 
 def _element_set_json(s: ElementSet) -> list:
@@ -81,7 +69,7 @@ def _report_json(report: BoundaryReport) -> dict:
 
 def _run_group(args: argparse.Namespace) -> tuple[dict, list]:
     descriptor = GroupDescriptor.parse(args.group)
-    if args.gens:
+    if args.gens is not None:
         gens = GeneratingSet.of(descriptor, parse_generators(descriptor, args.gens))
     else:
         gens = GeneratingSet.standard(descriptor)
@@ -121,7 +109,7 @@ def _run_witness(args: argparse.Namespace) -> tuple[dict, list]:
         }
         return results, []
     if args.formula_only:
-        WitnessConfig(args.n, args.k, args.depth)  # the checks a frame build makes, bar the budget
+        WitnessConfig(args.n, args.k, args.depth)  # the checks a frame build makes, bar its cost
         certified = formula = certificate_formula(args.n, args.k)
         records, frame = (), {}
     else:
@@ -141,7 +129,8 @@ def _run_witness(args: argparse.Namespace) -> tuple[dict, list]:
 
 def _run_scan(args: argparse.Namespace) -> tuple[dict, list]:
     descriptor = free_group(args.n)
-    unitary_words = parse_generators(descriptor, args.unitaries) if args.unitaries else standard_generators(descriptor)
+    unitary_words = (standard_generators(descriptor) if args.unitaries is None
+                     else parse_generators(descriptor, args.unitaries))
     sc = ProjectionSearchConfig(descriptor, args.rank, args.radius, args.seed, args.iters, unitary_words)
     res = anneal_projection(sc)
     columns = frame_to_json(res.frame)
@@ -164,23 +153,7 @@ def _run_scan(args: argparse.Namespace) -> tuple[dict, list]:
 
 
 def _run_audit(args: argparse.Namespace) -> tuple[dict, list]:
-    descriptor = free_group(2)
-    identities = verify_set_identities(max(2, args.radius + 1))
-    rng = np.random.default_rng(args.seed)
-    evaluated = [chain_audit(random_frame(descriptor, args.rank, args.radius, rng)) for _ in range(args.frames)]
-    no_frame = {"c_values": {}, "displacement": {}, "max_commutator_ratio": None}
-    worst = min(evaluated, key=lambda e: e["max_commutator_ratio"], default=no_frame)  # the first on ties
-    verdicts = {e["verdict"] for e in evaluated}
-    results = {
-        "set_identities": asdict(identities),
-        "thresholds": {"paper": float(PAPER_EPSILON), "derived": DERIVED_THRESHOLD},
-        "frames_evaluated": len(evaluated),
-        "frames": evaluated,
-        "c_values": worst["c_values"],
-        "displacement": worst["displacement"],
-        "verdict": "contradiction" if "contradiction" in verdicts else ("consistent" if verdicts else "no-frames"),
-        "min_max_commutator_ratio": worst["max_commutator_ratio"],
-    }
+    results = audit(args.rank, args.radius, args.seed, args.frames)
     warnings = [THRESHOLD_NOTE]
     if args.paper_mode:
         results["paper_trace"] = asdict(make_paper_trace())
@@ -188,68 +161,13 @@ def _run_audit(args: argparse.Namespace) -> tuple[dict, list]:
     return results, warnings
 
 
-def _run_identity_check(args: argparse.Namespace) -> tuple[dict, list]:
-    descriptor = free_group(2)
-    rng = np.random.default_rng(args.seed)
-    unitary_words = [Word(descriptor, (1,)), Word(descriptor, (2,)), Word(descriptor, (-1,))]
-    ops = [GroupAlgebraElement.left_translation(w) for w in unitary_words]
-    max_diff = 0.0
-    agreements = 0
-    ratio_max = 0.0
-    defect_max = 0.0
-    for _ in range(args.trials):
-        frame = random_frame(descriptor, int(rng.integers(1, 9)), int(rng.integers(3, 6)), rng)
-        for r in commutator_ratios(ops, frame):
-            diff = abs(r.direct - r.closed_form)
-            max_diff = max(max_diff, diff)
-            ratio_max = max(ratio_max, r.direct, r.closed_form)
-            defect_max = max(defect_max, r.defect)
-            if diff < 1e-9:
-                agreements += 1
-    results = {
-        "trials": args.trials,
-        "unitaries": [format_word(w) for w in unitary_words],
-        "checks": args.trials * len(ops),
-        "agreements_within_1e-9": agreements,
-        "max_abs_difference": max_diff,
-        "max_ratio": ratio_max,
-        "max_defect": defect_max,
-        "ratio_upper_bound": float(np.sqrt(2.0)),
-    }
-    return results, []
-
-
 _HANDLERS = {
     "group": _run_group,
     "witness": _run_witness,
     "scan": _run_scan,
     "audit": _run_audit,
-    "identity-check": _run_identity_check,
+    "identity-check": lambda args: (identity_check(args.trials, args.seed), []),
 }
-
-
-def _check_counts(args: argparse.Namespace) -> None:
-    """Refuse a negative count; charge the budget for the loops run() runs itself, audit's frames and
-    identity-check's trials (the library charges every other run)."""
-    for name in COUNT_PARAMS:
-        if getattr(args, name, 0) < 0:
-            raise PreconditionError(f"--{name} must be >= 0, got {getattr(args, name)}")
-    if args.command == "identity-check":  # a frame of rank <= 8 on at most 96 rows, and three ratios
-        budget.check(f"identity-check of {args.trials} trials", frames=args.trials, calls=60 * args.trials)
-    elif args.command == "audit":
-        k, f, radius = args.rank, args.frames, args.radius
-        if k < 1 or radius < 1:  # frames need rank >= 1 and rows in ball(radius - 1)
-            raise PreconditionError(f"audit needs --rank >= 1 and --radius >= 1, got {k} and {radius}")
-        # set identities on ball(F_2, radius); frames drawn on ball(F_2, radius - 1), each on <= FRAME_MAX_SUPPORT * k
-        # rows: Gram-Schmidt, a Gram check, two compressions, two SVDs, the chain audit and routes of L_a and L_b
-        pool = ball_units(free_group(2), radius - 1)
-        rows = min(FRAME_MAX_SUPPORT * k, pool[0]["rows"])
-        frames = {"frames": f, "calls": f * (k + 60), "madds": f * (53 * k * k * rows + 160 * k**3),
-                  "amplitudes": k * (pool[0]["rows"] + 4 * rows)}  # one frame's draw at a time
-        budget.check(f"audit of {f} frames at rank {k} on ball(F_2, {radius - 1}), set identities on ball(F_2, {radius})",
-                     *ball_units(free_group(2), radius), *pool, frames, direct_route_units(k, rows, 2 * f))
-        if k > pool[0]["rows"]:  # the pool's exact size once the budget admits it
-            raise PreconditionError(f"rank {k} exceeds |ball({radius - 1})| = {pool[0]['rows']}, the dimension frames can span")
 
 
 def _check_output(args: argparse.Namespace) -> None:
@@ -264,15 +182,7 @@ def _check_output(args: argparse.Namespace) -> None:
 
 def run(args: argparse.Namespace) -> dict:
     """The payload of parsed arguments: their echo (all but --out), version, results, warnings."""
-    if args.seed is None:
-        if args.command in STOCHASTIC_COMMANDS:
-            raise SeedRequired(f"command {args.command!r} requires an explicit --seed")
-        if args.command == "group" and args.mode == "search":
-            raise SeedRequired("group --mode search requires --seed")
-    elif args.seed < 0:  # numpy's generators take no negative seed
-        raise PreconditionError(f"--seed must be >= 0, got {args.seed}")
     _check_output(args)
-    _check_counts(args)
     results, warnings = _HANDLERS[args.command](args)
     config = {name: value for name, value in vars(args).items() if name != "out"}
     return {"config": config, "version": __version__, "results": results, "warnings": warnings}

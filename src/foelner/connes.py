@@ -21,7 +21,8 @@ from . import budget
 from .errors import ConvergenceError, InvariantViolation, PreconditionError, RankDeficiency, SeedRequired
 from .l2ops import (Frame, GroupAlgebraElement, adjoint_product, checked_hs_norm_sq, closed_form_ratio, commutator_ratios,
                     direct_route_units, frame_to_json, gram_schmidt, normalized_trace, translation_gathers)
-from .words import GroupDescriptor, Word, ball, ball_units, free_group, prefixed_words, shortlex_order, standard_generators
+from .words import (GroupDescriptor, Word, ball, ball_units, format_word, free_group, prefixed_words, shortlex_order,
+                    standard_generators)
 
 MAX_RESTARTS = 1000  # rank-deficient random draws tolerated before giving up
 FRAME_MAX_SUPPORT = 12  # random_frame draws 2..FRAME_MAX_SUPPORT amplitudes per column
@@ -203,7 +204,7 @@ def foelner_upper_estimate(n: int, k_max: int, T: int = 6, mode: str = "frame") 
 
 
 # ---------------------------------------------------------------------------
-# Random frames and the seeded projection search.
+# Random frames, the identity check and the seeded projection search.
 
 
 def random_frame(
@@ -239,6 +240,46 @@ def random_frame(
             continue
         return Frame(descriptor, ambient_radius, pool[used], c)
     raise ConvergenceError(f"no rank-{rank} random frame after {MAX_RESTARTS} draws")
+
+
+def identity_check(trials: int, seed: int) -> dict:
+    """The report of `identity-check`: the direct and closed-form commutator ratios of L_a, L_b and
+    L_a^-1 on `trials` seeded random frames of F_2 (rank 1..8 on ball(F_2, 2..4)), their largest
+    difference and how many agree within 1e-9.  Refuses, before building any ball, a missing or
+    negative seed, a negative trial count and a run past a bound of the budget."""
+    if seed is None:
+        raise SeedRequired("identity-check requires an explicit seed")
+    if seed < 0 or trials < 0:
+        raise PreconditionError(f"seed and trials must be >= 0, got {seed} and {trials}")
+    # a frame of rank <= 8 on at most 96 rows, and three ratios
+    budget.check(f"identity-check of {trials} trials", frames=trials, calls=60 * trials)
+    descriptor = free_group(2)
+    rng = np.random.default_rng(seed)
+    unitary_words = [Word(descriptor, (1,)), Word(descriptor, (2,)), Word(descriptor, (-1,))]
+    ops = [GroupAlgebraElement.left_translation(w) for w in unitary_words]
+    max_diff = 0.0
+    agreements = 0
+    ratio_max = 0.0
+    defect_max = 0.0
+    for _ in range(trials):
+        frame = random_frame(descriptor, int(rng.integers(1, 9)), int(rng.integers(3, 6)), rng)
+        for r in commutator_ratios(ops, frame):
+            diff = abs(r.direct - r.closed_form)
+            max_diff = max(max_diff, diff)
+            ratio_max = max(ratio_max, r.direct, r.closed_form)
+            defect_max = max(defect_max, r.defect)
+            if diff < 1e-9:
+                agreements += 1
+    return {
+        "trials": trials,
+        "unitaries": [format_word(w) for w in unitary_words],
+        "checks": trials * len(ops),
+        "agreements_within_1e-9": agreements,
+        "max_abs_difference": max_diff,
+        "max_ratio": ratio_max,
+        "max_defect": defect_max,
+        "ratio_upper_bound": math.sqrt(2.0),
+    }
 
 
 def pool_objective(unitaries: Sequence[GroupAlgebraElement], frames: Sequence[Frame]) -> tuple[float, int]:

@@ -11,14 +11,17 @@ from __future__ import annotations
 
 import functools
 import math
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 from fractions import Fraction
 
 import numpy as np
 
-from .errors import InvalidLetter, InvariantViolation, PreconditionError
-from .l2ops import CommutatorRatio, Frame, GroupAlgebraElement, commutator_ratios, polar_distance, svd_small
-from .words import GroupDescriptor, Word, ball, format_word, free_group, letters_in_order, multiply, words_of
+from . import budget
+from .connes import FRAME_MAX_SUPPORT, random_frame
+from .errors import InvalidLetter, InvariantViolation, PreconditionError, SeedRequired
+from .l2ops import (CommutatorRatio, Frame, GroupAlgebraElement, commutator_ratios, direct_route_units, polar_distance,
+                    svd_small)
+from .words import GroupDescriptor, Word, ball, ball_units, format_word, free_group, letters_in_order, multiply, words_of
 
 PAPER_EPSILON = Fraction(1, 7)
 PAPER_DISPLACEMENT = Fraction(4, 49)
@@ -255,3 +258,44 @@ def chain_audit(frame: Frame) -> dict:
                     "per_unitary": {l_a.label(): d_a, l_b.label(): d_b}}
     return {"c_values": c_values, "displacement": displacement, "verdict": verdict,
             "max_commutator_ratio": max(ev_a.closed_form, ev_b.closed_form)}
+
+
+def audit(rank: int, radius: int, seed: int, frames: int) -> dict:
+    """The report of `audit`: the set identities on ball(F_2, radius), then chain_audit of `frames`
+    seeded random frames of rank `rank` on ball(F_2, radius - 1), with the worst of them (the smallest
+    max_commutator_ratio, the first on ties) and the verdict over all.  Refuses, before building any
+    ball, a missing or negative seed, a negative frame count, a rank or radius below 1, a run past a
+    bound of the budget and a rank past |ball(F_2, radius - 1)|."""
+    if seed is None:
+        raise SeedRequired("audit requires an explicit seed")
+    if seed < 0 or frames < 0:
+        raise PreconditionError(f"seed and frames must be >= 0, got {seed} and {frames}")
+    if rank < 1 or radius < 1:  # frames need rank >= 1 and rows in ball(radius - 1)
+        raise PreconditionError(f"audit needs rank >= 1 and radius >= 1, got {rank} and {radius}")
+    descriptor = free_group(2)
+    # set identities on ball(F_2, radius); frames drawn on ball(F_2, radius - 1), each on <= FRAME_MAX_SUPPORT * rank
+    # rows: Gram-Schmidt, a Gram check, two compressions, two SVDs, the chain audit and routes of L_a and L_b
+    pool = ball_units(descriptor, radius - 1)
+    size, rows = pool[0]["rows"], min(FRAME_MAX_SUPPORT * rank, pool[0]["rows"])
+    drawn = {"frames": frames, "calls": frames * (rank + 60), "madds": frames * (53 * rank * rank * rows + 160 * rank**3),
+             "amplitudes": rank * (size + 4 * rows)}  # one frame's draw at a time
+    budget.check(f"audit of {frames} frames at rank {rank} on ball(F_2, {radius - 1}), set identities on ball(F_2, {radius})",
+                 *ball_units(descriptor, radius), *pool, drawn, direct_route_units(rank, rows, 2 * frames))
+    if rank > size:  # the pool's exact size once the budget admits it
+        raise PreconditionError(f"rank {rank} exceeds |ball({radius - 1})| = {size}, the dimension frames can span")
+    identities = verify_set_identities(max(2, radius + 1))
+    rng = np.random.default_rng(seed)
+    evaluated = [chain_audit(random_frame(descriptor, rank, radius, rng)) for _ in range(frames)]
+    no_frame = {"c_values": {}, "displacement": {}, "max_commutator_ratio": None}
+    worst = min(evaluated, key=lambda e: e["max_commutator_ratio"], default=no_frame)  # the first on ties
+    verdicts = {e["verdict"] for e in evaluated}
+    return {
+        "set_identities": asdict(identities),
+        "thresholds": {"paper": float(PAPER_EPSILON), "derived": DERIVED_THRESHOLD},
+        "frames_evaluated": len(evaluated),
+        "frames": evaluated,
+        "c_values": worst["c_values"],
+        "displacement": worst["displacement"],
+        "verdict": "contradiction" if "contradiction" in verdicts else ("consistent" if verdicts else "no-frames"),
+        "min_max_commutator_ratio": worst["max_commutator_ratio"],
+    }

@@ -413,7 +413,9 @@ def standard_generators(descriptor: GroupDescriptor) -> tuple[Word, ...]:
 
 
 def parse_generators(descriptor: GroupDescriptor, text: str) -> tuple[Word, ...]:
-    """Parse a comma-separated generator list, paren-aware for abelian tuples."""
+    """Parse a comma-separated generator list, paren-aware for abelian tuples; an empty item is refused."""
+    if not text.strip():
+        raise InvalidLetter("empty generator list")
     items: list[str] = []
     depth = 0
     cur = ""
@@ -427,9 +429,5 @@ def parse_generators(descriptor: GroupDescriptor, text: str) -> tuple[Word, ...]
             cur = ""
         else:
             cur += ch
-    if cur.strip():
-        items.append(cur)
-    words = tuple(parse_word(descriptor, item) for item in items)
-    if not words:
-        raise InvalidLetter("empty generator list")
-    return words
+    items.append(cur)
+    return tuple(parse_word(descriptor, item) for item in items)

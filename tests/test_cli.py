@@ -18,10 +18,11 @@ from hypothesis import strategies as st
 
 import foelner.cli
 import foelner.connes
+import foelner.paradox
 from foelner import budget, l2ops
 from foelner.cli import _HANDLERS, build_parser, main, render_json, run
 from foelner.connes import ProjectionSearchConfig, anneal_projection
-from foelner.errors import ConvergenceError, InvariantViolation
+from foelner.errors import ConvergenceError, InvariantViolation, PreconditionError, SearchSpaceTooLarge, SeedRequired
 from foelner.words import ball, format_word, free_group, standard_generators, words_of
 from frame_helpers import count_calls
 
@@ -69,10 +70,21 @@ def test_group_balls_json_and_csv(tmp_path):
     assert len(lines) == 6
 
 
-def test_group_search_seed_required(tmp_path, capsys):
-    code = main(["group", "--group", "abelian:2", "--radius", "4", "--mode", "search"])
-    assert code == 2
-    assert "seed" in capsys.readouterr().err
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["group", "--group", "abelian:2", "--radius", "4", "--mode", "search"],
+        ["scan", "--n", "2", "--rank", "3", "--radius", "3", "--iters", "10"],
+        ["audit", "--rank", "3", "--radius", "4", "--frames", "2"],
+        ["identity-check", "--trials", "2"],
+    ],
+    ids=lambda argv: argv[0],
+)
+def test_stochastic_command_requires_a_seed(argv, monkeypatch, capsys):
+    _refuse_balls(monkeypatch)  # refused before any ball is built
+    assert main(argv) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and "seed" in err
 
 
 def test_group_bad_spec(tmp_path, capsys):
@@ -126,11 +138,6 @@ def test_scan_report(tmp_path):
     assert len(res["frame"]) == 3
     objs = [h["objective"] for h in res["history"]]
     assert objs == sorted(objs, reverse=True)
-
-
-def test_scan_seed_required(capsys):
-    code = main(["scan", "--n", "2", "--rank", "3", "--radius", "3", "--iters", "10"])
-    assert code == 2
 
 
 def test_audit_report(tmp_path):
@@ -274,7 +281,12 @@ EDGES = [
         ["audit", "--rank", "2", "--radius", "3", "--frames", "1", "--seed", "-1"],
         ["identity-check", "--trials", "1", "--seed", "-1"],
     ]
-    + [past for _, past in EDGES],
+    + [past for _, past in EDGES]
+    # an empty generator list, or an empty item in one: never dropped, never the standard generators
+    + [["group", "--group", "abelian:2", "--gens", gens, "--radius", "2", "--mode", "balls"]
+       for gens in ("(1,0),", "(1,0),,(0,1)", "")]
+    + [["scan", "--n", "2", "--rank", "2", "--radius", "3", "--iters", "5", "--seed", "1", "--unitaries", unitaries]
+       for unitaries in ("a1,", "")],
 )
 def test_unbounded_inputs_refused_with_exit_2(argv, monkeypatch, capsys):
     _refuse_balls(monkeypatch)  # refused before any ball is built
@@ -362,12 +374,12 @@ def test_inputs_at_the_caps_reach_the_build(argv, monkeypatch):
 
 
 def test_scan_charges_its_parsed_unitaries(monkeypatch):
-    # "a1," is one unitary word: the charge is taken from the parsed words, not the commas
+    # "a1.A1.a1" is the one-letter word a1: the charge is taken from the parsed words, not the text
     charged = []
     real_check = budget.check
     monkeypatch.setattr(budget, "check", lambda what, *phases, **units: charged.append(real_check(what, *phases, **units)))
     _refuse_balls(monkeypatch)
-    for unitaries in ("a1,", "a1"):
+    for unitaries in ("a1.A1.a1", "a1"):
         with pytest.raises(BallBuilt):
             main(["scan", "--n", "2", "--rank", "2", "--radius", "3", "--iters", "5", "--seed", "1", "--unitaries", unitaries])
     assert charged[0] == charged[1]
@@ -388,6 +400,58 @@ def test_one_step_past_each_edge_refused_before_building(argv, monkeypatch, caps
     err = capsys.readouterr().err
     assert "predicted to" in err or "decimal digits" in err
     assert "audit of" in err if argv[0] == "audit" else True  # audit's message names its whole cost
+
+
+# ---------------------------------------------------------------------------
+# The library runs of audit and identity-check, which check and charge their inputs themselves.
+
+LIBRARY_RUNS = {"audit": foelner.paradox.audit, "identity-check": foelner.connes.identity_check}
+
+
+def _library_args(argv: list) -> tuple:
+    """The arguments of the library run of an audit or identity-check command line."""
+    args = build_parser().parse_args(argv)
+    return (args.rank, args.radius, args.seed, args.frames) if args.command == "audit" else (args.trials, args.seed)
+
+
+@pytest.mark.parametrize(
+    "argv",
+    ["audit --rank 8 --radius 5 --seed 1 --frames 100".split(), "identity-check --trials 100 --seed 1".split()],
+    ids=lambda argv: argv[0],
+)
+def test_library_run_is_the_commands_results(argv, tmp_path):
+    code, raw = run_cli(argv, tmp_path)
+    assert code == 0
+    results = LIBRARY_RUNS[argv[0]](*_library_args(argv))
+    assert json.dumps(results, sort_keys=True) == json.dumps(json.loads(raw)["results"], sort_keys=True)
+
+
+@pytest.mark.parametrize(
+    "command, args, error",
+    [
+        ("audit", (8, 5, None, 1), SeedRequired),
+        ("audit", (8, 5, -1, 1), PreconditionError),
+        ("audit", (8, 5, 1, -1), PreconditionError),
+        ("audit", (0, 5, 1, 0), PreconditionError),  # a rank or radius below 1, also with no frame drawn
+        ("audit", (2, 0, 1, 0), PreconditionError),
+        ("audit", (162, 5, 1, 0), PreconditionError),  # a rank past |ball(F_2, 4)| = 161
+        ("identity-check", (1, None), SeedRequired),
+        ("identity-check", (1, -1), PreconditionError),
+        ("identity-check", (-1, 1), PreconditionError),
+    ]
+    + [(past[0], _library_args(past), SearchSpaceTooLarge) for _, past in EDGES if past[0] in LIBRARY_RUNS],
+)
+def test_library_run_refuses_before_building(command, args, error, monkeypatch):
+    _refuse_balls(monkeypatch)
+    with pytest.raises(error):
+        LIBRARY_RUNS[command](*args)
+
+
+@pytest.mark.parametrize("argv", [admitted for admitted, _ in EDGES if admitted[0] in LIBRARY_RUNS])
+def test_library_run_admits_its_edges(argv, monkeypatch):
+    _refuse_balls(monkeypatch)
+    with pytest.raises(BallBuilt):
+        LIBRARY_RUNS[argv[0]](*_library_args(argv))
 
 
 @pytest.mark.parametrize(

@@ -149,9 +149,21 @@ def test_only_the_budget_module_defines_caps_and_bounds():
     assert not found, f"caps or bounds outside foelner.budget: {found}"
 
 
+def test_cli_imports_neither_budget_nor_numpy():
+    # the library checks, charges and computes every run: the CLI parses arguments,
+    # makes one library call per command and writes its report
+    imported = set()
+    for node in ast.walk(ast.parse((PACKAGE / "cli.py").read_text())):
+        if isinstance(node, ast.Import):
+            imported.update(alias.name.split(".")[0] for alias in node.names)
+        elif isinstance(node, ast.ImportFrom):
+            imported.update([(node.module or "").split(".")[0], *(alias.name for alias in node.names)])
+    assert not imported & {"budget", "numpy"}, f"cli.py imports {sorted(imported & {'budget', 'numpy'})}"
+
+
 # The lines of src/foelner/*.py (as `wc -l` counts them) at the last change that
 # set this limit; a change that raises it says so, and why, in CHANGES.md.
-SOURCE_LINE_LIMIT = 2296
+SOURCE_LINE_LIMIT = 2289
 
 
 def test_package_line_count_does_not_grow():
