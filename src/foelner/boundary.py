@@ -21,7 +21,7 @@ from .errors import (
     InvariantViolation,
     PreconditionError,
     SearchSpaceTooLarge,
-    SeedRequired,
+    check_seed,
 )
 from .words import (
     GroupDescriptor,
@@ -285,10 +285,7 @@ class GroupSearchConfig:
             raise PreconditionError(f"a local search has mode 'search', not {self.mode!r}")
         if self.radius < 0:
             raise PreconditionError("radius must be >= 0")
-        if self.seed is None:
-            raise SeedRequired("local search requires an explicit seed")
-        if self.seed < 0 or self.iterations < 0:
-            raise PreconditionError(f"seed and iterations must be >= 0, got {self.seed} and {self.iterations}")
+        check_seed("local search", self.seed, "iterations", self.iterations)
 
 
 @dataclass  # not a dict per move: instances share one key table (peak RSS of a 100k-iteration search 102.2 vs 109.9 MB)

@@ -5,9 +5,10 @@ for every stochastic command) and counts its cost; the CLI checks only the
 output options.  Identical flags produce byte-identical payloads (wall time
 goes to stderr, never into the report) under the same BLAS thread count: at
 larger frame ranks (ranks >= 91, and some smaller ones on larger balls)
-OpenBLAS sums products in a thread-dependent order.  Exit codes: 0 success,
-2 precondition violation (including an --out file that cannot be written),
-3 numerical non-convergence, 4 a theorem or consistency check failed.
+OpenBLAS sums products in a thread-dependent order.  Its idle threads spin
+2^20 cycles, not 2^28, before they sleep, which moves no bit.  Exit codes: 0
+success, 2 precondition violation (including an --out file that cannot be
+written), 3 numerical non-convergence, 4 a theorem or consistency check failed.
 """
 
 from __future__ import annotations
@@ -22,6 +23,8 @@ import sys
 import time
 from dataclasses import asdict
 from typing import Iterator
+
+os.environ.setdefault("OPENBLAS_THREAD_TIMEOUT", "20")  # read as numpy loads OpenBLAS: before the imports below
 
 from . import __version__
 from .boundary import (

@@ -18,7 +18,7 @@ from typing import Sequence
 import numpy as np
 
 from . import budget
-from .errors import ConvergenceError, InvariantViolation, PreconditionError, RankDeficiency, SeedRequired
+from .errors import ConvergenceError, InvariantViolation, PreconditionError, RankDeficiency, check_seed
 from .l2ops import (Frame, GroupAlgebraElement, adjoint_product, checked_hs_norm_sq, closed_form_ratio, commutator_ratios,
                     direct_route_units, frame_to_json, gram_schmidt, normalized_trace, translation_gathers)
 from .words import (GroupDescriptor, Word, ball, ball_units, format_word, free_group, prefixed_words, shortlex_order,
@@ -124,12 +124,16 @@ def build_witness_frame(cfg: WitnessConfig) -> Frame:
 
 
 def certificate_formula(n: int, k: int) -> float:
-    """sqrt(2) * sqrt(1 - (k-1)/(k n^2))."""
+    """sqrt(2) * sqrt(1 - (k-1)/(k n^2)), for free rank n >= 2 and frame rank k >= 1."""
+    if n < 2 or k < 1:
+        raise PreconditionError(f"the certificate formula needs n >= 2 and k >= 1, got {n} and {k}")
     return math.sqrt(2.0) * math.sqrt(1.0 - (k - 1) / (k * n * n))
 
 
 def limit_formula(n: int) -> float:
-    """The k -> infinity value sqrt(2 - 2/n^2)."""
+    """The k -> infinity value sqrt(2 - 2/n^2), for free rank n >= 2."""
+    if n < 2:
+        raise PreconditionError(f"the limit formula needs n >= 2, got {n}")
     return math.sqrt(2.0 - 2.0 / (n * n))
 
 
@@ -247,10 +251,7 @@ def identity_check(trials: int, seed: int) -> dict:
     L_a^-1 on `trials` seeded random frames of F_2 (rank 1..8 on ball(F_2, 2..4)), their largest
     difference and how many agree within 1e-9.  Refuses, before building any ball, a missing or
     negative seed, a negative trial count and a run past a bound of the budget."""
-    if seed is None:
-        raise SeedRequired("identity-check requires an explicit seed")
-    if seed < 0 or trials < 0:
-        raise PreconditionError(f"seed and trials must be >= 0, got {seed} and {trials}")
+    check_seed("identity-check", seed, "trials", trials)
     # a frame of rank <= 8 on at most 96 rows, and three ratios
     budget.check(f"identity-check of {trials} trials", frames=trials, calls=60 * trials)
     descriptor = free_group(2)
@@ -312,10 +313,7 @@ class ProjectionSearchConfig:
     def __post_init__(self):
         if self.ambient_radius < 2 or self.rank < 1:
             raise PreconditionError("need ambient radius >= 2 and rank >= 1")
-        if self.seed is None:
-            raise SeedRequired("projection search requires an explicit seed")
-        if self.seed < 0 or self.iterations < 0:
-            raise PreconditionError(f"seed and iterations must be >= 0, got {self.seed} and {self.iterations}")
+        check_seed("projection search", self.seed, "iterations", self.iterations)
         if not self.unitaries:
             raise PreconditionError("empty unitary list")
 

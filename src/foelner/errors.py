@@ -1,4 +1,4 @@
-"""Exception hierarchy shared by all modules.
+"""Exception hierarchy shared by all modules, and the seed check of every stochastic run.
 
 PreconditionError maps to CLI exit code 2, ConvergenceError to exit code 3,
 InvariantViolation to exit code 4.
@@ -54,3 +54,11 @@ class SearchSpaceTooLarge(PreconditionError):
 
 class SeedRequired(PreconditionError):
     """A stochastic command was invoked without an explicit seed."""
+
+
+def check_seed(what: str, seed: int | None, name: str, count: int) -> None:
+    """Refuse a run of `what` with no seed (SeedRequired), or with a negative seed or count of `name`."""
+    if seed is None:
+        raise SeedRequired(f"{what} requires an explicit seed")
+    if seed < 0 or count < 0:
+        raise PreconditionError(f"seed and {name} must be >= 0, got {seed} and {count}")

@@ -18,7 +18,7 @@ import numpy as np
 
 from . import budget
 from .connes import FRAME_MAX_SUPPORT, random_frame
-from .errors import InvalidLetter, InvariantViolation, PreconditionError, SeedRequired
+from .errors import InvalidLetter, InvariantViolation, PreconditionError, check_seed
 from .l2ops import (CommutatorRatio, Frame, GroupAlgebraElement, commutator_ratios, direct_route_units, polar_distance,
                     svd_small)
 from .words import GroupDescriptor, Word, ball, ball_units, format_word, free_group, letters_in_order, multiply, words_of
@@ -266,10 +266,7 @@ def audit(rank: int, radius: int, seed: int, frames: int) -> dict:
     max_commutator_ratio, the first on ties) and the verdict over all.  Refuses, before building any
     ball, a missing or negative seed, a negative frame count, a rank or radius below 1, a run past a
     bound of the budget and a rank past |ball(F_2, radius - 1)|."""
-    if seed is None:
-        raise SeedRequired("audit requires an explicit seed")
-    if seed < 0 or frames < 0:
-        raise PreconditionError(f"seed and frames must be >= 0, got {seed} and {frames}")
+    check_seed("audit", seed, "frames", frames)
     if rank < 1 or radius < 1:  # frames need rank >= 1 and rows in ball(radius - 1)
         raise PreconditionError(f"audit needs rank >= 1 and radius >= 1, got {rank} and {radius}")
     descriptor = free_group(2)

@@ -354,13 +354,10 @@ def ball_size(descriptor: GroupDescriptor, radius: int) -> int:
 
 
 def free_ball_size(rank: int, radius: int) -> int:
-    """Closed form 1 + 2n((2n-1)^r - 1)/(2n-2) for |ball(F_n, r)|."""
-    if radius == 0:
-        return 1
-    n = rank
-    if n == 1:
+    """Closed form 1 + 2n((2n-1)^r - 1)/(2n-2) for |ball(F_n, r)|, n = rank (2r + 1 for n = 1)."""
+    if rank == 1:
         return 2 * radius + 1
-    return 1 + 2 * n * ((2 * n - 1) ** radius - 1) // (2 * n - 2)
+    return 1 + 2 * rank * ((2 * rank - 1) ** radius - 1) // (2 * rank - 2)
 
 
 def free_sphere_size(rank: int, radius: int) -> int:

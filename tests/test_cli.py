@@ -208,6 +208,41 @@ def test_identity_check_payload_independent_of_hash_seed():
     assert payloads[0]
 
 
+def _child_env(**extra):
+    """os.environ with PYTHONPATH leading to src, no OPENBLAS_THREAD_TIMEOUT (importing foelner.cli
+    here sets it) and the variables `extra`."""
+    env = {name: value for name, value in os.environ.items() if name != "OPENBLAS_THREAD_TIMEOUT"}
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [str(SRC), env.get("PYTHONPATH")]))
+    return {**env, **extra}
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["audit", "--rank", "100", "--radius", "5", "--seed", "1", "--frames", "1"],
+        ["scan", "--n", "2", "--rank", "30", "--radius", "6", "--iters", "20", "--seed", "1"],
+    ],
+    ids=lambda argv: argv[0],
+)
+def test_blas_idle_spin_moves_no_bit(argv):
+    # both runs put products on OpenBLAS's threads; the CLI's short idle spin and OpenBLAS's
+    # default of 2^28 cycles give the same bytes
+    cli = [sys.executable, "-m", "foelner.cli", *argv]
+    payloads = [subprocess.run(cli, env=_child_env(**setting), capture_output=True, timeout=120, check=True).stdout
+                for setting in ({}, {"OPENBLAS_THREAD_TIMEOUT": "28"})]
+    assert payloads[0] == payloads[1]
+    assert payloads[0]
+
+
+@pytest.mark.parametrize("value", [None, "7", "28"])
+def test_cli_import_shortens_the_blas_idle_spin_unless_the_environment_sets_it(value):
+    script = "import os, foelner.cli; print(os.environ['OPENBLAS_THREAD_TIMEOUT'])"
+    env = _child_env() if value is None else _child_env(OPENBLAS_THREAD_TIMEOUT=value)
+    proc = subprocess.run([sys.executable, "-c", script], env=env, capture_output=True, timeout=120, check=True)
+    seen = proc.stdout.decode().strip()
+    assert seen == value if value else int(seen) < 28  # shorter than OpenBLAS's default of 2^28 cycles
+
+
 def _edge(template: str, last: int) -> tuple[list, list]:
     return template.format(last).split(), template.format(last + 1).split()
 
@@ -796,6 +831,11 @@ def _argv(*parts):
     return [str(p) for p in parts]
 
 
+# Admitted draws that take seconds each run once, as explicit examples of the test below, and are
+# kept out of the random draws, which could repeat them.
+SLOW_GROUP_ARGV = _argv("group", "--group", "abelian:2", "--radius", 3, "--mode", "exhaustive")  # 2^25 subsets
+SLOW_AUDIT_ARGV = _argv("audit", "--rank", 200, "--radius", 6, "--frames", 14, "--seed", 1)
+
 FUZZ_ARGV = st.one_of(
     st.builds(
         lambda group, radius, mode, iters, seed: _argv("group", "--group", group, "--radius", radius, "--mode", mode,
@@ -805,7 +845,7 @@ FUZZ_ARGV = st.one_of(
         st.sampled_from(["exhaustive", "balls", "search"]),
         st.integers(-2, 30),
         SEED,
-    ),
+    ).filter(lambda argv: argv[:7] != SLOW_GROUP_ARGV),
     st.builds(
         lambda n, k, depth, k_max, formula: _argv("witness", "--n", n, "--k", k, "--depth", depth)
         + ([] if k_max is None else ["--k-max", str(k_max)]) + (["--formula-only"] if formula else []),
@@ -825,7 +865,6 @@ FUZZ_ARGV = st.one_of(
             _argv("scan", "--n", 1, "--rank", 1, "--radius", 2, "--iters", 200_001, "--seed", 1),
             _argv("scan", "--n", 2, "--rank", 8, "--radius", 5, "--iters", 104_207, "--seed", 1),
             _argv("audit", "--rank", 1, "--radius", 1, "--frames", 2_001, "--seed", 1),
-            _argv("audit", "--rank", 200, "--radius", 6, "--frames", 14, "--seed", 1),
             _argv("audit", "--rank", 400, "--radius", 7, "--frames", 1, "--seed", 1),
         ]
     ),
@@ -854,6 +893,8 @@ FUZZ_ARGV = st.one_of(
 @settings(derandomize=True, database=None, max_examples=400, deadline=timedelta(seconds=5),
           suppress_health_check=[HealthCheck.too_slow])
 @given(FUZZ_ARGV)
+@example(SLOW_GROUP_ARGV)
+@example(SLOW_AUDIT_ARGV)
 def test_cli_fuzz_exit_codes(argv):
     try:
         code = main(argv + ["--out", os.devnull])

@@ -118,6 +118,24 @@ def test_certificate_formula_values():
     assert abs(limit_formula(2) - math.sqrt(1.5)) < 1e-15
 
 
+@pytest.mark.parametrize(
+    "formula, args",
+    [
+        (certificate_formula, (0, 2)),  # was ZeroDivisionError
+        (certificate_formula, (-1, 3)),  # was 0.816
+        (certificate_formula, (1, 2)),
+        (certificate_formula, (2, 0)),  # was ZeroDivisionError
+        (certificate_formula, (2, -1)),
+        (limit_formula, (0,)),  # was ZeroDivisionError
+        (limit_formula, (1,)),
+    ],
+)
+def test_formulas_refuse_what_witness_config_refuses(formula, args):
+    # free rank n >= 2 and frame rank k >= 1, as WitnessConfig checks them
+    with pytest.raises(PreconditionError):
+        formula(*args)
+
+
 def test_witness_certificate_exact():
     cert = witness_certificate(2, 8, 6)
     assert abs(cert.certified_epsilon - 1.25) < 1e-12

@@ -161,6 +161,17 @@ def test_cli_imports_neither_budget_nor_numpy():
     assert not imported & {"budget", "numpy"}, f"cli.py imports {sorted(imported & {'budget', 'numpy'})}"
 
 
+def test_cli_sets_the_blas_idle_spin_before_numpy_loads():
+    # OpenBLAS reads OPENBLAS_THREAD_TIMEOUT once, when numpy loads it: every package module but
+    # errors and budget imports numpy, directly or through words, so cli.py sets it before
+    # each `from .<module> import`
+    body = ast.parse((PACKAGE / "cli.py").read_text()).body
+    sets = [stmt.lineno for stmt in body if "setdefault('OPENBLAS_THREAD_TIMEOUT'" in ast.unparse(stmt)]
+    imports = [stmt.lineno for stmt in body if isinstance(stmt, ast.ImportFrom) and stmt.level and stmt.module]
+    assert len(sets) == 1 and imports, (sets, imports)
+    assert sets[0] < min(imports), f"cli.py:{sets[0]} sets OPENBLAS_THREAD_TIMEOUT after cli.py:{min(imports)} imports"
+
+
 # The lines of src/foelner/*.py (as `wc -l` counts them) at the last change that
 # set this limit; a change that raises it says so, and why, in CHANGES.md.
 SOURCE_LINE_LIMIT = 2289
