@@ -32,6 +32,7 @@ from .words import (
     format_word,
     free_sphere_size,
     multiply,
+    parse_generators,
     shortlex_sorted,
     standard_generators,
     translation_indices,
@@ -58,8 +59,8 @@ class ElementSet:
                 raise DescriptorMismatch(f"member {format_word(w)} has descriptor {w.descriptor.spec()}")
         return ElementSet(descriptor, ws)
 
-    def sorted_members(self) -> list[Word]:
-        return shortlex_sorted(self.descriptor, self.members)
+    def as_json(self) -> list[str]:
+        return [format_word(w) for w in shortlex_sorted(self.descriptor, self.members)]
 
     def __len__(self) -> int:
         return len(self.members)
@@ -110,6 +111,11 @@ class BoundaryReport:
     @property
     def ratio_float(self) -> float:
         return self.boundary_size / self.set_size
+
+    def as_json(self) -> dict:
+        ratio = f"{self.ratio.numerator}/{self.ratio.denominator}"
+        return {"set_size": self.set_size, "boundary_size": self.boundary_size, "ratio_rational": ratio,
+                "ratio_float": self.ratio_float}
 
     @staticmethod
     def of(set_size: int, boundary_size: int) -> "BoundaryReport":
@@ -397,3 +403,31 @@ def local_search_min_ratio(
             f"search result {report.ratio} differs from the tracked {frac} or exceeds the start {initial_report.ratio}"
         )
     return LocalSearchResult(members, report, history, initial_report)
+
+
+# ---------------------------------------------------------------------------
+# The `group` run.
+
+
+def group_run(group: str, gens: str | None, radius: int, mode: str, iters: int, seed: int | None) -> dict:
+    """The report of `group`: the estimator `mode` ("exhaustive", "balls" or "search") up to `radius`
+    on the group `group` ("free:N" or "abelian:N") with the comma-separated generators `gens`, or
+    the standard ones when None.  Only the search reads `iters` and `seed`.  Each estimator checks
+    and charges its run before it builds any ball."""
+    descriptor = GroupDescriptor.parse(group)
+    X = GeneratingSet.standard(descriptor) if gens is None else GeneratingSet.of(descriptor, parse_generators(descriptor, gens))
+    if mode == "exhaustive":
+        best, report = exhaustive_min_ratio(descriptor, X, radius)
+        best_set, history = best.as_json(), []
+    elif mode == "balls":
+        family = ball_family_ratios(descriptor, X, radius)
+        report, best_set = family[-1].report, f"ball(radius={family[-1].radius})"
+        history = [{"radius": fr.radius, **fr.report.as_json(), "method": fr.method} for fr in family]
+    elif mode == "search":
+        res = local_search_min_ratio(descriptor, X, GroupSearchConfig(radius, seed=seed, iterations=iters))
+        # vars(): each move's own field dict; asdict() would copy every field of thousands of moves
+        report, best_set, history = res.report, res.best_set.as_json(), [vars(m) for m in res.history]
+    else:
+        raise PreconditionError(f"unknown mode {mode!r}")
+    return {"group": descriptor.spec(), "generators": [format_word(g) for g in X.generators], "mode": mode,
+            "best_set": best_set, **report.as_json(), "history": history}

@@ -27,132 +27,14 @@ from typing import Iterator
 os.environ.setdefault("OPENBLAS_THREAD_TIMEOUT", "20")  # read as numpy loads OpenBLAS: before the imports below
 
 from . import __version__
-from .boundary import (
-    BoundaryReport,
-    ElementSet,
-    GeneratingSet,
-    GroupSearchConfig,
-    ball_family_ratios,
-    exhaustive_min_ratio,
-    local_search_min_ratio,
-)
-from .connes import (
-    ProjectionSearchConfig,
-    WitnessConfig,
-    anneal_projection,
-    certificate_formula,
-    foelner_upper_estimate,
-    frame_fingerprint,
-    identity_check,
-    limit_formula,
-    witness_certificate,
-)
+from .boundary import group_run
+from .connes import identity_check, scan_run, witness_run
 from .errors import ConvergenceError, InvariantViolation, PreconditionError
-from .l2ops import frame_to_json
 from .paradox import THRESHOLD_NOTE, audit, make_paper_trace
-from .words import GroupDescriptor, format_word, free_group, parse_generators, standard_generators
-
-
-def _element_set_json(s: ElementSet) -> list:
-    return [format_word(w) for w in s.sorted_members()]
-
-
-def _report_json(report: BoundaryReport) -> dict:
-    return {
-        "set_size": report.set_size,
-        "boundary_size": report.boundary_size,
-        "ratio_rational": f"{report.ratio.numerator}/{report.ratio.denominator}",
-        "ratio_float": report.ratio_float,
-    }
 
 
 # ---------------------------------------------------------------------------
 # Command handlers.
-
-
-def _run_group(args: argparse.Namespace) -> tuple[dict, list]:
-    descriptor = GroupDescriptor.parse(args.group)
-    if args.gens is not None:
-        gens = GeneratingSet.of(descriptor, parse_generators(descriptor, args.gens))
-    else:
-        gens = GeneratingSet.standard(descriptor)
-    if args.mode == "exhaustive":
-        best, report = exhaustive_min_ratio(descriptor, gens, args.radius)
-        best_set, history = _element_set_json(best), []
-    elif args.mode == "balls":
-        family = ball_family_ratios(descriptor, gens, args.radius)
-        report, best_set = family[-1].report, f"ball(radius={family[-1].radius})"
-        history = [{"radius": fr.radius, **_report_json(fr.report), "method": fr.method} for fr in family]
-    else:  # search
-        sc = GroupSearchConfig(args.radius, seed=args.seed, iterations=args.iters)
-        res = local_search_min_ratio(descriptor, gens, sc)
-        # vars(): each move's own field dict; asdict() would copy every field of thousands of moves
-        report, best_set, history = res.report, _element_set_json(res.best_set), [vars(m) for m in res.history]
-    results = {
-        "group": descriptor.spec(),
-        "generators": [format_word(g) for g in gens.generators],
-        "mode": args.mode,
-        "best_set": best_set,
-        **_report_json(report),
-        "history": history,
-    }
-    return results, []
-
-
-def _run_witness(args: argparse.Namespace) -> tuple[dict, list]:
-    if args.k_max is not None:
-        mode = "formula" if args.formula_only else "frame"
-        est = foelner_upper_estimate(args.n, args.k_max, T=args.depth, mode=mode)
-        results = {
-            "config": {"n": args.n, "k_max": args.k_max, "depth": args.depth, "mode": mode},
-            "sweep": [{"k": kk, "epsilon": eps} for kk, eps in est.sweep],
-            "best_k": est.best_k,
-            "best_epsilon": est.best_epsilon,
-            "limit_epsilon": est.limit_epsilon,
-        }
-        return results, []
-    if args.formula_only:
-        WitnessConfig(args.n, args.k, args.depth)  # the checks a frame build makes, bar its cost
-        certified = formula = certificate_formula(args.n, args.k)
-        records, frame = (), {}
-    else:
-        cert = witness_certificate(args.n, args.k, args.depth)
-        certified, formula, records = cert.certified_epsilon, cert.formula_epsilon, cert.records
-        frame = {"frame_fingerprint": cert.frame_fingerprint}
-    results = {
-        "config": {"n": args.n, "k": args.k, "depth": args.depth, "formula_only": args.formula_only},
-        "per_unitary": [asdict(r) for r in records],
-        "certified_epsilon": certified,
-        "formula_epsilon": formula,
-        "limit_epsilon": limit_formula(args.n),
-        **frame,
-    }
-    return results, []
-
-
-def _run_scan(args: argparse.Namespace) -> tuple[dict, list]:
-    descriptor = free_group(args.n)
-    unitary_words = (standard_generators(descriptor) if args.unitaries is None
-                     else parse_generators(descriptor, args.unitaries))
-    sc = ProjectionSearchConfig(descriptor, args.rank, args.radius, args.seed, args.iters, unitary_words)
-    res = anneal_projection(sc)
-    columns = frame_to_json(res.frame)
-    results = {
-        "config": {
-            "group": descriptor.spec(),
-            "rank": args.rank,
-            "radius": args.radius,
-            "iterations": args.iters,
-            "seed": args.seed,
-            "unitaries": [format_word(w) for w in unitary_words],
-        },
-        "per_unitary": [asdict(r) for r in res.records],
-        "best_objective": res.objective,
-        "history": [{"iteration": it, "objective": obj} for it, obj in res.history],
-        "frame_fingerprint": frame_fingerprint(res.frame, columns),
-        "frame": columns,
-    }
-    return results, []
 
 
 def _run_audit(args: argparse.Namespace) -> tuple[dict, list]:
@@ -165,19 +47,26 @@ def _run_audit(args: argparse.Namespace) -> tuple[dict, list]:
 
 
 _HANDLERS = {
-    "group": _run_group,
-    "witness": _run_witness,
-    "scan": _run_scan,
+    "group": lambda a: (group_run(a.group, a.gens, a.radius, a.mode, a.iters, a.seed), []),
+    "witness": lambda a: (witness_run(a.n, a.k, a.depth, a.k_max, a.formula_only), []),
+    "scan": lambda a: (scan_run(a.n, a.rank, a.radius, a.iters, a.seed, a.unitaries), []),
     "audit": _run_audit,
-    "identity-check": lambda args: (identity_check(args.trials, args.seed), []),
+    "identity-check": lambda a: (identity_check(a.trials, a.seed), []),
 }
+
+
+def _table(config: dict) -> str | None:
+    """The key of the results' rows that --format csv writes, for the reports with a table (ball
+    families and certificate sweeps), read off the parsed arguments; None for the others."""
+    if config["command"] == "group" and config["mode"] == "balls":
+        return "history"
+    return "sweep" if config["command"] == "witness" and config["k_max"] is not None else None
 
 
 def _check_output(args: argparse.Namespace) -> None:
     """Refuse a csv request for a report with no table, and an --out path whose
     directory does not exist."""
-    tabular = args.command == "group" and args.mode == "balls" or args.command == "witness" and args.k_max is not None
-    if args.format == "csv" and not tabular:
+    if args.format == "csv" and _table(vars(args)) is None:
         raise PreconditionError("csv output is only available for group --mode balls and witness --k-max")
     if args.out and not os.path.isdir(os.path.dirname(os.path.abspath(args.out))):
         raise PreconditionError(f"the directory of --out {args.out} does not exist")
@@ -221,8 +110,7 @@ def write_report(payload: dict, out: str | None, fmt: str) -> None:
     try:
         with open(tmp, "x") if tmp else open(out, "w") if out else contextlib.nullcontext(sys.stdout) as fh:
             if fmt == "csv":
-                results = payload["results"]
-                rows = results["history"] if results.get("mode") == "balls" else results["sweep"]  # never empty
+                rows = payload["results"][_table(payload["config"])]  # never empty
                 writer = csv.DictWriter(fh, fieldnames=list(rows[0]), lineterminator="\n")
                 writer.writeheader()
                 writer.writerows(rows)

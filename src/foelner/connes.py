@@ -12,7 +12,7 @@ from __future__ import annotations
 
 import json
 import math
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 from typing import Sequence
 
 import numpy as np
@@ -21,8 +21,8 @@ from . import budget
 from .errors import ConvergenceError, InvariantViolation, PreconditionError, RankDeficiency, check_seed
 from .l2ops import (Frame, GroupAlgebraElement, adjoint_product, checked_hs_norm_sq, closed_form_ratio, commutator_ratios,
                     direct_route_units, frame_to_json, gram_schmidt, normalized_trace, translation_gathers)
-from .words import (GroupDescriptor, Word, ball, ball_units, format_word, free_group, prefixed_words, shortlex_order,
-                    standard_generators)
+from .words import (GroupDescriptor, Word, ball, ball_units, format_word, free_group, parse_generators, prefixed_words,
+                    shortlex_order, standard_generators)
 
 MAX_RESTARTS = 1000  # rank-deficient random draws tolerated before giving up
 FRAME_MAX_SUPPORT = 12  # random_frame draws 2..FRAME_MAX_SUPPORT amplitudes per column
@@ -205,6 +205,38 @@ def foelner_upper_estimate(n: int, k_max: int, T: int = 6, mode: str = "frame") 
         sweep = [(k, certificate_formula(n, k)) for k in range(1, k_max + 1)]
     best_k, best_eps = min(sweep, key=lambda kv: (kv[1], kv[0]))
     return UpperEstimate(best_k, best_eps, limit_formula(n), tuple(sweep))
+
+
+def witness_run(n: int, k: int, depth: int, k_max: int | None, formula_only: bool) -> dict:
+    """The report of `witness`: the sweep of foelner_upper_estimate over ranks 1..k_max, which reads
+    no `k`, when `k_max` is given; else the certificate of the rank-k witness frame, or its formula
+    alone when `formula_only`.  Each form checks its inputs, and charges any frames or sweep, first."""
+    if k_max is not None:
+        mode = "formula" if formula_only else "frame"
+        est = foelner_upper_estimate(n, k_max, T=depth, mode=mode)
+        return {
+            "config": {"n": n, "k_max": k_max, "depth": depth, "mode": mode},
+            "sweep": [{"k": kk, "epsilon": eps} for kk, eps in est.sweep],
+            "best_k": est.best_k,
+            "best_epsilon": est.best_epsilon,
+            "limit_epsilon": est.limit_epsilon,
+        }
+    if formula_only:
+        WitnessConfig(n, k, depth)  # the checks a frame build makes, bar its cost
+        certified = formula = certificate_formula(n, k)
+        records, frame = (), {}
+    else:
+        cert = witness_certificate(n, k, depth)
+        certified, formula, records = cert.certified_epsilon, cert.formula_epsilon, cert.records
+        frame = {"frame_fingerprint": cert.frame_fingerprint}
+    return {
+        "config": {"n": n, "k": k, "depth": depth, "formula_only": formula_only},
+        "per_unitary": [asdict(r) for r in records],
+        "certified_epsilon": certified,
+        "formula_epsilon": formula,
+        "limit_epsilon": limit_formula(n),
+        **frame,
+    }
 
 
 # ---------------------------------------------------------------------------
@@ -400,3 +432,22 @@ def anneal_projection(cfg: ProjectionSearchConfig) -> AnnealResult:
     best_frame = Frame(cfg.descriptor, cfg.ambient_radius, rows, best)
     records = q_objective(ops, best_frame)
     return AnnealResult(best_frame, max(r.worst for r in records), records, tuple(history))
+
+
+def scan_run(n: int, rank: int, radius: int, iters: int, seed: int | None, unitaries: str | None) -> dict:
+    """The report of `scan`: anneal_projection on F_n at `rank` and ambient `radius` over the
+    comma-separated words `unitaries`, or the standard generators when None, with the best frame
+    and its fingerprint.  The search checks and charges its run before it builds the ball."""
+    descriptor = free_group(n)
+    words = standard_generators(descriptor) if unitaries is None else parse_generators(descriptor, unitaries)
+    res = anneal_projection(ProjectionSearchConfig(descriptor, rank, radius, seed, iters, words))
+    columns = frame_to_json(res.frame)
+    return {
+        "config": {"group": descriptor.spec(), "rank": rank, "radius": radius, "iterations": iters, "seed": seed,
+                   "unitaries": [format_word(w) for w in words]},
+        "per_unitary": [asdict(r) for r in res.records],
+        "best_objective": res.objective,
+        "history": [{"iteration": it, "objective": obj} for it, obj in res.history],
+        "frame_fingerprint": frame_fingerprint(res.frame, columns),
+        "frame": columns,
+    }

@@ -47,7 +47,7 @@ class GroupDescriptor:
 
     @staticmethod
     def parse(spec: str) -> "GroupDescriptor":
-        m = re.fullmatch(r"(free|abelian):(\d+)", spec.strip())
+        m = re.fullmatch(r"(free|abelian):([0-9]+)", spec.strip())
         if not m:
             raise InvalidDescriptor(f"cannot parse group spec {spec!r} (expected free:N or abelian:N)")
         return GroupDescriptor(m.group(1), int(m.group(2)))
@@ -370,8 +370,9 @@ def free_sphere_size(rank: int, radius: int) -> int:
 # ---------------------------------------------------------------------------
 # Textual word syntax: generators a1..an, inverses A1..An, '.'-separated,
 # 'e' for the identity; abelian elements as comma-separated ints in parens.
+# Numbers are ASCII digits: \d takes every script's digits, which int() reads too.
 
-_TOKEN_RE = re.compile(r"([aA])(\d+)")
+_TOKEN_RE = re.compile(r"([aA])([0-9]+)")
 
 
 def format_word(w: Word) -> str:
@@ -385,7 +386,7 @@ def format_word(w: Word) -> str:
 def parse_word(descriptor: GroupDescriptor, text: str) -> Word:
     text = text.strip()
     if not descriptor.is_free:
-        m = re.fullmatch(r"\(\s*(-?\d+(?:\s*,\s*-?\d+)*)?\s*\)", text)
+        m = re.fullmatch(r"\(\s*(-?[0-9]+(?:\s*,\s*-?[0-9]+)*)?\s*\)", text)
         if not m:
             raise InvalidLetter(f"cannot parse abelian element {text!r} (expected e.g. '(2,-1)')")
         return Word.from_vector(descriptor, [int(p) for p in m.group(1).split(",")] if m.group(1) else [])

@@ -16,6 +16,7 @@ import pytest
 from hypothesis import HealthCheck, example, given, settings
 from hypothesis import strategies as st
 
+import foelner.boundary
 import foelner.cli
 import foelner.connes
 import foelner.paradox
@@ -95,6 +96,24 @@ def test_group_bad_spec(tmp_path, capsys):
 def test_malformed_abelian_generator_exits_2(capsys):
     code = main(["group", "--group", "abelian:2", "--gens", "(1-2,0)", "--radius", "2", "--mode", "balls"])
     assert code == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and err.count("\n") == 1
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        # digits of other scripts, which int() reads: Arabic-Indic two and one, fullwidth two
+        ["group", "--group", "free:\u0662", "--radius", "1", "--mode", "balls"],
+        ["group", "--group", "abelian:\uff12", "--radius", "1", "--mode", "balls"],
+        ["group", "--group", "abelian:2", "--gens", "(\u0661,0)", "--radius", "1", "--mode", "balls"],
+        ["group", "--group", "free:2", "--gens", "a\u0661", "--radius", "1", "--mode", "balls"],
+        ["scan", "--n", "2", "--rank", "1", "--radius", "3", "--iters", "1", "--seed", "1", "--unitaries", "a\u0661"],
+    ],
+)
+def test_non_ascii_digits_exit_2(argv, monkeypatch, capsys):
+    _refuse_balls(monkeypatch)  # refused as text, before any ball is built
+    assert main(argv) == 2
     err = capsys.readouterr().err
     assert err.startswith("error: ") and err.count("\n") == 1
 
@@ -438,26 +457,56 @@ def test_one_step_past_each_edge_refused_before_building(argv, monkeypatch, caps
 
 
 # ---------------------------------------------------------------------------
-# The library runs of audit and identity-check, which check and charge their inputs themselves.
+# The library runs of the five commands, which check and charge their inputs themselves.
 
-LIBRARY_RUNS = {"audit": foelner.paradox.audit, "identity-check": foelner.connes.identity_check}
+# each command's run and the options it takes, in order
+LIBRARY_RUNS = {
+    "group": (foelner.boundary.group_run, "group gens radius mode iters seed"),
+    "witness": (foelner.connes.witness_run, "n k depth k_max formula_only"),
+    "scan": (foelner.connes.scan_run, "n rank radius iters seed unitaries"),
+    "audit": (foelner.paradox.audit, "rank radius seed frames"),
+    "identity-check": (foelner.connes.identity_check, "trials seed"),
+}
 
 
 def _library_args(argv: list) -> tuple:
-    """The arguments of the library run of an audit or identity-check command line."""
+    """The arguments of the library run of a command line."""
     args = build_parser().parse_args(argv)
-    return (args.rank, args.radius, args.seed, args.frames) if args.command == "audit" else (args.trials, args.seed)
+    return tuple(getattr(args, name) for name in LIBRARY_RUNS[args.command][1].split())
+
+
+def _library_run(command: str, args: tuple) -> dict:
+    return LIBRARY_RUNS[command][0](*args)
 
 
 @pytest.mark.parametrize(
     "argv",
-    ["audit --rank 8 --radius 5 --seed 1 --frames 100".split(), "identity-check --trials 100 --seed 1".split()],
+    [
+        argv.split()
+        for argv in (
+            "group --group free:2 --radius 2 --mode exhaustive",
+            "group --group abelian:2 --radius 5 --mode balls",
+            "group --group free:2 --radius 8 --mode balls",
+            "group --group free:2 --gens a1.a2,A1 --radius 3 --mode balls",
+            "group --group abelian:2 --radius 10 --mode search --iters 500 --seed 6",
+            "group --group free:2 --radius 2 --mode exhaustive --iters -1 --seed -4",  # read by the search only
+            "witness --n 2 --k 8 --depth 6",
+            "witness --n 2 --k 3 --formula-only",
+            "witness --n 2 --k-max 30 --depth 6",
+            "witness --n 3 --k-max 64 --formula-only",
+            "witness --n 2 --k 0 --k-max 3",  # a sweep reads no --k
+            "scan --n 2 --rank 3 --radius 4 --iters 60 --seed 11",
+            "scan --n 2 --rank 1 --radius 3 --iters 5 --seed 2 --unitaries a1.a2,A2",
+            "audit --rank 8 --radius 5 --seed 1 --frames 100",
+            "identity-check --trials 100 --seed 1",
+        )
+    ],
     ids=lambda argv: argv[0],
 )
 def test_library_run_is_the_commands_results(argv, tmp_path):
     code, raw = run_cli(argv, tmp_path)
     assert code == 0
-    results = LIBRARY_RUNS[argv[0]](*_library_args(argv))
+    results = _library_run(argv[0], _library_args(argv))
     assert json.dumps(results, sort_keys=True) == json.dumps(json.loads(raw)["results"], sort_keys=True)
 
 
@@ -474,19 +523,32 @@ def test_library_run_is_the_commands_results(argv, tmp_path):
         ("identity-check", (1, -1), PreconditionError),
         ("identity-check", (-1, 1), PreconditionError),
     ]
-    + [(past[0], _library_args(past), SearchSpaceTooLarge) for _, past in EDGES if past[0] in LIBRARY_RUNS],
+    + [(past[0], _library_args(past), SearchSpaceTooLarge) for _, past in EDGES]
+    + [
+        ("group", ("free:2", None, 3, "search", 5, None), SeedRequired),
+        ("group", ("free:2", None, 3, "search", -1, 1), PreconditionError),
+        ("group", ("free:2", "a1,", 3, "balls", 0, None), PreconditionError),  # an empty generator item
+        ("group", ("braid:3", None, 3, "balls", 0, None), PreconditionError),
+        ("group", ("free:2", None, 3, "huge", 0, None), PreconditionError),
+        ("witness", (1, 2, 6, None, False), PreconditionError),
+        ("witness", (2, 2, 0, None, True), PreconditionError),  # the depth a frame build checks, with no frame built
+        ("witness", (2, 8, 6, 0, True), PreconditionError),
+        ("scan", (2, 1, 3, 5, None, None), SeedRequired),
+        ("scan", (2, 1, 3, 5, 1, ""), PreconditionError),
+        ("scan", (2, 1, 1, 5, 1, "a1.a2"), PreconditionError),  # an ambient radius below the unitaries' length
+    ],
 )
 def test_library_run_refuses_before_building(command, args, error, monkeypatch):
     _refuse_balls(monkeypatch)
     with pytest.raises(error):
-        LIBRARY_RUNS[command](*args)
+        _library_run(command, args)
 
 
-@pytest.mark.parametrize("argv", [admitted for admitted, _ in EDGES if admitted[0] in LIBRARY_RUNS])
+@pytest.mark.parametrize("argv", [admitted for admitted, _ in EDGES])
 def test_library_run_admits_its_edges(argv, monkeypatch):
     _refuse_balls(monkeypatch)
     with pytest.raises(BallBuilt):
-        LIBRARY_RUNS[argv[0]](*_library_args(argv))
+        _library_run(argv[0], _library_args(argv))
 
 
 @pytest.mark.parametrize(
@@ -725,11 +787,10 @@ def test_report_is_written_in_pieces(monkeypatch):
 
 def test_scan_serializes_its_frame_once(monkeypatch, tmp_path):
     # the payload's "frame" and its fingerprint hash the same columns
-    in_cli = count_calls(monkeypatch, foelner.cli, "frame_to_json")
     in_connes = count_calls(monkeypatch, foelner.connes, "frame_to_json")
     code, raw = run_cli(["scan", "--n", "2", "--rank", "3", "--radius", "3", "--iters", "50", "--seed", "5"], tmp_path)
     assert code == 0
-    assert in_cli["frame_to_json"] + in_connes["frame_to_json"] == 1
+    assert in_connes["frame_to_json"] == 1
     # and the fingerprint is the one frame_fingerprint builds its own columns for
     F2 = free_group(2)
     frame = anneal_projection(ProjectionSearchConfig(F2, 3, 3, 5, 50, standard_generators(F2))).frame
@@ -810,6 +871,31 @@ def test_render_json_pieces_join_to_json_dumps(value):
             ["group", "--group", "abelian:2", "--radius", "3", "--mode", "search", "--iters", "50", "--seed", "1",
              "--gens", "(99999999999999999999,0),(0,-99999999999999999999),(1,-1),(-3,0)"],
             "44ef405dca3d99d744550c8cf435c2d078f18350ed3e12e65e1596dbc0f62d94",
+        ),
+        # witness in each of its four branches, scan with and without --unitaries
+        (
+            ["witness", "--n", "2", "--k", "8", "--depth", "6"],
+            "f0ddfefb176e6bf5c644389086b8635944d2f35459cdc3d272998a9426335f00",
+        ),
+        (
+            ["witness", "--n", "2", "--k", "3", "--formula-only"],
+            "0d5c34ae647bbf5c1d81e993e2aacfed33036ef6484fa05fa2cc6db158396ed1",
+        ),
+        (
+            ["witness", "--n", "2", "--k-max", "30", "--depth", "6"],
+            "a8bcf1076b2ae36206d7b56cbb2dbf64eb98234fca941c8b2d9434108420409e",
+        ),
+        (
+            ["witness", "--n", "3", "--k-max", "64", "--formula-only"],
+            "b8a50093f69a2489863685c300bbd7afaf8606a564bbb07ff6c2839ee45a3d03",
+        ),
+        (
+            ["scan", "--n", "2", "--rank", "3", "--radius", "4", "--iters", "60", "--seed", "11"],
+            "effaf3fc094a0d7c83b4054b15c40172cb9b02d7a7766c8ab266f43852fc422f",
+        ),
+        (
+            ["scan", "--n", "2", "--rank", "1", "--radius", "3", "--iters", "5", "--seed", "2", "--unitaries", "a1.a2,A2"],
+            "f4cac54dd40400e28c8c4537aca23af4ec5cf2d442da74a9c64282063275bc0e",
         ),
     ],
 )
