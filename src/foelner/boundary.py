@@ -319,9 +319,9 @@ def local_search_min_ratio(
 
     Deterministic for a fixed seed.  The reported ratio is an achieved value,
     hence an upper bound for the infimum; it never exceeds the initial ratio.
-    A toggle costs O(|X u X^-1|): it updates the boundary count through the
-    elements whose neighbour it is, without rescanning the ball.  The best set
-    is rebuilt at the end by replaying the accepted toggles up to it, and checked
+    A toggle is scored in O(|X u X^-1|) before it is made, through the elements whose
+    neighbour it is, without rescanning the ball, and only an accepted one is made.  The
+    best set is rebuilt at the end by replaying the accepted toggles up to it, and checked
     word by word.  Refuses, before building the ball, a run past a bound of the budget.
     """
     steps, closure, table = config.iterations, 2 * len(X.generators), ball_units(descriptor, config.radius, X.generators * 2)
@@ -344,26 +344,9 @@ def local_search_min_ratio(
     bcnt = sum(1 for m, d in zip(member, bad) if m and d)
     size = int(start.sum())
 
-    def toggle(i: int) -> None:
-        nonlocal bcnt, size
-        add = not member[i]
-        member[i] = add
-        # adding i: a member p with p * x = i leaves the boundary when bad[p] reaches 0;
-        # removing i: it joins the boundary when bad[p] reaches 1
-        step, edge = (-1, 0) if add else (1, 1)
-        for prow in preds:
-            p = prow[i]
-            if p >= 0:
-                bad[p] += step
-                if member[p] and bad[p] == edge:
-                    bcnt += step
-        if bad[i]:
-            bcnt -= step
-        size -= step
-
     rng = np.random.default_rng(config.seed)
     current = bcnt / size
-    best = (Fraction(bcnt, size), size, 0)  # the best set is start after the first k accepted toggles
+    best = (bcnt, size, 0)  # the best set is start after the first k accepted toggles
     toggled = np.empty(config.iterations, dtype=np.int64)  # the accepted toggles, one per history entry
     initial_report = BoundaryReport.of(size, bcnt)
     history: list[AcceptedMove] = []
@@ -375,18 +358,22 @@ def local_search_min_ratio(
         if removing and size == 1:
             temp *= TEMP_DECAY
             continue  # never empty the set
-        toggle(i)
-        cand = bcnt / size
-        accept = cand <= current or (temp > 0 and rng.random() < math.exp((current - cand) / temp))
-        if accept:
-            current = cand
+        # scored before it is made: removing i puts on the boundary each member p with bad[p]
+        # reaching 1, adding i takes off it each one with bad[p] reaching 0; i itself counts iff bad[i]
+        edge, step = (0, 1) if removing else (1, -1)
+        moved = sum(1 for prow in preds if (p := prow[i]) >= 0 and member[p] and bad[p] == edge) - (bad[i] > 0)
+        cand_bcnt, cand_size = (bcnt + moved, size - 1) if removing else (bcnt - moved, size + 1)
+        cand = cand_bcnt / cand_size
+        if cand <= current or (temp > 0 and rng.random() < math.exp((current - cand) / temp)):
+            for prow in preds:
+                if (p := prow[i]) >= 0:
+                    bad[p] += step
+            member[i] = not removing
+            bcnt, size, current = cand_bcnt, cand_size, cand
             toggled[len(history)] = i
             history.append(AcceptedMove(it, "-" if removing else "+", bcnt, size))  # named below
-            frac = Fraction(bcnt, size)
-            if (frac, size) < (best[0], best[1]):
-                best = (frac, size, len(history))
-        else:
-            toggle(i)  # undo
+            if (bcnt * best[1], size) < (best[0] * size, best[1]):  # a lower ratio, or as low on fewer members
+                best = (bcnt, size, len(history))
         temp *= TEMP_DECAY
 
     # each accepted move names its word, made once per distinct ball row
@@ -394,7 +381,7 @@ def local_search_min_ratio(
     names = [format_word(w) for w in words_of(descriptor, b[rows])]
     for move, j in zip(history, which.tolist()):
         move.move += names[j]
-    frac, _, k = best
+    frac, k = Fraction(best[0], best[1]), best[2]
     bm = start ^ (np.bincount(toggled[:k], minlength=n) % 2 == 1)
     members = ElementSet.of(descriptor, words_of(descriptor, b[bm]))
     report = boundary_ratio(members, X)
@@ -412,10 +399,13 @@ def local_search_min_ratio(
 def group_run(group: str, gens: str | None, radius: int, mode: str, iters: int, seed: int | None) -> dict:
     """The report of `group`: the estimator `mode` ("exhaustive", "balls" or "search") up to `radius`
     on the group `group` ("free:N" or "abelian:N") with the comma-separated generators `gens`, or
-    the standard ones when None.  Only the search reads `iters` and `seed`.  Each estimator checks
-    and charges its run before it builds any ball."""
+    the standard ones when None.  Only the search reads `iters` and `seed`.  Refuses generators that are
+    all the identity, which leave every set without a boundary; each estimator checks and charges its run
+    before it builds any ball."""
     descriptor = GroupDescriptor.parse(group)
     X = GeneratingSet.standard(descriptor) if gens is None else GeneratingSet.of(descriptor, parse_generators(descriptor, gens))
+    if all(x.is_identity for x in X.generators):
+        raise PreconditionError(f"the generators {gens} are all the identity, so no set has a boundary")
     if mode == "exhaustive":
         best, report = exhaustive_min_ratio(descriptor, X, radius)
         best_set, history = best.as_json(), []

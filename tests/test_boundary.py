@@ -391,6 +391,22 @@ def test_incremental_search_matches_rescan(descriptor, gens, radius, iterations,
     assert reached.index(min(reached)) < len(got.history)
 
 
+def test_local_search_builds_a_bounded_number_of_fractions(monkeypatch):
+    # bests are ranked by integer cross-products: the initial and final reports (each built and
+    # checked) and the best ratio are the only Fractions, however many moves are accepted
+    made = []
+
+    def counting_fraction(*args):
+        made.append(args)
+        return Fraction(*args)
+
+    monkeypatch.setattr("foelner.boundary.Fraction", counting_fraction)
+    cfg = GroupSearchConfig(radius=8, mode="search", seed=1, iterations=2000)
+    res = local_search_min_ratio(Z2, XZ2, cfg)
+    assert len(res.history) > 100 and len(made) <= 5
+    assert res.report.ratio < 1
+
+
 def test_local_search_requires_seed():
     with pytest.raises(SeedRequired):
         GroupSearchConfig(radius=3, mode="search", seed=None, iterations=10)

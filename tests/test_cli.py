@@ -1,5 +1,6 @@
 """CLI behavior: schemas, determinism, exit codes."""
 
+import gc
 import hashlib
 import io
 import json
@@ -21,7 +22,7 @@ import foelner.cli
 import foelner.connes
 import foelner.paradox
 from foelner import budget, l2ops
-from foelner.cli import _HANDLERS, build_parser, main, render_json, run
+from foelner.cli import _handler, build_parser, main, render_json, run
 from foelner.connes import ProjectionSearchConfig, anneal_projection
 from foelner.errors import ConvergenceError, InvariantViolation, PreconditionError, SearchSpaceTooLarge, SeedRequired
 from foelner.words import ball, format_word, free_group, standard_generators, words_of
@@ -262,6 +263,84 @@ def test_cli_import_shortens_the_blas_idle_spin_unless_the_environment_sets_it(v
     assert seen == value if value else int(seen) < 28  # shorter than OpenBLAS's default of 2^28 cycles
 
 
+# ---------------------------------------------------------------------------
+# What a CLI process loads and how it ends.
+
+# The process entry run as __main__, as `python -m foelner.cli` runs it, then the names of every loaded
+# module on the last line of stderr.
+LOADED_SCRIPT = textwrap.dedent(
+    """\
+    import runpy, sys
+    try:
+        runpy.run_module("foelner.cli", run_name="__main__", alter_sys=True)
+    except SystemExit:  # argparse's exits: --version, --help and refusals
+        pass
+    print(" ".join(sorted(sys.modules)), file=sys.stderr)
+    """
+)
+RUN_MODULES = {f"foelner.{name}" for name in ("words", "budget", "boundary", "l2ops", "connes", "paradox")}
+
+
+def _loaded(argv: list) -> set:
+    proc = subprocess.run([sys.executable, "-c", LOADED_SCRIPT, *argv], env=_child_env(), capture_output=True, timeout=120)
+    assert proc.returncode == 0, proc.stderr.decode(errors="replace")[-400:]
+    return set(proc.stderr.decode().splitlines()[-1].split())
+
+
+@pytest.mark.parametrize("argv", [["--version"], ["--help"], ["group", "--group", "free:2", "--radius", "x"]],
+                         ids=["version", "help", "refusal"])
+def test_parser_exits_load_no_numpy_and_no_run_module(argv):
+    loaded = _loaded(argv)
+    assert "foelner" in loaded
+    assert not loaded & (RUN_MODULES | {"numpy"}), sorted(loaded & (RUN_MODULES | {"numpy"}))
+
+
+@pytest.mark.parametrize(
+    "argv, own, others",
+    [
+        ("group --group free:2 --radius 2 --mode balls", "boundary", {"l2ops", "connes", "paradox"}),
+        ("scan --n 2 --rank 1 --radius 2 --iters 2 --seed 1", "connes", {"boundary", "paradox"}),
+        ("witness --n 2 --k 2 --depth 2", "connes", {"boundary", "paradox"}),
+        ("identity-check --trials 1 --seed 1", "connes", {"boundary", "paradox"}),
+        ("audit --rank 2 --radius 3 --seed 1 --frames 1", "paradox", {"boundary"}),
+    ],
+    ids=lambda value: value.split()[0] if " " in value else None,
+)
+def test_each_command_loads_only_its_own_run_modules(argv, own, others):
+    loaded = _loaded(argv.split())
+    assert {f"foelner.{own}", "numpy"} <= loaded
+    assert not loaded & {f"foelner.{name}" for name in others}, sorted(loaded & {f"foelner.{name}" for name in others})
+
+
+def test_main_in_process_freezes_nothing(tmp_path):
+    # only the process entry freezes the heap, after main returns: a caller of main that goes on collects as usual
+    assert gc.get_freeze_count() == 0
+    assert run_cli(["group", "--group", "free:2", "--radius", "2", "--mode", "exhaustive"], tmp_path)[0] == 0
+    assert gc.get_freeze_count() == 0
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["group", "--group", "abelian:2", "--radius", "10", "--mode", "search", "--iters", "2000", "--seed", "3"],
+        ["audit", "--rank", "8", "--radius", "5", "--seed", "1", "--frames", "5", "--paper-mode"],
+    ],
+    ids=lambda argv: argv[0],
+)
+def test_process_entry_writes_the_in_process_report(argv, tmp_path):
+    proc = subprocess.run([sys.executable, "-m", "foelner.cli", *argv], env=_child_env(), capture_output=True, timeout=120)
+    assert proc.returncode == 0, proc.stderr.decode(errors="replace")[-400:]
+    code, raw = run_cli(argv, tmp_path)
+    assert code == 0 and proc.stdout == raw
+
+
+def test_the_foelner_script_is_the_process_entry():
+    # `python -m foelner.cli` runs foelner.cli.entry; the installed script must too
+    pyproject = (SRC.parent / "pyproject.toml").read_text()
+    assert 'foelner = "foelner.cli:entry"' in pyproject
+    assert "raise SystemExit(entry())" in (SRC / "foelner" / "cli.py").read_text()
+
+
 def _edge(template: str, last: int) -> tuple[list, list]:
     return template.format(last).split(), template.format(last + 1).split()
 
@@ -488,6 +567,8 @@ def _library_run(command: str, args: tuple) -> dict:
             "group --group abelian:2 --radius 5 --mode balls",
             "group --group free:2 --radius 8 --mode balls",
             "group --group free:2 --gens a1.a2,A1 --radius 3 --mode balls",
+            "group --group free:2 --gens a1 --radius 2 --mode exhaustive",  # a proper subgroup
+            "group --group abelian:2 --gens (0,0),(1,0) --radius 2 --mode balls",  # the identity beside a mover
             "group --group abelian:2 --radius 10 --mode search --iters 500 --seed 6",
             "group --group free:2 --radius 2 --mode exhaustive --iters -1 --seed -4",  # read by the search only
             "witness --n 2 --k 8 --depth 6",
@@ -536,6 +617,11 @@ def test_library_run_is_the_commands_results(argv, tmp_path):
         ("scan", (2, 1, 3, 5, None, None), SeedRequired),
         ("scan", (2, 1, 3, 5, 1, ""), PreconditionError),
         ("scan", (2, 1, 1, 5, 1, "a1.a2"), PreconditionError),  # an ambient radius below the unitaries' length
+        # generators that are all the identity, so no set has a boundary
+        ("group", ("free:2", "e", 2, "exhaustive", 0, None), PreconditionError),
+        ("group", ("free:2", "a1.A1", 2, "balls", 0, None), PreconditionError),
+        ("group", ("abelian:2", "(0,0)", 2, "search", 5, 1), PreconditionError),
+        ("group", ("abelian:2", "(0,0),(0,0)", 2, "exhaustive", 0, None), PreconditionError),
     ],
 )
 def test_library_run_refuses_before_building(command, args, error, monkeypatch):
@@ -645,7 +731,7 @@ def test_convergence_error_maps_to_exit_3(monkeypatch, capsys):
     def boom(cfg):
         raise ConvergenceError("forced")
 
-    monkeypatch.setitem(_HANDLERS, "witness", boom)
+    monkeypatch.setattr(foelner.cli, "_handler", lambda command: boom)
     code = main(["witness", "--n", "2", "--k", "2", "--depth", "2"])
     assert code == 3
     assert "non-convergence" in capsys.readouterr().err
@@ -655,7 +741,7 @@ def test_invariant_violation_maps_to_exit_4(monkeypatch, capsys):
     def boom(cfg):
         raise InvariantViolation("forced")
 
-    monkeypatch.setitem(_HANDLERS, "witness", boom)
+    monkeypatch.setattr(foelner.cli, "_handler", lambda command: boom)
     code = main(["witness", "--n", "2", "--k", "2", "--depth", "2"])
     assert code == 4
     assert "invariant violated" in capsys.readouterr().err
@@ -670,7 +756,7 @@ def test_witness_formula_mismatch_maps_to_exit_4(monkeypatch, capsys):
 
 
 def test_run_config_echo_includes_everything():
-    payload = run(build_parser().parse_args(["witness", "--n", "2", "--k", "2", "--depth", "2"]))
+    payload = run(build_parser().parse_args(["witness", "--n", "2", "--k", "2", "--depth", "2"]), _handler("witness"))
     assert payload["config"]["command"] == "witness"
     assert payload["config"]["n"] == 2
     assert payload["config"]["format"] == "json"
@@ -689,11 +775,10 @@ def test_csv_unavailable_for_non_tabular(capsys):
 
 
 def _refuse_work(monkeypatch):
-    def work(cfg):
-        raise AssertionError(f"{cfg.command} ran although its output was to be refused")
+    def work(command):
+        raise AssertionError(f"{command} was loaded although its output was to be refused")
 
-    for command in _HANDLERS:
-        monkeypatch.setitem(_HANDLERS, command, work)
+    monkeypatch.setattr(foelner.cli, "_handler", work)
 
 
 @pytest.mark.parametrize(
@@ -782,7 +867,7 @@ def test_report_is_written_in_pieces(monkeypatch):
     text = recorder.getvalue()
     assert len(text) > 700_000 and max(recorder.writes) <= 64 * 1024
     assert len(recorder.writes) <= 1_000  # batches of encoder tokens, not one write a token or an item
-    assert text == json.dumps(run(build_parser().parse_args(argv)), indent=2, sort_keys=True) + "\n"
+    assert text == json.dumps(run(build_parser().parse_args(argv), _handler("group")), indent=2, sort_keys=True) + "\n"
 
 
 def test_scan_serializes_its_frame_once(monkeypatch, tmp_path):

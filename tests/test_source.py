@@ -159,7 +159,8 @@ CLI_IMPORTS = {"__version__", "ConvergenceError", "InvariantViolation", "Precond
 def test_cli_imports_only_the_runs_from_the_package():
     # the library checks, charges and computes every run: the CLI parses arguments, makes one
     # library call per command and writes its report, so it imports no budget, numpy or
-    # estimator, and no module outside the package but the standard library
+    # estimator, and no module outside the package but the standard library.  The walk covers
+    # the whole module, the imports in the command handlers as well as the module level.
     taken, outside = set(), set()
     for node in ast.walk(ast.parse((PACKAGE / "cli.py").read_text())):
         if isinstance(node, ast.ImportFrom) and (node.level or (node.module or "").split(".")[0] == "foelner"):
@@ -168,14 +169,28 @@ def test_cli_imports_only_the_runs_from_the_package():
             outside.add(node.module.split(".")[0])
         elif isinstance(node, ast.Import):
             outside.update(alias.name.split(".")[0] for alias in node.names)
-    assert taken <= CLI_IMPORTS, f"cli.py imports {sorted(taken - CLI_IMPORTS)} from the package"
+    assert taken == CLI_IMPORTS, f"cli.py takes {sorted(taken ^ CLI_IMPORTS)} other than CLI_IMPORTS says"
     assert outside <= sys.stdlib_module_names, f"cli.py imports {sorted(outside - sys.stdlib_module_names)}"
+
+
+def test_cli_module_level_takes_only_the_version_and_the_error_types():
+    # a command's run module, and numpy with it, loads in the command's handler, so --version,
+    # --help and argparse's refusals load no run module and no numpy
+    taken = {
+        alias.name
+        for node in _module_level(ast.parse((PACKAGE / "cli.py").read_text()))
+        if isinstance(node, ast.ImportFrom) and (node.level or (node.module or "").split(".")[0] == "foelner")
+        for alias in node.names
+    }
+    allowed = {"__version__", "ConvergenceError", "InvariantViolation", "PreconditionError"}
+    assert taken <= allowed, f"cli.py's module level takes {sorted(taken - allowed)} from the package"
 
 
 def test_cli_sets_the_blas_idle_spin_before_numpy_loads():
     # OpenBLAS reads OPENBLAS_THREAD_TIMEOUT once, when numpy loads it: every package module but
-    # errors and budget imports numpy, directly or through words, so cli.py sets it before
-    # each `from .<module> import`
+    # errors and budget imports numpy, directly or through words, and cli.py imports a command's
+    # run module (so numpy) in the command's handler; it sets the variable at module level, before
+    # each of its own `from .<module> import`s, so before any handler runs
     body = ast.parse((PACKAGE / "cli.py").read_text()).body
     sets = [stmt.lineno for stmt in body if "setdefault('OPENBLAS_THREAD_TIMEOUT'" in ast.unparse(stmt)]
     imports = [stmt.lineno for stmt in body if isinstance(stmt, ast.ImportFrom) and stmt.level and stmt.module]
