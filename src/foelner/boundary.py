@@ -158,18 +158,14 @@ def translation_table(descriptor: GroupDescriptor, X: GeneratingSet, radius: int
 
 def _subset_boundary_counts(masks: np.ndarray, nbr: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """Boundary popcount and size popcount for each subset bitmask; nbr[x, i]
-    is the ball index of elements[i] * closure[x], or -1 outside the ball."""
-    interior = masks.copy()
-    one = np.uint64(1)
-    for xi in range(nbr.shape[0]):
-        stay = np.zeros_like(masks)
-        for i in range(nbr.shape[1]):
-            j = nbr[xi, i]
-            if j >= 0:
-                stay |= ((masks >> np.uint64(j)) & one) << np.uint64(i)
-        interior &= stay
-    bnd = masks & ~interior
-    return np.bitwise_count(bnd).astype(np.int64), np.bitwise_count(masks).astype(np.int64)
+    is the ball index of elements[i] * closure[x], or -1 outside the ball.  Element i is
+    interior to m iff m holds nb[i], the bits of i and of its neighbours."""
+    size = np.bitwise_count(masks).astype(np.int64)
+    interior = np.zeros_like(size)
+    for i in np.flatnonzero((nbr >= 0).all(axis=0)):  # one with a neighbour off the ball is never interior
+        nb = np.bitwise_or.reduce(np.uint64(1) << nbr[:, i].astype(np.uint64), initial=np.uint64(1) << np.uint64(i))
+        interior += (masks & nb) == nb
+    return size - interior, size
 
 
 def exhaustive_min_ratio(
@@ -181,14 +177,12 @@ def exhaustive_min_ratio(
 
     Ties are broken by smaller set size, then by shortlex-lexicographic
     membership.  Refuses, before building the ball, a pass over all subsets
-    or a table past a bound of the budget.  Each subset is charged |ball| mask entries for each word
-    of X u X^-1 no longer than 2 * radius, two whole-mask passes for each longer one (which moves
-    every member off the ball), and 20 more.
+    or a table past a bound of the budget.  Each subset is charged one mask visit for each
+    element of the ball, the most neighbourhoods the pass tests, and 20 more, whatever X is.
     """
     table = ball_units(descriptor, max(radius, 0), X.generators * 2)
     size = table[0]["rows"]  # a pass of EXHAUSTIVE_CHUNK subsets is part of budget.BASE_MB
-    per_subset = sum(2 * (size if x.length() <= 2 * radius else 2) for x in X.generators) + 20
-    budget.check(f"a search over all subsets of ball({radius})", *table, masks=per_subset << size)
+    budget.check(f"a search over all subsets of ball({radius})", *table, masks=(size + 20) << size)
     b, nbr = translation_table(descriptor, X, radius)
     n = len(b)
     total = (1 << n) - 1
@@ -199,7 +193,7 @@ def exhaustive_min_ratio(
         masks = np.arange(start, stop, dtype=np.uint64)
         bcnt, scnt = _subset_boundary_counts(masks, nbr)
         ratios = bcnt / scnt
-        # distinct rationals with denominators <= |ball| (< 30 within the time bound) are separated far beyond
+        # distinct rationals with denominators <= |ball| (<= 26 within the time bound) are separated far beyond
         # float error, so a float window isolates the exact minimizers; of those,
         # the smallest sets share one boundary count too
         cand = np.flatnonzero(ratios <= ratios.min() + 1e-9)

@@ -26,3 +26,20 @@ def oracle_translation_indices(words, g, right=False):
     `right`), or -1 outside: one multiply and one dict lookup per word."""
     where = {w: i for i, w in enumerate(words)}
     return np.array([where.get(multiply(w, g) if right else multiply(g, w), -1) for w in words], dtype=np.int64)
+
+
+def oracle_subset_boundary_counts(masks, nbr):
+    """Boundary and size popcounts of each subset bitmask; nbr[x, i] is the ball index of
+    elements[i] * x, or -1 outside the ball.  The interior mask is built a table row at a time:
+    one shift, and, shift and or over all masks for each pair of a row and a ball element."""
+    interior = masks.copy()
+    one = np.uint64(1)
+    for xi in range(nbr.shape[0]):
+        stay = np.zeros_like(masks)
+        for i in range(nbr.shape[1]):
+            j = nbr[xi, i]
+            if j >= 0:
+                stay |= ((masks >> np.uint64(j)) & one) << np.uint64(i)
+        interior &= stay
+    bnd = masks & ~interior
+    return np.bitwise_count(bnd).astype(np.int64), np.bitwise_count(masks).astype(np.int64)

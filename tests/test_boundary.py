@@ -21,10 +21,20 @@ from foelner.boundary import (
     translation_table,
 )
 from foelner.errors import DescriptorMismatch, PreconditionError, SearchSpaceTooLarge, SeedRequired
-from foelner.words import Word, ball, free_abelian, free_group, multiply, parse_generators, translation_indices, words_of
+from foelner.words import (
+    Word,
+    ball,
+    ball_size,
+    free_abelian,
+    free_group,
+    multiply,
+    parse_generators,
+    translation_indices,
+    words_of,
+)
 from frame_helpers import count_calls
 from search_helpers import rescan_local_search
-from table_helpers import TABLE_CASES, generating_set, oracle_translation_indices
+from table_helpers import TABLE_CASES, generating_set, oracle_subset_boundary_counts, oracle_translation_indices
 
 F2 = free_group(2)
 Z1 = free_abelian(1)
@@ -200,6 +210,30 @@ def test_exhaustive_cap():
         exhaustive_min_ratio(F2, XF2, 3)  # 2^53 subsets of |ball| = 53
 
 
+def _largest_radius(descriptor, radius, size):
+    return max(r for r in range(radius + 1) if ball_size(descriptor, r) <= size)
+
+
+@pytest.mark.parametrize(
+    "descriptor, gens, radius",
+    [(F2, None, 1), (F2, None, 2), (Z2, None, 2)]
+    # (1)..(25) holds generators longer than 2 * radius, which move every member off the ball
+    + [pytest.param(Z1, ",".join(f"({c})" for c in range(1, 26)), 10, id="Z1-(1)..(25)-10")]
+    # the TABLE_CASES groups and generating sets on their largest balls of at most 17 elements
+    + [(d, gens, _largest_radius(d, r, 17)) for d, gens, r in TABLE_CASES],
+)
+def test_subset_boundary_counts_match_per_generator_oracle(descriptor, gens, radius):
+    b, nbr = translation_table(descriptor, generating_set(descriptor, gens), radius)
+    for start in range(0, 1 << len(b), boundary.EXHAUSTIVE_CHUNK):  # every mask, a pass at a time
+        masks = np.arange(start, min(start + boundary.EXHAUSTIVE_CHUNK, 1 << len(b)), dtype=np.uint64)
+        bcnt, scnt = _subset_boundary_counts(masks, nbr)
+        want_bcnt, want_scnt = oracle_subset_boundary_counts(masks, nbr)
+        np.testing.assert_array_equal(bcnt, want_bcnt)
+        np.testing.assert_array_equal(scnt, want_scnt)
+        if nbr.shape[0] == 0:  # X = {e}: an empty table, and every member interior
+            assert not bcnt.any()
+
+
 class BallBuilt(Exception):
     """Raised by a patched ball(): the input passed every check made before the build."""
 
@@ -208,19 +242,34 @@ def _refuse_ball(*args):
     raise BallBuilt
 
 
-def test_exhaustive_subset_pass_cap(monkeypatch):
-    # on ball(Z, 10), 21 elements, each subset costs 2 * 21 mask entries for each of the
-    # generators (1)..(20), 2 * 2 whole-mask passes for each longer one (it moves every member
-    # off the ball) and 20 more: 372 generators are under the time bound, 373 are past it,
-    # refused before the ball is built
+def test_exhaustive_charge_does_not_grow_with_generators(monkeypatch):
+    # each subset is charged |ball| + 20 mask visits whatever X is: ball(Z, 10) of 21 elements
+    # reaches its build with 373 generators and with 5,000, ball(Z, 12) of 25 elements with the
+    # standard ones, and ball(Z, 13) of 27 elements is refused before it
     def gens(count):
         return GeneratingSet.of(Z1, [Word.from_vector(Z1, (c,)) for c in range(1, count + 1)])
 
     monkeypatch.setattr("foelner.boundary.ball", _refuse_ball)
+    for X, radius in ((gens(373), 10), (gens(5000), 10), (XZ1, 12)):
+        with pytest.raises(BallBuilt):
+            exhaustive_min_ratio(Z1, X, radius)
     with pytest.raises(SearchSpaceTooLarge, match="subsets of ball.* predicted to take"):
-        exhaustive_min_ratio(Z1, gens(373), 10)
-    with pytest.raises(BallBuilt):
-        exhaustive_min_ratio(Z1, gens(372), 10)
+        exhaustive_min_ratio(Z1, XZ1, 13)
+
+
+def test_exhaustive_charge_refuses_27_elements_whatever_x(monkeypatch):
+    # the float window of exhaustive_min_ratio assumes denominators <= |ball| <= 26: the subsets of
+    # 27 or more elements are past the time bound on their own, with the ball and table charged as
+    # one row, below what any X costs, and the real balls of 27 or more elements are refused with X = {e}
+    monkeypatch.setattr("foelner.boundary.ball", _refuse_ball)
+    for descriptor, gens, radius in ((Z1, "(0)", 13), (free_group(13), "e", 1), (Z2, "(0,0)", 4), (F2, "e", 3)):
+        assert ball_size(descriptor, radius) >= 27
+        with pytest.raises(SearchSpaceTooLarge, match="subsets of ball"):
+            exhaustive_min_ratio(descriptor, GeneratingSet.of(descriptor, parse_generators(descriptor, gens)), radius)
+    for rows in range(1, 100):
+        monkeypatch.setattr("foelner.boundary.ball_units", lambda *args, rows=rows: [{"rows": rows}])
+        with pytest.raises(SearchSpaceTooLarge if rows >= 27 else BallBuilt):
+            exhaustive_min_ratio(Z1, XZ1, 1)
 
 
 def test_local_search_toggle_cap(monkeypatch):

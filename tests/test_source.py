@@ -200,7 +200,7 @@ def test_cli_sets_the_blas_idle_spin_before_numpy_loads():
 
 # The lines of src/foelner/*.py (as `wc -l` counts them) at the last change that
 # set this limit; a change that raises it says so, and why, in CHANGES.md.
-SOURCE_LINE_LIMIT = 2263
+SOURCE_LINE_LIMIT = 2257
 
 
 def test_package_line_count_does_not_grow():
